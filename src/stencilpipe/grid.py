@@ -22,7 +22,14 @@ def splitmix64_unit(start: int, count: int, seed: int) -> np.ndarray:
     """Deterministic pseudo-random doubles in [0, 1) for linear indices
     start..start+count-1.  SplitMix64 finalizer; stable across platforms and
     library versions, so checksums pinned in tests never drift."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
+    return splitmix64_unit_at(np.arange(start, start + count, dtype=np.uint64),
+                              seed)
+
+
+def splitmix64_unit_at(idx: np.ndarray, seed: int) -> np.ndarray:
+    """:func:`splitmix64_unit` for an array of uint64 linear indices (any
+    shape).  Integer-only up to the final scaling, so the value of an index
+    does not depend on which call produced it."""
     z = idx * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -61,10 +68,12 @@ class Grid3:
         self.nx, self.ny, self.nz = nx, ny, nz
         self.pad = pad
         self.alignment = alignment
-        ext = lambda n: n + 2 * BOUNDARY + pad
+        expected = tuple(n + 2 * BOUNDARY + pad for n in (nz, ny, nx))
         if data is None:
-            data = np.zeros((ext(nz), ext(ny), ext(nx)), dtype=np.float64)
-        assert data.shape == (ext(nz), ext(ny), ext(nx))
+            data = np.zeros(expected, dtype=np.float64)
+        if data.shape != expected:
+            raise ValueError(f"data shape {data.shape} does not match the "
+                             f"expected storage shape {expected}")
         self.data = data
         # Dirichlet face values in logical coordinates, captured once the ring
         # is filled (see create_grid); needed to re-materialize the ring at

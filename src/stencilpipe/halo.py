@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid3, splitmix64_unit
+from .grid import Grid3, splitmix64_unit_at
 from .pipeline import PipelineConfig, PipelineEngine
 from .transport import ProtocolError, pack_frame, unpack_frame
 
@@ -137,13 +137,15 @@ def global_field_box(global_dims, seed: int, box):
     (xl, xh), (yl, yh), (zl, zh) = box
     out = np.zeros((zh - zl, yh - yl, xh - xl))
     x0, x1 = max(xl, 0), min(xh, nx)
-    if x0 >= x1:
+    y0, y1 = max(yl, 0), min(yh, ny)
+    if x0 >= x1 or y0 >= y1:
         return out
+    # one hash call per z-slab keeps the index temporaries at slab size
+    rows = (np.arange(y0, y1, dtype=np.uint64) * np.uint64(nx))[:, None] \
+        + np.arange(x0, x1, dtype=np.uint64)
     for z in range(max(zl, 0), min(zh, nz)):
-        for y in range(max(yl, 0), min(yh, ny)):
-            start = (z * ny + y) * nx + x0
-            out[z - zl, y - yl, x0 - xl:x1 - xl] = \
-                splitmix64_unit(start, x1 - x0, seed)
+        out[z - zl, y0 - yl:y1 - yl, x0 - xl:x1 - xl] = splitmix64_unit_at(
+            rows + np.uint64(z * ny * nx), seed)
     return out
 
 
@@ -336,10 +338,6 @@ class RankRuntime:
     def owned_view(self):
         g = self.engine.current_grid()
         return g.data[_box_slices(g, self.sub.owned_box())]
-
-
-def distributed_cycle(runtime: RankRuntime, index: int = 0):
-    return runtime.cycle(index)
 
 
 def config_digest(cfg: PipelineConfig, global_dims, cycles, seed) -> bytes:

@@ -5,9 +5,25 @@ per-cell summation order (x-low, x-high, y-low, y-high, z-low, z-high, then
 multiply by 1/6).  Because the order never changes, blocked, shifted and
 pipelined runs are bitwise identical to the plain reference sweep, which is
 the oracle for everything else.
+
+``apply_window`` runs a compiled C loop (``_jacobi.c``), built with the system
+``cc`` on first use and cached.  ctypes releases the interpreter lock for the
+call, so pipeline and rank threads compute at the same time.  Where no
+compiler works it falls back to the numpy body, which ``reference_sweep``
+always uses; ``BACKEND`` reads ``"c"`` or ``"numpy"``.
 """
 
 from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
+import threading
+import warnings
+from contextlib import suppress
+from pathlib import Path
 
 import numpy as np
 
@@ -15,7 +31,15 @@ from .grid import Grid3, BlockSpec, decompose_blocks
 
 SIXTH = 1.0 / 6.0
 
-AXES = ("x", "y", "z")
+_SOURCE = Path(__file__).with_name("_jacobi.c")
+# -ffp-contract=off forbids fused multiply-adds, which would change result
+# bits; fast-math (reassociation) would too and must never be added.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_ITEM = np.dtype(np.float64).itemsize
+
+_load_lock = threading.Lock()
+_jacobi = None      # the compiled function once loaded, None on numpy
+_backend = None     # "c" or "numpy" once the first load was attempted
 
 
 def stencil_update_cell(grid: Grid3, i: int, j: int, k: int) -> float:
@@ -29,8 +53,78 @@ def stencil_update_cell(grid: Grid3, i: int, j: int, k: int) -> float:
              + d[z, y + 1, x]) + d[z - 1, y, x] + d[z + 1, y, x]) * SIXTH
 
 
-def window_is_empty(window) -> bool:
-    return any(lo >= hi for lo, hi in window)
+def _build(target: Path) -> None:
+    """Compile the C source into ``target``.  The output goes to a per-pid
+    temporary first and is renamed into place, so a concurrent process never
+    loads a half-written library."""
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        subprocess.run(["cc", *_CFLAGS, "-o", str(tmp), str(_SOURCE)],
+                       check=True, capture_output=True)
+        os.replace(tmp, target)
+    finally:
+        with suppress(FileNotFoundError):
+            tmp.unlink()
+
+
+def _bind(path: Path):
+    fn = ctypes.CDLL(str(path)).jacobi_window  # CDLL: the call drops the GIL
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_ssize_t] * 10 \
+        + [ctypes.c_int]
+    fn.restype = None
+    return fn
+
+
+def _load_compiled():
+    """The compiled window function, from the cache or freshly built.
+
+    The cache file is keyed by the source, the flags and the compiler
+    version, under ``$XDG_CACHE_HOME/stencilpipe`` (``~/.cache`` when unset);
+    if that directory is unwritable the library is built in a private
+    temporary directory for this process only."""
+    version = subprocess.run(["cc", "--version"], check=True,
+                             capture_output=True).stdout
+    key = hashlib.sha256(b"\0".join(
+        [_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(), version])).hexdigest()
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    target = Path(base) / "stencilpipe" / f"jacobi-{key[:16]}.so"
+    try:
+        if not target.exists():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            _build(target)
+        return _bind(target)
+    except OSError:  # cache directory unwritable, or its file unloadable
+        with tempfile.TemporaryDirectory(prefix="stencilpipe-") as tmp:
+            target = Path(tmp) / target.name
+            _build(target)
+            return _bind(target)  # the mapping outlives the deleted file
+
+
+def _compiled():
+    """The compiled window function, loading it on first use; None when no
+    compiler works (one RuntimeWarning, then the numpy body)."""
+    global _jacobi, _backend
+    if _backend is None:
+        with _load_lock:
+            if _backend is None:
+                try:
+                    _jacobi = _load_compiled()
+                except (OSError, subprocess.CalledProcessError) as exc:
+                    detail = str(exc)
+                    if isinstance(exc, subprocess.CalledProcessError):
+                        detail += ": " + exc.stderr.decode(errors="replace")
+                    warnings.warn(
+                        f"stencilpipe: compiled kernel unavailable ({detail.strip()}); "
+                        "using the numpy kernel", RuntimeWarning, stacklevel=2)
+                _backend = "numpy" if _jacobi is None else "c"
+    return _jacobi
+
+
+def __getattr__(name):
+    if name == "BACKEND":  # resolved lazily: loading may run the compiler
+        _compiled()
+        return _backend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def apply_window(src: np.ndarray, dst: np.ndarray, window, src_off: int,
@@ -40,12 +134,52 @@ def apply_window(src: np.ndarray, dst: np.ndarray, window, src_off: int,
     window = ((xlo, xhi), (ylo, yhi), (zlo, zhi)) half-open in logical
     coordinates; src_off/dst_off translate logical coordinate 0 to the storage
     index of the source and destination frames (same offset on every axis).
-    src and dst may alias: the window result is fully computed before any
-    store, so a diagonally shifted in-place write is safe.
+    src and dst may be one array only when the frames differ: the diagonally
+    shifted in-place write of compressed mode, which the traversal order makes
+    equal to computing the whole window before any store.
+
+    Raises ValueError unless both arrays are float64 with equal strides and
+    a unit x stride, dst is writable, and the window plus its one-cell read
+    halo lies inside both arrays: the compiled loop checks no bounds.
     """
     (xl, xh), (yl, yh), (zl, zh) = window
     if xl >= xh or yl >= yh or zl >= zh:
         return
+    if src.dtype != np.float64 or dst.dtype != np.float64:
+        raise ValueError(f"apply_window needs float64 arrays, got {src.dtype} "
+                         f"and {dst.dtype}")
+    if src.strides != dst.strides or src.strides[2] != _ITEM \
+            or src.strides[1] % _ITEM or src.strides[0] % _ITEM:
+        raise ValueError(f"apply_window needs equal whole-element strides "
+                         f"with unit x stride, got {src.strides} and "
+                         f"{dst.strides}")
+    if not dst.flags.writeable:
+        raise ValueError("apply_window destination is read-only")
+    for lo, hi, ns, nd in zip((xl, yl, zl), (xh, yh, zh), src.shape[::-1],
+                              dst.shape[::-1]):
+        if lo + src_off - 1 < 0 or hi + src_off + 1 > ns \
+                or lo + dst_off - 1 < 0 or hi + dst_off + 1 > nd:
+            raise ValueError(
+                f"window {window} plus its halo at offsets {src_off}/"
+                f"{dst_off} leaves arrays of shape {src.shape}/{dst.shape}")
+    sp, dp = src.ctypes.data, dst.ctypes.data
+    if np.may_share_memory(src, dst) and (sp != dp or src_off == dst_off):
+        raise ValueError("src and dst may overlap only as one array written "
+                         "in a shifted frame")
+    fn = _compiled()
+    if fn is None:
+        _apply_window_numpy(src, dst, window, src_off, dst_off)
+        return
+    fn(sp, dp, src.strides[1] // _ITEM, src.strides[0] // _ITEM, src_off,
+       dst_off, xl, xh, yl, yh, zl, zh, dst_off > src_off)
+
+
+def _apply_window_numpy(src: np.ndarray, dst: np.ndarray, window,
+                        src_off: int, dst_off: int) -> None:
+    """The numpy body of :func:`apply_window`: the oracle of reference_sweep
+    and the fallback when no compiler works.  The window result is fully
+    computed before any store."""
+    (xl, xh), (yl, yh), (zl, zh) = window
     so, do = src_off, dst_off
     xs, ys, zs = slice(xl + so, xh + so), slice(yl + so, yh + so), slice(zl + so, zh + so)
     buf = np.add(src[zs, ys, xl + so - 1:xh + so - 1],
@@ -107,7 +241,7 @@ def reference_sweep(a: Grid3, b: Grid3) -> None:
         raise ValueError("reference_sweep requires equal alignments")
     window = ((0, a.nx), (0, a.ny), (0, a.nz))
     off = a.origin - a.alignment
-    apply_window(a.data, b.data, window, off, off)
+    _apply_window_numpy(a.data, b.data, window, off, off)
     _copy_ring(a, b)
 
 

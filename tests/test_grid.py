@@ -61,6 +61,12 @@ def test_negative_pad_rejected():
         create_grid(4, 4, 4, pad=-1)
 
 
+def test_data_of_wrong_shape_rejected():
+    from stencilpipe import Grid3
+    with pytest.raises(ValueError, match=r"\(5, 5, 5\).*\(6, 6, 6\)"):
+        Grid3(4, 4, 4, data=np.zeros((5, 5, 5)))
+
+
 def test_impulse_lands_at_center():
     g = create_grid(5, 5, 5, init="impulse")
     assert g.data.sum() == 1.0

@@ -116,6 +116,12 @@ def test_global_field_box_matches_create_grid():
     # outside the interior the field is zero (the global ring)
     edge = global_field_box((12, 10, 8), 7, ((-2, 1), (0, 2), (0, 2)))
     assert np.all(edge[:, :, :2] == 0.0)
+    # a box clipped on the low and high side of every axis: the global ring
+    # and beyond read zero, the rest equals the padded global grid
+    clipped = global_field_box((12, 10, 8), 7, ((-2, 14), (-1, 12), (-3, 9)))
+    padded = np.zeros((12, 13, 16))
+    padded[3:11, 1:11, 2:14] = g.interior_view()
+    assert np.array_equal(clipped, padded)
 
 
 # ---------------------------------------------------------------------------

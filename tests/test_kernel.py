@@ -1,3 +1,7 @@
+import shutil
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from stencilpipe import (
     spatial_blocked_sweep,
     stencil_update_cell,
 )
+from stencilpipe import kernel
 from tests.conftest import assert_bitwise
 
 # Frozen checksum of the 60^3 seed-42 grid after 8 reference sweeps, computed
@@ -146,3 +151,184 @@ def test_compressed_update_realigned_equals_two_grid_bitwise():
     eng.run_pass(1)
     assert gc.alignment == 1
     assert_bitwise(gc.interior_view(), b.interior_view())
+
+
+# ---------------------------------------------------------------------------
+# compiled window kernel against the numpy body
+# ---------------------------------------------------------------------------
+
+DIMS = (9, 8, 7)   # logical interior (nx, ny, nz)
+PAD = 2
+WINDOWS = {
+    "full": ((0, 9), (0, 8), (0, 7)),
+    "thin_row": ((0, 9), (3, 4), (2, 3)),
+    "thin_x": ((0, 1), (0, 8), (0, 7)),
+    "single_cell": ((4, 5), (3, 4), (2, 3)),
+    "truncated_edge": ((6, 9), (5, 8), (4, 7)),
+}
+# (src_off, dst_off, in place): the two-grid frame, and the compressed
+# forward (write shifted toward lower indices) and backward passes
+FRAMES = {
+    "two_grid": (PAD + 1, PAD + 1, False),
+    "forward_shift": (PAD + 1, PAD, True),
+    "backward_shift": (PAD, PAD + 1, True),
+}
+
+
+def _random_storage(seed):
+    nx, ny, nz = DIMS
+    rng = np.random.default_rng(seed)
+    return rng.random((nz + 2 + PAD, ny + 2 + PAD, nx + 2 + PAD))
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+@pytest.mark.parametrize("name", WINDOWS)
+def test_apply_window_bitwise_equals_numpy(name, frame):
+    so, do, in_place = FRAMES[frame]
+    src = _random_storage(3)
+    dst = src if in_place else _random_storage(4)
+    src_ref = src.copy()
+    dst_ref = src_ref if in_place else dst.copy()
+    kernel.apply_window(src, dst, WINDOWS[name], so, do)
+    kernel._apply_window_numpy(src_ref, dst_ref, WINDOWS[name], so, do)
+    assert_bitwise(dst, dst_ref)
+    assert_bitwise(src, src_ref)
+
+
+def _guarded():
+    """A 2-cell margin of sentinels around the arrays the kernel sees: a
+    write past their bounds would land in the margin."""
+    outer = np.full((15, 16, 17), 7.0)
+    return outer, outer[2:-2, 2:-2, 2:-2]
+
+
+@pytest.mark.parametrize("window, so, do", [
+    (((0, 9), (0, 8), (0, 7)), 0, 0),          # read halo below index 0
+    (((0, 13), (0, 8), (0, 7)), 1, 1),         # read halo past the x end
+    (((0, 9), (0, 8), (0, 10)), 1, 1),         # past the z end
+    (((0, 9), (0, 8), (0, 7)), 1, 5),          # write past the x end
+])
+def test_apply_window_out_of_range_raises_and_writes_nothing(window, so, do):
+    outer_src, src = _guarded()
+    outer_dst, dst = _guarded()
+    before = outer_dst.copy()
+    with pytest.raises(ValueError, match="halo"):
+        kernel.apply_window(src, dst, window, so, do)
+    assert_bitwise(outer_dst, before)
+
+
+@pytest.mark.parametrize("case", ["float32", "strides", "x_stride",
+                                  "partial_element_stride", "read_only",
+                                  "alias_unshifted", "alias_other_view"])
+def test_apply_window_rejects_unsafe_arrays(case):
+    a, b = np.zeros((6, 6, 6)), np.zeros((6, 6, 6))
+    so = do = 1
+    if case == "float32":
+        b = b.astype(np.float32)
+    elif case == "strides":
+        b = np.zeros((6, 6, 8))[:, :, :6]
+    elif case == "x_stride":
+        a, b = (np.zeros((6, 6, 12))[:, :, ::2] for _ in range(2))
+    elif case == "partial_element_stride":
+        a, b = (np.lib.stride_tricks.as_strided(
+            np.zeros(1000), shape=(6, 6, 6), strides=(404, 68, 8))
+            for _ in range(2))
+    elif case == "read_only":
+        b.flags.writeable = False
+    elif case == "alias_unshifted":
+        b = a
+    else:
+        big = np.zeros((7, 7, 7))
+        a, b, so, do = big[1:, 1:, 1:], big[:-1, :-1, :-1], 1, 2
+    with pytest.raises(ValueError):
+        kernel.apply_window(a, b, ((0, 4), (0, 4), (0, 4)), so, do)
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """Forget the loaded kernel (restored afterwards) and cache into
+    tmp_path, so that the next call loads from scratch."""
+    monkeypatch.setattr(kernel, "_jacobi", None)
+    monkeypatch.setattr(kernel, "_backend", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path
+
+
+def _window_pair(fn):
+    src, dst = _random_storage(5), _random_storage(6)
+    fn(src, dst, WINDOWS["full"], PAD + 1, PAD + 1)
+    return dst
+
+
+def test_no_compiler_falls_back_to_numpy_with_one_warning(fresh_loader,
+                                                           monkeypatch):
+    empty = fresh_loader / "no_tools"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    with pytest.warns(RuntimeWarning, match="numpy kernel") as record:
+        got = _window_pair(kernel.apply_window)
+        _window_pair(kernel.apply_window)
+        assert kernel.BACKEND == "numpy"
+    assert len(record) == 1
+    assert_bitwise(got, _window_pair(kernel._apply_window_numpy))
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler on PATH")
+
+
+@needs_cc
+def test_second_load_reuses_cached_library(fresh_loader, monkeypatch):
+    assert kernel.BACKEND == "c"
+    assert len(list((fresh_loader / "cache" / "stencilpipe").glob("*.so"))) == 1
+
+    def no_build(target):
+        raise AssertionError("compiled again despite a cached library")
+
+    monkeypatch.setattr(kernel, "_jacobi", None)
+    monkeypatch.setattr(kernel, "_backend", None)
+    monkeypatch.setattr(kernel, "_build", no_build)
+    assert_bitwise(_window_pair(kernel.apply_window),
+                   _window_pair(kernel._apply_window_numpy))
+    assert kernel.BACKEND == "c"
+
+
+@needs_cc
+def test_unwritable_cache_builds_in_a_private_temp_dir(fresh_loader,
+                                                        monkeypatch):
+    blocker = fresh_loader / "a_file"
+    blocker.write_text("not a directory")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert kernel.BACKEND == "c"
+    assert_bitwise(_window_pair(kernel.apply_window),
+                   _window_pair(kernel._apply_window_numpy))
+
+
+@needs_cc
+def test_concurrent_first_use_builds_once(fresh_loader, monkeypatch):
+    builds = []
+    real_build = kernel._build
+
+    def counting_build(target):
+        builds.append(target)
+        real_build(target)
+
+    monkeypatch.setattr(kernel, "_build", counting_build)
+    expected = _window_pair(kernel._apply_window_numpy)
+    results = [None] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(
+            target=lambda i=i: results.__setitem__(
+                i, _window_pair(kernel.apply_window))) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(builds) == 1
+    for got in results:
+        assert_bitwise(got, expected)
