@@ -7,11 +7,10 @@ from .grid import (
     BlockPlan,
     create_grid,
     decompose_blocks,
-    next_block,
     read_snapshot,
     write_snapshot,
 )
-from .kernel import reference_sweep, spatial_blocked_sweep, stencil_update_cell
+from .kernel import reference_sweep, spatial_blocked_sweep
 from .pipeline import (
     EffectiveDistances,
     PipelineConfig,
@@ -22,7 +21,6 @@ from .pipeline import (
     estimate_max_distance,
     may_advance,
     run_pipelined,
-    team_sweep,
 )
 from .halo import (
     DistConfig,
@@ -34,6 +32,7 @@ from .halo import (
     decompose_domain,
     exchange_multilayer_halos,
     run_distributed_inprocess,
+    run_digest,
     run_rank,
 )
 from .perfmodel import (

@@ -9,42 +9,46 @@ names; explicit flags override file values.  Every emitted row carries the
 config hash so results can be reproduced from their inputs.
 
 Exit codes: 0 ok, 1 verification failure, 2 configuration error,
-3 transport error.
+3 transport error, 4 run error (the pipeline watchdog fired).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
+import itertools
 import json
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
 from .bench import stream_copy_bench, update_bench
-from .grid import BlockSpec, create_grid, write_snapshot
+from .flatfile import parse_flat
+from .grid import BlockSpec, Grid3, create_grid, write_snapshot
 from .halo import (DistConfig, RankTopology, assemble_global,
-                   run_distributed_inprocess, run_rank)
+                   run_digest, run_distributed_inprocess, run_rank)
 from .kernel import reference_sweep
 from .perfmodel import (baseline_perf, cache_cycle_model, comm_efficiency,
                         default_bj, l3_scalability_check, load_machine_model,
                         load_network_model, multihalo_advantage,
                         pipelined_bound)
-from .pipeline import PipelineConfig, run_pipelined
+from .pipeline import PipelineConfig, PipelineDeadlock, run_pipelined
 from .transport import TransportError, parse_rankfile, tcp_endpoint
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
+EXIT_RUN = 4
 
 
 @dataclass
 class RunConfig:
-    """Everything a compute run depends on; the hash of these fields is the
+    """Everything a compute run depends on; its :func:`run_digest` is the
     provenance stamp embedded in outputs."""
     nx: int = 60
     ny: int = 60
@@ -70,27 +74,8 @@ class RunConfig:
                               d_u=self.d_u, d_t=self.d_t, sync_mode=self.sync,
                               grid_mode=self.mode, **extra)
 
-    def config_hash(self) -> str:
-        text = "\n".join(f"{f.name}={getattr(self, f.name)}"
-                         for f in fields(self))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def read_config_file(path) -> dict:
-    out = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (p.strip() for p in line.split("=", 1))
-            out[key] = val
-    return out
 
 
 def parse_span(text: str):
@@ -109,33 +94,11 @@ def parse_span(text: str):
     return [int(p) for p in text.split(",") if p != ""]
 
 
-def _emit(rows, csv_path=None, as_json=False, file=None):
-    rows = list(rows)
-    if not rows:
-        return
-    if file is None:
-        file = sys.stdout
-    if as_json:
-        json.dump(rows, file, indent=2, default=str)
-        file.write("\n")
-    else:
-        writer = csv.DictWriter(file, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    if csv_path:
-        with open(csv_path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-
-
 def _config_from_args(args) -> RunConfig:
     base = RunConfig()
     values = base.as_dict()
     if getattr(args, "config", None):
-        file_vals = read_config_file(args.config)
+        file_vals = parse_flat(Path(args.config).read_text())
         for key, val in file_vals.items():
             if key not in values:
                 raise ValueError(f"unknown config key {key!r}")
@@ -158,19 +121,44 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _oracle_after(rc: RunConfig, sweeps: int):
-    a = create_grid(rc.nx, rc.ny, rc.nz, init=rc.init, seed=rc.seed)
+def _verify(rows, result: Grid3, dims, init, seed, sweeps) -> bool:
+    """Compare ``result`` bitwise with ``sweeps`` reference sweeps of the
+    same initial grid; marks every row with the outcome."""
+    a = create_grid(*dims, init=init, seed=seed)
     b = a.copy()
     for _ in range(sweeps):
         reference_sweep(a, b)
         a, b = b, a
-    return a
+    ok = np.array_equal(result.interior_view(), a.interior_view())
+    for row in rows:
+        row["verified"] = "bitwise match" if ok else "MISMATCH"
+    return ok
 
 
-def _execute(rc: RunConfig, jitter_prob=0.0, watchdog_s=30.0):
-    cfg = rc.pipeline_config(jitter_prob=jitter_prob,
-                             jitter_max_s=0.0005 if jitter_prob else 0.0,
-                             watchdog_s=watchdog_s)
+def _emit(rows, args, ok=True) -> int:
+    """Print the rows as CSV (JSON with --json), copy them as CSV to --csv,
+    and return the exit code: 1 when the oracle disagreed."""
+    if rows:
+        if args.json:
+            json.dump(rows, sys.stdout, indent=2, default=str)
+            sys.stdout.write("\n")
+        with ExitStack() as stack:
+            sinks = [] if args.json else [sys.stdout]
+            if args.csv:
+                sinks.append(stack.enter_context(open(args.csv, "w",
+                                                      newline="")))
+            for sink in sinks:
+                writer = csv.DictWriter(sink, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+    if not ok:
+        print("verification FAILED", file=sys.stderr)
+        return EXIT_VERIFY
+    return EXIT_OK
+
+
+def _execute(rc: RunConfig, watchdog_s=30.0):
+    cfg = rc.pipeline_config(watchdog_s=watchdog_s)
     if rc.mode == "compressed":
         g = create_grid(rc.nx, rc.ny, rc.nz, pad=cfg.h, init=rc.init,
                         seed=rc.seed)
@@ -181,9 +169,10 @@ def _execute(rc: RunConfig, jitter_prob=0.0, watchdog_s=30.0):
     return cfg, stats
 
 
-def _stats_row(rc: RunConfig, stats) -> dict:
+def _stats_row(rc: RunConfig, cfg, stats) -> dict:
     row = rc.as_dict()
-    row.update(config_hash=rc.config_hash(),
+    row.update(config_hash=run_digest(cfg, (rc.nx, rc.ny, rc.nz), rc.passes,
+                                      rc.seed, rc.init)[:16],
                wall_seconds=stats.wall_seconds,
                mlups=round(stats.mlups, 3),
                spin_iterations_total=stats.spin_iterations_total)
@@ -195,217 +184,148 @@ def _stats_row(rc: RunConfig, stats) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    try:
-        rc = _config_from_args(args)
-        cfg, stats = _execute(rc, watchdog_s=args.watchdog)
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    rc = _config_from_args(args)
+    cfg, stats = _execute(rc, watchdog_s=args.watchdog)
     if args.out:
         write_snapshot(stats.result, args.out)
-    rows = [_stats_row(rc, stats)]
-    if args.verify:
-        expected = _oracle_after(rc, cfg.h * rc.passes)
-        ok = np.array_equal(stats.result.interior_view(),
-                            expected.interior_view())
-        rows[0]["verified"] = "bitwise match" if ok else "MISMATCH"
-        if not ok:
-            _emit(rows, args.csv, args.json)
-            print("verification FAILED", file=sys.stderr)
-            return EXIT_VERIFY
-    _emit(rows, args.csv, args.json)
-    return EXIT_OK
+    rows = [_stats_row(rc, cfg, stats)]
+    ok = not args.verify or _verify(rows, stats.result, (rc.nx, rc.ny, rc.nz),
+                                    rc.init, rc.seed, cfg.h * rc.passes)
+    return _emit(rows, args, ok)
 
 
 def cmd_sweep(args) -> int:
-    try:
-        base = _config_from_args(args)
-        spans = {
-            "t": parse_span(args.sweep_t) if args.sweep_t else [base.t],
-            "T": parse_span(args.sweep_T) if args.sweep_T else [base.T],
-            "d_l": parse_span(args.dl) if args.dl else [base.d_l],
-            "d_u": parse_span(args.du) if args.du else [base.d_u],
-            "d_t": parse_span(args.dt) if args.dt else [base.d_t],
-            "bx": parse_span(args.sweep_bx) if args.sweep_bx else [base.bx],
-        }
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    base = _config_from_args(args)
+    spans = [parse_span(text) if text else [getattr(base, name)]
+             for name, text in (("t", args.sweep_t), ("T", args.sweep_T),
+                                ("d_l", args.dl), ("d_u", args.du),
+                                ("d_t", args.dt), ("bx", args.sweep_bx))]
     rows = []
-    for t in spans["t"]:
-        for T in spans["T"]:
-            for d_l in spans["d_l"]:
-                for d_u in spans["d_u"]:
-                    for d_t in spans["d_t"]:
-                        for bx in spans["bx"]:
-                            values = base.as_dict()
-                            values.update(t=t, T=T, d_l=d_l, d_u=d_u,
-                                          d_t=d_t, bx=bx)
-                            try:
-                                rc = RunConfig(**values)
-                                _cfg, stats = _execute(rc)
-                                row = _stats_row(rc, stats)
-                                row["status"] = "ok"
-                            except ValueError as exc:
-                                row = dict(values,
-                                           config_hash="", wall_seconds="",
-                                           mlups="", spin_iterations_total="",
-                                           status=f"config_error: {exc}")
-                            rows.append(row)
-    _emit(rows, args.csv, args.json)
-    return EXIT_OK
+    for t, T, d_l, d_u, d_t, bx in itertools.product(*spans):
+        values = dict(base.as_dict(), t=t, T=T, d_l=d_l, d_u=d_u, d_t=d_t,
+                      bx=bx)
+        try:
+            rc = RunConfig(**values)
+            cfg, stats = _execute(rc)
+            row = _stats_row(rc, cfg, stats)
+            row["status"] = "ok"
+        except ValueError as exc:
+            row = dict(values, config_hash="", wall_seconds="", mlups="",
+                       spin_iterations_total="",
+                       status=f"config_error: {exc}")
+        rows.append(row)
+    return _emit(rows, args)
 
 
 def cmd_model(args) -> int:
-    try:
-        rows = []
-        if args.op in ("baseline", "bound", "cycles", "scalability"):
-            machines = [load_machine_model(m) for m in args.machine]
-            if not machines:
-                raise ValueError("model op needs --machine")
-        if args.op == "baseline":
-            for m in machines:
-                rows.append({"machine": m.name, "m_s_Bps": m.m_s,
-                             "baseline_mlups": baseline_perf(m) / 1e6})
-        elif args.op == "bound":
-            for m in machines:
-                for t in parse_span(args.t_range):
-                    rows.append({"machine": m.name, "t": t,
-                                 "bound_mlups": pipelined_bound(m, t) / 1e6})
-        elif args.op == "cycles":
-            for m in machines:
-                for level in args.levels.split(","):
-                    r = cache_cycle_model(m, args.kernel, level)
-                    rows.append({
-                        "machine": m.name, "kernel": args.kernel,
-                        "level": level, "cycles_min": r.cycles_min,
-                        "cycles_max": r.cycles_max,
-                        "bandwidth_min_GBps":
-                            "" if r.bandwidth_min is None
-                            else round(r.bandwidth_min / 1e9, 2),
-                        "bandwidth_max_GBps":
-                            "" if r.bandwidth_max is None
-                            else round(r.bandwidth_max / 1e9, 2)})
-        elif args.op == "scalability":
-            for m in machines:
-                bj = default_bj(m) if args.bj == "auto" else float(args.bj)
-                for t in parse_span(args.t_range):
-                    required, scales = l3_scalability_check(m, t, bj)
-                    rows.append({"machine": m.name, "t": t, "b_j_Bps": bj,
-                                 "required_Bps": required,
-                                 "m_ucmax_Bps": m.m_ucmax, "scales": scales})
-        elif args.op in ("multihalo", "efficiency"):
-            net = load_network_model(args.network)
-            fn = (multihalo_advantage if args.op == "multihalo"
-                  else comm_efficiency)
-            for L in parse_span(args.L):
-                for h in parse_span(args.h):
-                    rows.append({"L": L, "h": h,
-                                 "latency_s": net.latency_s,
-                                 "bandwidth_Bps": net.bandwidth_Bps,
-                                 "node_perf_lups": net.node_perf_lups,
-                                 args.op: fn(L, h, net)})
-        else:
-            raise ValueError(f"unknown model op {args.op!r}")
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    _emit(rows, args.csv, args.json)
-    return EXIT_OK
+    rows = []
+    if args.op in ("baseline", "bound", "cycles", "scalability"):
+        machines = [load_machine_model(m) for m in args.machine]
+        if not machines:
+            raise ValueError("model op needs --machine")
+    if args.op == "baseline":
+        for m in machines:
+            rows.append({"machine": m.name, "m_s_Bps": m.m_s,
+                         "baseline_mlups": baseline_perf(m) / 1e6})
+    elif args.op == "bound":
+        for m in machines:
+            for t in parse_span(args.t_range):
+                rows.append({"machine": m.name, "t": t,
+                             "bound_mlups": pipelined_bound(m, t) / 1e6})
+    elif args.op == "cycles":
+        for m in machines:
+            for level in args.levels.split(","):
+                r = cache_cycle_model(m, args.kernel, level)
+                rows.append({
+                    "machine": m.name, "kernel": args.kernel,
+                    "level": level, "cycles_min": r.cycles_min,
+                    "cycles_max": r.cycles_max,
+                    "bandwidth_min_GBps":
+                        "" if r.bandwidth_min is None
+                        else round(r.bandwidth_min / 1e9, 2),
+                    "bandwidth_max_GBps":
+                        "" if r.bandwidth_max is None
+                        else round(r.bandwidth_max / 1e9, 2)})
+    elif args.op == "scalability":
+        for m in machines:
+            bj = default_bj(m) if args.bj == "auto" else float(args.bj)
+            for t in parse_span(args.t_range):
+                required, scales = l3_scalability_check(m, t, bj)
+                rows.append({"machine": m.name, "t": t, "b_j_Bps": bj,
+                             "required_Bps": required,
+                             "m_ucmax_Bps": m.m_ucmax, "scales": scales})
+    elif args.op in ("multihalo", "efficiency"):
+        net = load_network_model(args.network)
+        fn = (multihalo_advantage if args.op == "multihalo"
+              else comm_efficiency)
+        for L in parse_span(args.L):
+            for h in parse_span(args.h):
+                rows.append({"L": L, "h": h,
+                             "latency_s": net.latency_s,
+                             "bandwidth_Bps": net.bandwidth_Bps,
+                             "node_perf_lups": net.node_perf_lups,
+                             args.op: fn(L, h, net)})
+    else:
+        raise ValueError(f"unknown model op {args.op!r}")
+    return _emit(rows, args)
 
 
 def cmd_bench(args) -> int:
-    try:
-        if args.kernel == "copy":
-            res = stream_copy_bench(args.elements, args.threads, args.reps)
-        else:
-            res = update_bench(args.elements, args.threads, args.reps,
-                               footprint_target=args.target)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    _emit([res.as_row()], args.csv, args.json)
-    return EXIT_OK
+    if args.kernel == "copy":
+        res = stream_copy_bench(args.elements, args.threads, args.reps)
+    else:
+        res = update_bench(args.elements, args.threads, args.reps,
+                           footprint_target=args.target)
+    return _emit([res.as_row()], args)
 
 
 def cmd_dist(args) -> int:
-    try:
-        rc = _config_from_args(args)
-        px, py, pz = (int(v) for v in args.topo.split(","))
-        topo = RankTopology(px, py, pz)
-        cfg = rc.pipeline_config()
-        dist = DistConfig(
-            topo=topo, cfg=cfg, cycles=args.cycles, mode=args.scaling,
-            global_dims=((rc.nx, rc.ny, rc.nz)
-                         if args.scaling == "strong" else None),
-            per_rank_dims=((rc.nx, rc.ny, rc.nz)
-                           if args.scaling == "weak" else None),
-            seed=rc.seed, init=rc.init)
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    rc = _config_from_args(args)
+    px, py, pz = (int(v) for v in args.topo.split(","))
+    topo = RankTopology(px, py, pz)
+    cfg = rc.pipeline_config()
+    dims = (rc.nx, rc.ny, rc.nz)
+    dist = DistConfig(
+        topo=topo, cfg=cfg, cycles=args.cycles, mode=args.scaling,
+        global_dims=dims if args.scaling == "strong" else None,
+        per_rank_dims=dims if args.scaling == "weak" else None,
+        seed=rc.seed, init=rc.init)
+    stamp = dist.digest()[:16]
 
     def rank_row(rt):
-        row = dict(rank=rt.sub.rank, config_hash=rc.config_hash(),
-                   **{k: (round(v, 6) if isinstance(v, float) else v)
-                      for k, v in rt.timings.items()})
-        return row
+        return dict(rank=rt.sub.rank, config_hash=stamp,
+                    **{k: (round(v, 6) if isinstance(v, float) else v)
+                       for k, v in rt.timings.items()})
 
-    try:
-        if args.rankfile:
-            if args.rank is None or args.ranks is None:
-                raise ValueError("TCP mode needs --rank and --ranks")
-            addresses = parse_rankfile(open(args.rankfile).read())
-            if len(addresses) != args.ranks:
-                raise ValueError("rankfile entries != --ranks")
-            if args.ranks != topo.ranks:
-                raise ValueError("--ranks must equal px*py*pz")
-            ep = tcp_endpoint(args.rank, addresses)
-            try:
-                rt = run_rank(dist, args.rank, ep)
-                if args.out_dir:
-                    os.makedirs(args.out_dir, exist_ok=True)
-                    _write_owned_snapshot(rt, os.path.join(
-                        args.out_dir, f"rank_{args.rank}.grid"))
-                _emit([rank_row(rt)], args.csv, args.json)
-            finally:
-                ep.close()
-        else:
-            runtimes = run_distributed_inprocess(dist)
-            rows = [rank_row(rt) for rt in runtimes]
-            if args.out_dir:
-                os.makedirs(args.out_dir, exist_ok=True)
-                for rt in runtimes:
-                    _write_owned_snapshot(rt, os.path.join(
-                        args.out_dir, f"rank_{rt.sub.rank}.grid"))
-            if args.verify:
-                assembled = assemble_global(runtimes)
-                gd = dist.resolved_global()
-                a = create_grid(*gd, init=rc.init, seed=rc.seed)
-                b = a.copy()
-                for _ in range(cfg.h * args.cycles):
-                    reference_sweep(a, b)
-                    a, b = b, a
-                ok = np.array_equal(assembled.interior_view(),
-                                    a.interior_view())
-                for row in rows:
-                    row["verified"] = "bitwise match" if ok else "MISMATCH"
-                if not ok:
-                    _emit(rows, args.csv, args.json)
-                    print("verification FAILED", file=sys.stderr)
-                    return EXIT_VERIFY
-            _emit(rows, args.csv, args.json)
-    except TransportError as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
+    if args.rankfile:
+        if args.rank is None or args.ranks is None:
+            raise ValueError("TCP mode needs --rank and --ranks")
+        addresses = parse_rankfile(Path(args.rankfile).read_text())
+        if len(addresses) != args.ranks:
+            raise ValueError("rankfile entries != --ranks")
+        if args.ranks != topo.ranks:
+            raise ValueError("--ranks must equal px*py*pz")
+        ep = tcp_endpoint(args.rank, addresses)
+        try:
+            runtimes = [run_rank(dist, args.rank, ep)]
+        finally:
+            ep.close()
+    else:
+        runtimes = run_distributed_inprocess(dist)
+    rows = [rank_row(rt) for rt in runtimes]
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
+        for rt in runtimes:
+            _write_owned_snapshot(rt, os.path.join(
+                args.out_dir, f"rank_{rt.sub.rank}.grid"))
+    ok = True
+    if args.verify and not args.rankfile:
+        ok = _verify(rows, assemble_global(runtimes), dist.resolved_global(),
+                     rc.init, rc.seed, cfg.h * args.cycles)
+    return _emit(rows, args, ok)
 
 
 def _write_owned_snapshot(rt, path):
-    from .grid import Grid3
     ox, oy, oz = rt.sub.owned
     g = Grid3(ox, oy, oz, pad=0)
     g.interior_view()[...] = rt.owned_view()
@@ -511,7 +431,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except TransportError as exc:  # ProtocolError too, e.g. a config mismatch
+        print(f"transport error: {exc}", file=sys.stderr)
+        return EXIT_TRANSPORT
+    except PipelineDeadlock as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return EXIT_RUN
+    except (ValueError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

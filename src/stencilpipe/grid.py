@@ -215,15 +215,6 @@ def decompose_blocks(grid: Grid3, spec: BlockSpec, direction: int = 1) -> BlockP
                      direction=direction, blocks=blocks)
 
 
-def next_block(plan: BlockPlan, counter: int):
-    """plan[counter], or None once the plan is exhausted."""
-    if counter < 0:
-        raise ValueError("block counter must be >= 0")
-    if counter >= plan.total_blocks:
-        return None
-    return plan.blocks[counter]
-
-
 def write_snapshot(grid: Grid3, path):
     """Snapshot format: ASCII header "nx ny nz\\n" then raw little-endian
     doubles of the interior in storage order (x fastest)."""

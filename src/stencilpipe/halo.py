@@ -319,7 +319,7 @@ class RankRuntime:
             seen.add(m.neighbor)
             theirs = self.ep.sendrecv(m.neighbor, digest, len(digest))
             if theirs != digest:
-                raise RuntimeError(
+                raise ProtocolError(
                     f"rank {self.sub.rank}: config hash mismatch with rank "
                     f"{m.neighbor}")
 
@@ -340,14 +340,21 @@ class RankRuntime:
         return g.data[_box_slices(g, self.sub.owned_box())]
 
 
-def config_digest(cfg: PipelineConfig, global_dims, cycles, seed) -> bytes:
-    text = "|".join([
-        f"{global_dims}", f"{cycles}", f"{seed}", f"{cfg.n}", f"{cfg.t}",
-        f"{cfg.T}", f"{cfg.d_l}", f"{cfg.d_u}", f"{cfg.d_t}",
-        f"{cfg.spec.bx},{cfg.spec.by},{cfg.spec.bz}",
-        cfg.sync_mode, cfg.grid_mode,
-    ])
-    return hashlib.sha256(text.encode()).digest()
+def run_digest(cfg: PipelineConfig, global_dims, passes, seed, init,
+               topo=(1, 1, 1)) -> str:
+    """SHA-256 hex of everything that decides a run's output: the resolved
+    global dims (so strong and weak scaling alike), the rank topology, the
+    pass or cycle count, the seed and init rule, and the pipeline shape.
+    Watchdog, jitter and pinning change timing only and are left out."""
+    b = cfg.spec
+    text = "\n".join([
+        f"dims={tuple(int(d) for d in global_dims)}",
+        f"topo={tuple(int(p) for p in topo)}", f"passes={passes}",
+        f"seed={seed}", f"init={init}", f"n={cfg.n}", f"t={cfg.t}",
+        f"T={cfg.T}", f"d_l={cfg.d_l}", f"d_u={cfg.d_u}", f"d_t={cfg.d_t}",
+        f"block={(b.bx, b.by, b.bz)}", f"sync={cfg.sync_mode}",
+        f"mode={cfg.grid_mode}"])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass
@@ -373,13 +380,17 @@ class DistConfig:
                          zip(self.per_rank_dims, self.topo.dims))
         raise ValueError(f"unknown scaling mode {self.mode!r}")
 
+    def digest(self) -> str:
+        return run_digest(self.cfg, self.resolved_global(), self.cycles,
+                          self.seed, self.init, self.topo.dims)
+
 
 def run_rank(dist: DistConfig, rank: int, ep) -> RankRuntime:
     """Execute all cycles for one rank; returns its runtime with timings."""
     gd = dist.resolved_global()
     subs = decompose_domain(gd, dist.topo, HaloSpec(dist.cfg.h))
     rt = RankRuntime(subs[rank], dist.cfg, ep, seed=dist.seed, init=dist.init)
-    rt.check_config_hash(config_digest(dist.cfg, gd, dist.cycles, dist.seed))
+    rt.check_config_hash(bytes.fromhex(dist.digest()))
     t0 = time.perf_counter()
     for c in range(dist.cycles):
         rt.cycle(c)
@@ -397,7 +408,7 @@ def run_distributed_inprocess(dist: DistConfig):
     import threading
     from .transport import create_topology
 
-    eps = create_topology(dist.topo.ranks, "inproc")
+    eps = create_topology(dist.topo.ranks)
     out = [None] * dist.topo.ranks
     errors = []
 

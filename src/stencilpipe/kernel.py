@@ -1,4 +1,4 @@
-"""Jacobi stencil updates on cells, windows and whole grids.
+"""Jacobi stencil updates on windows and whole grids.
 
 Every execution path funnels through :func:`apply_window`, which fixes the
 per-cell summation order (x-low, x-high, y-low, y-high, z-low, z-high, then
@@ -40,17 +40,6 @@ _ITEM = np.dtype(np.float64).itemsize
 _load_lock = threading.Lock()
 _jacobi = None      # the compiled function once loaded, None on numpy
 _backend = None     # "c" or "numpy" once the first load was attempted
-
-
-def stencil_update_cell(grid: Grid3, i: int, j: int, k: int) -> float:
-    """Single cell update: mean of the six face neighbors (center excluded)."""
-    if not (0 <= i < grid.nx and 0 <= j < grid.ny and 0 <= k < grid.nz):
-        raise IndexError(f"cell {(i, j, k)} outside interior {grid.shape}")
-    o = grid.origin - grid.alignment
-    d = grid.data
-    z, y, x = o + k, o + j, o + i
-    return ((((d[z, y, x - 1] + d[z, y, x + 1]) + d[z, y - 1, x])
-             + d[z, y + 1, x]) + d[z - 1, y, x] + d[z + 1, y, x]) * SIXTH
 
 
 def _build(target: Path) -> None:

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
+from .flatfile import parse_flat
+
 CACHELINE = 64
 BYTES_PER_UPDATE = 16.0  # streamed Jacobi: 8 B read + 8 B write per cell
 
@@ -86,19 +88,6 @@ class NetworkModel:
 # model file parsing: flat "key = value" text
 # ---------------------------------------------------------------------------
 
-def _parse_flat(text: str) -> dict:
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ModelFormatError(f"line {lineno}: expected 'key = value'")
-        key, val = (part.strip() for part in line.split("=", 1))
-        out[key] = val
-    return out
-
-
 def _parse_transfers(val: str):
     if val.lower() in ("", "none"):
         return ()
@@ -117,7 +106,7 @@ def _parse_transfers(val: str):
 
 
 def parse_machine_model(text: str) -> MachineModel:
-    kv = _parse_flat(text)
+    kv = parse_flat(text, ModelFormatError)
     kernels = {}
     plain = {}
     for key, val in kv.items():
@@ -166,7 +155,7 @@ def parse_machine_model(text: str) -> MachineModel:
 
 
 def parse_network_model(text: str) -> NetworkModel:
-    kv = _parse_flat(text)
+    kv = parse_flat(text, ModelFormatError)
     try:
         return NetworkModel(latency_s=float(kv["latency_s"]),
                             bandwidth_Bps=float(kv["bandwidth_Bps"]),

@@ -17,6 +17,8 @@ bitwise identical grids; only timing differs.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import random
 import threading
@@ -75,6 +77,9 @@ class PipelineConfig:
             raise ValueError(f"unknown sync_mode {self.sync_mode!r}")
         if self.grid_mode not in ("two_grid", "compressed"):
             raise ValueError(f"unknown grid_mode {self.grid_mode!r}")
+        if not 0 < self.watchdog_s < math.inf:  # also rejects nan
+            raise ValueError(
+                f"watchdog must be finite and > 0, got {self.watchdog_s}")
 
     @property
     def threads(self) -> int:
@@ -130,15 +135,24 @@ class EffectiveDistances:
         return cls(d_l=tuple(dl), d_u=tuple(du))
 
 
+def predecessor_ready(c: SyncCounters, i: int, dist: EffectiveDistances) -> bool:
+    """Thread i's predecessor is at least d_l_i blocks ahead, so every cell
+    thread i reads next is final (averts data races).  The front thread has
+    no predecessor."""
+    return i == 0 or c.get(i - 1) - c.get(i) >= dist.d_l[i]
+
+
+def successor_within(c: SyncCounters, i: int, dist: EffectiveDistances) -> bool:
+    """Thread i's successor is at most d_u_i blocks behind (bounds the cache
+    footprint).  The rear thread has no successor."""
+    return i == c.count - 1 or c.get(i) - c.get(i + 1) <= dist.d_u[i]
+
+
 def may_advance(c: SyncCounters, i: int, dist: EffectiveDistances) -> bool:
-    """Both progress conditions for thread i, evaluated without side effects:
-    the predecessor must be at least d_l_i blocks ahead (averts data races)
-    and the successor at most d_u_i behind (bounds the cache footprint)."""
+    """Both progress conditions for thread i, evaluated without side effects."""
     if not 0 <= i < c.count:
         raise IndexError(f"thread index {i} out of range")
-    ok_pred = i == 0 or c.get(i - 1) - c.get(i) >= dist.d_l[i]
-    ok_succ = i == c.count - 1 or c.get(i) - c.get(i + 1) <= dist.d_u[i]
-    return ok_pred and ok_succ
+    return predecessor_ready(c, i, dist) and successor_within(c, i, dist)
 
 
 def estimate_max_distance(cache_bytes: float, t: int, spec: BlockSpec) -> int:
@@ -272,6 +286,8 @@ class PipelineEngine:
         if physical_sides is None:
             physical_sides = {ax: (True, True) for ax in range(3)}
         self.physical_sides = physical_sides
+        self._ring_sides = [(name, side) for ax, name in enumerate("xyz")
+                            for side in (0, 1) if physical_sides[ax][side]]
         self.levels_done = 0
         self.passes_done = 0
 
@@ -368,16 +384,16 @@ class PipelineEngine:
         plan = self.plan_fwd if direction == 1 else self.plan_bwd
         total = plan.total_blocks
         rng = random.Random(cfg.jitter_seed * 1_000_003 + self.passes_done * 8191 + g)
+        pred_ready = functools.partial(predecessor_ready, counters, g, dist)
+        succ_within = functools.partial(successor_within, counters, g, dist)
         spins = 0
         gap_min, violations, succ_max = None, 0, None
         for k in range(total):
             if g > 0:
-                spins += self._spin(
-                    lambda: counters.get(g - 1) - counters.get(g) >= dist.d_l[g],
-                    stop, watchdog)
+                spins += self._spin(pred_ready, stop, watchdog)
                 gap = counters.get(g - 1) - counters.get(g)
                 gap_min = gap if gap_min is None else min(gap_min, gap)
-                if gap < dist.d_l[g]:
+                if not pred_ready():
                     violations += 1
             self._jitter(rng)
             for i in range(1, cfg.T + 1):
@@ -389,9 +405,7 @@ class PipelineEngine:
                 if g < nt - 1:
                     gap = counters.get(g) - counters.get(g + 1)
                     succ_max = gap if succ_max is None else max(succ_max, gap)
-                    spins += self._spin(
-                        lambda: counters.get(g) - counters.get(g + 1) <= dist.d_u[g],
-                        stop, watchdog)
+                    spins += self._spin(succ_within, stop, watchdog)
         out[g] = (spins, total, gap_min, violations, succ_max)
 
     def _worker_barrier(self, g, direction, a0, counters, tables, stop,
@@ -424,28 +438,6 @@ class PipelineEngine:
                     f"counters = {counters.snapshot()}")
         out[g] = (0, done, None, 0, None)
 
-    def _write_full_ring(self, alignment):
-        """Materialize every physical-face Dirichlet layer at the given
-        alignment, over the full tangential extents.  Needed at pass start in
-        compressed mode: mid-pass strips only span the update windows, which
-        may be narrower than the next pass's first-level region."""
-        g = self.grids[0]
-        off = g.origin - alignment
-        d = g.data
-        nx, ny, nz = self.dims
-        spans = (slice(off, off + nz), slice(off, off + ny), slice(off, off + nx))
-        for (axis, side), vals in g.boundary_faces.items():
-            ax = "xyz".index(axis)
-            if not self.physical_sides[ax][side]:
-                continue
-            pos = off + (-1 if side == 0 else self.dims[ax])
-            if axis == "x":
-                d[spans[0], spans[1], pos] = vals
-            elif axis == "y":
-                d[spans[0], pos, spans[2]] = vals
-            else:
-                d[pos, spans[1], spans[2]] = vals
-
     # -- passes ---------------------------------------------------------------
 
     def run_pass(self, direction: int) -> RunStats:
@@ -463,7 +455,13 @@ class PipelineEngine:
                 raise ValueError(
                     f"backward pass needs alignment >= h ({a0} < {cfg.h})")
         if cfg.grid_mode == "compressed":
-            self._write_full_ring(a0)
+            # mid-pass strips span only the update windows, which may be
+            # narrower than this pass's first-level region: restore the whole
+            # ring at the current alignment first
+            g = self.grids[0]
+            write_ring_strips(g.data, g.boundary_faces,
+                              tuple((0, n) for n in self.dims),
+                              g.origin - a0, self._ring_sides, self.dims)
         tables = self._pass_tables(direction)
         nt = cfg.threads
         counters = SyncCounters(nt)
@@ -517,11 +515,6 @@ class PipelineEngine:
         succ = [o[4] for o in out if o[4] is not None]
         stats.succ_gap_max = max(succ) if succ else None
         return stats
-
-
-def team_sweep(grids, cfg: PipelineConfig, direction: int = 1) -> RunStats:
-    """Run a single team sweep over freshly zeroed counters."""
-    return PipelineEngine(cfg, grids).run_pass(direction)
 
 
 def run_pipelined(grids, cfg: PipelineConfig, total_passes: int) -> RunStats:

@@ -18,6 +18,8 @@ import time
 from dataclasses import dataclass, field
 from queue import Empty, SimpleQueue
 
+from .flatfile import flat_lines
+
 # Wire frame for halo payloads: axis, side, 2 pad bytes, payload length,
 # cycle index; payload follows as raw little-endian doubles.
 FRAME_HEADER = struct.Struct("<BB2xIQ")
@@ -121,10 +123,7 @@ class InProcessEndpoint(Endpoint):
 def parse_rankfile(text: str):
     """rank host port per line; ranks must be dense 0..R-1."""
     entries = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in flat_lines(text):
         parts = line.split()
         if len(parts) != 3:
             raise TransportError(f"rankfile line {lineno}: need 'rank host port'")
@@ -252,22 +251,10 @@ class TcpEndpoint(Endpoint):
                 pass
 
 
-def create_topology(ranks: int, backend: str, addresses=None, rank=None):
-    """Establish the fabric.  For "inproc" this returns the full endpoint set
-    (one per rank, all pairs reachable).  For "tcp" each process calls this
-    with its own ``rank`` and the shared address list and gets back its single
-    endpoint, after the startup barrier completes."""
-    if ranks < 1:
-        raise ValueError("ranks must be >= 1")
-    if backend == "inproc":
-        return InProcessFabric(ranks).endpoints()
-    if backend == "tcp":
-        if addresses is None or rank is None:
-            raise ValueError("tcp backend needs addresses and rank")
-        if len(addresses) != ranks:
-            raise ValueError("address list length must equal ranks")
-        return tcp_endpoint(rank, addresses)
-    raise ValueError(f"unknown backend {backend!r}")
+def create_topology(ranks: int):
+    """The in-process fabric: one endpoint per rank, all pairs reachable.
+    TCP ranks each build their own endpoint with :func:`tcp_endpoint`."""
+    return InProcessFabric(ranks).endpoints()
 
 
 def tcp_endpoint(rank: int, addresses, connect_timeout: float = 30.0) -> TcpEndpoint:

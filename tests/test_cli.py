@@ -1,11 +1,19 @@
 import csv
 import io
 import json
+import socket
 import sys
+import threading
 
 import pytest
 
-from stencilpipe.cli import RunConfig, main, parse_span
+from stencilpipe import cli
+from stencilpipe.cli import (RunConfig, _config_from_args, build_parser, main,
+                             parse_span)
+from stencilpipe.halo import run_digest
+from stencilpipe.perfmodel import ModelFormatError, load_network_model
+from stencilpipe.pipeline import PipelineDeadlock
+from stencilpipe.transport import TransportError, parse_rankfile
 
 
 def run_cli(argv, capsys):
@@ -27,9 +35,13 @@ def test_parse_span_grammar():
 
 
 def test_config_hash_stable_and_sensitive():
+    def digest(rc):
+        return run_digest(rc.pipeline_config(), (rc.nx, rc.ny, rc.nz),
+                          rc.passes, rc.seed, rc.init)
+
     a, b = RunConfig(), RunConfig()
-    assert a.config_hash() == b.config_hash()
-    assert RunConfig(d_u=7).config_hash() != a.config_hash()
+    assert digest(a) == digest(b)
+    assert digest(RunConfig(d_u=7)) != digest(a)
 
 
 def test_solve_verify_reports_bitwise_match(capsys):
@@ -199,3 +211,159 @@ def test_dist_rejects_mismatched_topology(capsys):
     code, _, err = run_cli(["dist", "--topo", "2,1,1", "--grid", "25",
                             "--t", "2", "--block", "12,8,8"], capsys)
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# provenance: equal stamps mean equal output
+# ---------------------------------------------------------------------------
+
+DIST_VARIANTS = {
+    "topo_x": ["--topo", "2,1,1"],
+    "topo_y": ["--topo", "1,2,1"],
+    "cycles": ["--topo", "2,1,1", "--cycles", "3"],
+    "weak": ["--topo", "2,1,1", "--scaling", "weak"],
+    "topo_x_again": ["--topo", "2,1,1"],
+}
+
+
+@pytest.fixture(scope="module")
+def dist_runs(tmp_path_factory):
+    """Each variant's exit code, CSV rows and rank snapshot bytes."""
+    runs = {}
+    for name, extra in DIST_VARIANTS.items():
+        out = tmp_path_factory.mktemp(name)
+        code = main(["dist", "--grid", "24", "--block", "8,8,8", "--verify",
+                     "--out-dir", str(out / "grids"),
+                     "--csv", str(out / "rows.csv"), *extra])
+        rows = rows_of((out / "rows.csv").read_text())
+        files = {p.name: p.read_bytes()
+                 for p in sorted((out / "grids").iterdir())}
+        runs[name] = (code, rows, files)
+    return runs
+
+
+def test_dist_stamp_covers_topology_cycles_and_scaling(dist_runs):
+    stamps = {}
+    for name, (code, rows, _files) in dist_runs.items():
+        assert code == 0
+        assert all(r["verified"] == "bitwise match" for r in rows)
+        assert len({r["config_hash"] for r in rows}) == 1
+        stamps[name] = rows[0]["config_hash"]
+    distinct = [stamps[k] for k in ("topo_x", "topo_y", "cycles", "weak")]
+    assert len(set(distinct)) == 4
+    assert stamps["topo_x_again"] == stamps["topo_x"]
+
+
+def test_dist_equal_stamps_write_identical_rank_files(dist_runs):
+    runs = list(dist_runs.values())
+    pairs = 0
+    for i, (_c, rows_i, files_i) in enumerate(runs):
+        for _c2, rows_j, files_j in runs[i + 1:]:
+            if rows_i[0]["config_hash"] == rows_j[0]["config_hash"]:
+                assert files_i == files_j
+                pairs += 1
+    assert pairs >= 1
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
+def test_watchdog_must_be_finite_and_positive(budget, monkeypatch, capsys):
+    def no_run(*_a, **_k):
+        raise AssertionError("a run started despite the bad watchdog")
+
+    monkeypatch.setattr(cli, "run_pipelined", no_run)
+    code, _, err = run_cli(["solve", "--grid", "16", "--block", "16,8,8",
+                            "--t", "2", "--sync", "barrier",
+                            "--watchdog", budget], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and "watchdog" in err
+
+
+def _deadlock(*_a, **_k):
+    raise PipelineDeadlock("no pipeline progress for 0.1s; counters = [3, 1]")
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["solve", "--grid", "12", "--block", "12,6,6"], "run_pipelined"),
+    (["sweep", "--grid", "12", "--block", "12,6,6", "--sweep-t", "1,2"],
+     "run_pipelined"),
+    (["dist", "--topo", "2,1,1", "--grid", "12", "--block", "6,6,6"],
+     "run_distributed_inprocess"),
+], ids=["solve", "sweep", "dist"])
+def test_pipeline_deadlock_exits_run_error(argv, target, monkeypatch, capsys):
+    monkeypatch.setattr(cli, target, _deadlock)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 4
+    assert err == ("run error: no pipeline progress for 0.1s; "
+                   "counters = [3, 1]\n")
+
+
+def _free_ports(count):
+    socks = [socket.socket() for _ in range(count)]
+    for s in socks:
+        s.bind(("127.0.0.1", 0))
+    ports = [s.getsockname()[1] for s in socks]
+    for s in socks:
+        s.close()
+    return ports
+
+
+def test_tcp_handshake_mismatch_exits_transport_error(tmp_path, capsys):
+    rankfile = tmp_path / "ranks.txt"
+    rankfile.write_text("".join(f"{r} 127.0.0.1 {p}\n"
+                                for r, p in enumerate(_free_ports(2))))
+    codes = [None, None]
+
+    def rank(r):
+        codes[r] = main(["dist", "--topo", "2,1,1", "--grid", "12",
+                         "--block", "6,6,6", "--ranks", "2", "--rank", str(r),
+                         "--rankfile", str(rankfile),
+                         "--du", ("3", "4")[r]])
+
+    ts = [threading.Thread(target=rank, args=(r,), daemon=True)
+          for r in range(2)]
+    for t in ts:
+        t.start()
+    for t in ts:
+        t.join(timeout=60)
+    assert codes == [3, 3]
+    assert "config hash mismatch" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# flat text files: config, model and rankfile share one line reader
+# ---------------------------------------------------------------------------
+
+def _read_config(path):
+    return _config_from_args(build_parser().parse_args(
+        ["solve", "--config", str(path)]))
+
+
+FLAT_FILES = {
+    "config": (_read_config, "# run\n\npasses = 4  # even\nt = 2\n",
+               lambda rc: (rc.passes, rc.t, rc.nx) == (4, 2, 60), ValueError),
+    "model": (lambda p: load_network_model(str(p)),
+              "# net\n\nlatency_s = 2e-6  # one way\nbandwidth_Bps = 3e9\n"
+              "node_perf_lups = 1e9\n",
+              lambda net: (net.latency_s, net.bandwidth_Bps) == (2e-6, 3e9),
+              ModelFormatError),
+    "rankfile": (lambda p: parse_rankfile(p.read_text()),
+                 "# ranks\n\n0 127.0.0.1 4000  # head\n1 127.0.0.1 4001\n",
+                 lambda r: r == [("127.0.0.1", 4000), ("127.0.0.1", 4001)],
+                 TransportError),
+}
+
+
+@pytest.mark.parametrize("kind", FLAT_FILES)
+def test_flat_files_skip_comments_and_name_bad_lines(kind, tmp_path):
+    read, good, check, error = FLAT_FILES[kind]
+    path = tmp_path / kind
+    path.write_text(good)
+    assert check(read(path))
+    bad_line = good.count("\n") + 1
+    path.write_text(good + "malformed\n")
+    with pytest.raises(error, match=rf"line {bad_line}\b"):
+        read(path)

@@ -7,7 +7,6 @@ from stencilpipe import (
     BlockSpec,
     create_grid,
     decompose_blocks,
-    next_block,
     read_snapshot,
     write_snapshot,
 )
@@ -107,16 +106,6 @@ def test_block_larger_than_interior_rejected():
         decompose_blocks(g, BlockSpec(7, 3, 3), 1)
     with pytest.raises(ValueError):
         decompose_blocks(g, BlockSpec(6, 0, 3), 1)
-
-
-def test_next_block_walks_plan_and_signals_end():
-    g = create_grid(6, 6, 6)
-    plan = decompose_blocks(g, BlockSpec(6, 3, 3), 1)
-    assert next_block(plan, 0) == plan.blocks[0]
-    assert next_block(plan, 2) == (( 0, 0, 3), (6, 3, 3))
-    assert next_block(plan, 4) is None
-    with pytest.raises(ValueError):
-        next_block(plan, -1)
 
 
 @settings(max_examples=40, deadline=None)

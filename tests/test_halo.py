@@ -14,10 +14,11 @@ from stencilpipe.halo import (
     exchange_multilayer_halos,
     global_field_box,
     materialize_subdomain,
+    run_digest,
     run_distributed_inprocess,
     run_rank,
 )
-from stencilpipe.transport import create_topology
+from stencilpipe.transport import ProtocolError, create_topology
 from tests.conftest import assert_bitwise
 
 
@@ -27,7 +28,7 @@ def _cfg(n=1, t=1, T=1, mode="two_grid", spec=(20, 10, 10), **kw):
 
 
 def _run_ranks(subs, fn):
-    eps = create_topology(len(subs), "inproc")
+    eps = create_topology(len(subs))
     errs, out = [], [None] * len(subs)
 
     def body(r):
@@ -283,7 +284,7 @@ def test_per_phase_timings_reported():
 
 def test_config_hash_mismatch_aborts():
     topo = RankTopology(2, 1, 1)
-    eps = create_topology(2, "inproc")
+    eps = create_topology(2)
     cfgs = [_cfg(n=1, t=2, T=1, spec=(10, 10, 10)),
             _cfg(n=1, t=2, T=1, d_u=7, spec=(10, 10, 10))]
     errs = []
@@ -304,11 +305,63 @@ def test_config_hash_mismatch_aborts():
     assert any("config hash" in e for e in errs)
 
 
+def test_handshake_rejects_ranks_that_differ_only_in_init():
+    topo = RankTopology(2, 1, 1)
+    eps = create_topology(2)
+    cfg = _cfg(n=1, t=2, T=1, spec=(10, 10, 10))
+    errs = []
+
+    def body(r):
+        dist = DistConfig(topo=topo, cfg=cfg, cycles=1,
+                          global_dims=(20, 20, 20),
+                          init=("random", "constant")[r])
+        try:
+            run_rank(dist, r, eps[r])
+        except Exception as exc:
+            errs.append(exc)
+
+    ts = [threading.Thread(target=body, args=(r,), daemon=True) for r in range(2)]
+    for t in ts:
+        t.start()
+    for t in ts:
+        t.join(timeout=30)
+    assert len(errs) == 2
+    assert all(isinstance(e, ProtocolError) and "config hash" in str(e)
+               for e in errs)
+
+
+_DIGEST_BASE = dict(global_dims=(24, 24, 24), passes=2, seed=42,
+                    init="random", topo=(1, 1, 1))
+
+
+@pytest.mark.parametrize("change", [
+    dict(global_dims=(48, 24, 24)), dict(topo=(2, 1, 1)),
+    dict(topo=(1, 2, 1)), dict(passes=3), dict(seed=43),
+    dict(init="constant"), dict(n=2), dict(t=2), dict(T=2), dict(d_l=2),
+    dict(d_u=4), dict(d_t=1), dict(spec=(12, 8, 8)),
+    dict(sync_mode="barrier"), dict(mode="compressed"),
+], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_run_digest_covers_every_output_input(change):
+    run, cfg_kw = dict(_DIGEST_BASE), dict(spec=(8, 8, 8))
+    for key, val in change.items():
+        (run if key in run else cfg_kw)[key] = val
+    base = run_digest(_cfg(spec=(8, 8, 8)), **_DIGEST_BASE)
+    assert run_digest(_cfg(**cfg_kw), **run) != base
+
+
+def test_run_digest_ignores_timing_only_settings():
+    base = run_digest(_cfg(spec=(8, 8, 8)), **_DIGEST_BASE)
+    timing = _cfg(spec=(8, 8, 8), watchdog_s=5.0, pin_threads=True,
+                  jitter_prob=0.5, jitter_max_s=0.001, jitter_seed=9)
+    assert run_digest(timing, **_DIGEST_BASE) == base
+    assert len(base) == 64 and set(base) <= set("0123456789abcdef")
+
+
 def test_halo_width_must_match_pipeline_h():
     topo = RankTopology(2, 1, 1)
     subs = decompose_domain((20, 20, 20), topo, HaloSpec(4))
     cfg = _cfg(n=1, t=2, T=1, spec=(10, 10, 10))  # h=2, mismatch
     from stencilpipe.halo import RankRuntime
-    eps = create_topology(2, "inproc")
+    eps = create_topology(2)
     with pytest.raises(ValueError):
         RankRuntime(subs[0], cfg, eps[0])

@@ -7,14 +7,14 @@ from stencilpipe import (
     EffectiveDistances,
     PipelineConfig,
     PipelineDeadlock,
+    PipelineEngine,
     SyncCounters,
     create_grid,
     estimate_max_distance,
     may_advance,
     run_pipelined,
-    team_sweep,
 )
-from stencilpipe.pipeline import _Watchdog
+from stencilpipe.pipeline import _Watchdog, predecessor_ready, successor_within
 from tests.conftest import assert_bitwise
 
 
@@ -85,6 +85,18 @@ def test_may_advance_bad_index():
         may_advance(_counters([0]), 1, _dist(1, 1, 1))
 
 
+def test_may_advance_is_both_predicates():
+    d = _dist(3, d_l=2, d_u=3)
+    for vals in [(a, b, c) for a in range(7) for b in range(a + 1)
+                 for c in range(b + 1)]:
+        c = _counters(list(vals))
+        for i in range(3):
+            pred, succ = predecessor_ready(c, i, d), successor_within(c, i, d)
+            assert pred == (i == 0 or vals[i - 1] - vals[i] >= 2)
+            assert succ == (i == 2 or vals[i] - vals[i + 1] <= 3)
+            assert may_advance(c, i, d) == (pred and succ)
+
+
 # ---------------------------------------------------------------------------
 # effective distances / team delay
 # ---------------------------------------------------------------------------
@@ -141,7 +153,7 @@ def test_three_thread_team_equals_three_sweeps(oracle):
     cfg = _cfg(spec=BlockSpec(60, 20, 20), n=1, t=3, T=1)
     g0 = create_grid(60, 60, 60, init="random", seed=42)
     a, b = g0.copy(), g0.copy()
-    team_sweep((a, b), cfg, 1)
+    PipelineEngine(cfg, (a, b)).run_pass(1)
     assert_bitwise(b.interior_view(), oracle.after_sweeps(60, 42, 3))
 
 
@@ -229,7 +241,7 @@ def test_counter_windown_final_values():
     cfg = _cfg(spec=BlockSpec(12, 6, 6), n=1, t=3, T=1, d_l=1, d_u=2)
     g0 = create_grid(12, 12, 12, init="random", seed=2)
     a, b = g0.copy(), g0.copy()
-    st = team_sweep((a, b), cfg, 1)
+    st = PipelineEngine(cfg, (a, b)).run_pass(1)
     dist = EffectiveDistances.from_config(cfg)
     total = 4  # 12^3 with (12,6,6) blocks
     assert st.counters_final == [total + dist.d_u[i] for i in range(3)]

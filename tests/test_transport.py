@@ -64,13 +64,13 @@ def test_frame_length_mismatch_detected():
 
 
 def test_single_rank_is_trivially_connected():
-    (ep,) = create_topology(1, "inproc")
+    (ep,) = create_topology(1)
     ep.barrier(timeout=1.0)
     assert ep.ranks == 1
 
 
 def test_eight_inprocess_ranks_all_pairs_reachable():
-    eps = create_topology(8, "inproc")
+    eps = create_topology(8)
     assert len(eps) == 8
 
     def ping(ep):
@@ -89,7 +89,7 @@ def test_eight_inprocess_ranks_all_pairs_reachable():
 
 
 def test_inproc_zero_length_payload():
-    eps = create_topology(2, "inproc")
+    eps = create_topology(2)
     out = {}
 
     def go(r):
@@ -104,7 +104,7 @@ def test_inproc_zero_length_payload():
 
 
 def test_inproc_length_mismatch_is_protocol_error():
-    eps = create_topology(2, "inproc")
+    eps = create_topology(2)
     res = {}
 
     def a():
@@ -221,6 +221,6 @@ def test_tcp_connect_timeout_names_offender():
     assert "0" in str(exc.value)
 
 
-def test_create_topology_rejects_unknown_backend():
+def test_create_topology_rejects_zero_ranks():
     with pytest.raises(ValueError):
-        create_topology(2, "carrier-pigeon")
+        create_topology(0)
