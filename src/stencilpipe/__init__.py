@@ -18,6 +18,7 @@ from .pipeline import (
     PipelineEngine,
     RunStats,
     SyncCounters,
+    ThreadStats,
     estimate_max_distance,
     may_advance,
     run_pipelined,

@@ -1,4 +1,5 @@
-/* Jacobi window update, the compiled body of kernel.apply_window.
+/* Jacobi window update and pipelined pass driver, the compiled bodies of
+ * kernel.apply_window and pipeline.PipelineEngine.run_pass.
  *
  * Summation order per cell is fixed: ((((x- + x+) + y-) + y+) + z-) + z+,
  * then times 1/6, the same as the numpy oracle.  Build without fast-math and
@@ -12,7 +13,11 @@
  * that reads it has already been updated.  A row's stores land in another
  * row than any it reads, so x always ascends.
  */
+#define _POSIX_C_SOURCE 200809L
+#include <sched.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <time.h>
 
 void jacobi_window(const double *src, double *dst, ptrdiff_t sy, ptrdiff_t sz,
                    ptrdiff_t src_off, ptrdiff_t dst_off,
@@ -31,4 +36,231 @@ void jacobi_window(const double *src, double *dst, ptrdiff_t sy, ptrdiff_t sz,
                          + c[x - sz]) + c[x + sz]) * sixth;
         }
     }
+}
+
+/* The pass driver.  pipeline.py builds the work table, a row per (block,
+ * level) holding the window, the level u and a bit mask of the Dirichlet
+ * ring sides (bit 2*axis + side) the window touches.  Thread g walks the
+ * rows of its levels g*T+1 .. (g+1)*T block by block and enforces the same
+ * two conditions as pipeline.predecessor_ready / successor_within on the
+ * shared counters, or a staggered lockstep on a sense-reversing barrier.
+ * Every field is 8 bytes wide; kernel.PassSpec mirrors this layout. */
+enum { XL, XH, YL, YH, ZL, ZH, LEVEL, SIDES, NCOL };
+enum { ST_BLOCKS, ST_WINDOWS, ST_CELLS, ST_SPINS, ST_PRED_WAIT_NS,
+       ST_SUCC_WAIT_NS, ST_PRED_GAP_MIN, ST_PRED_VIOLATIONS, ST_SUCC_GAP_MAX,
+       NSTAT };
+enum { SLOT = 8 };                    /* int64 per counter: one cache line */
+enum { CTL_ABORT = 0, CTL_COUNT = SLOT, CTL_SENSE = 2 * SLOT };
+enum { DONE = 0, DEADLOCK = 1, ABORTED = 2 };
+enum { PRED, SUCC, BARRIER };
+
+struct pass_spec {
+    const int64_t *rows;        /* nblocks x h rows of NCOL */
+    int64_t nblocks, h, T, nt;
+    double *grid[2];            /* level u reads grid[(parity+u-1)&1] ... */
+    int64_t parity;             /* ... and writes grid[(parity+u)&1] */
+    int64_t sy, sz;
+    int64_t base_off, shift;    /* frame offset of level u: base_off-shift*u */
+    const double *face[6];      /* x0 x1 y0 y1 z0 z1, C-contiguous */
+    int64_t nx, ny, nz;
+    int64_t *counters;          /* counter i at counters[i*SLOT] */
+    int64_t *ctl;               /* abort word, barrier count, barrier sense */
+    const int64_t *d_l, *d_u;   /* effective distances per thread */
+    int64_t barrier;            /* 0 relaxed, 1 barrier lockstep */
+    double watchdog_s;
+};
+
+int64_t pass_spec_size(void) { return (int64_t)sizeof(struct pass_spec); }
+
+static int64_t load(const int64_t *p) { return __atomic_load_n(p, __ATOMIC_ACQUIRE); }
+static void store(int64_t *p, int64_t v) { __atomic_store_n(p, v, __ATOMIC_RELEASE); }
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* A short pause first; then give the core away, since pipeline threads may
+ * outnumber the cores. */
+static void relax(int64_t round)
+{
+    if (round >= 64)
+        sched_yield();
+#if defined(__x86_64__) || defined(__i386__)
+    else
+        __builtin_ia32_pause();
+#endif
+}
+
+/* Whether thread g's condition holds; *seen is the value whose change counts
+ * as progress for the watchdog. */
+static int ready(const struct pass_spec *p, int64_t g, int cond, int64_t sense,
+                 int64_t *seen)
+{
+    const int64_t *c = p->counters;
+    if (cond == PRED) {
+        *seen = load(&c[(g - 1) * SLOT]);
+        return *seen - load(&c[g * SLOT]) >= p->d_l[g];
+    }
+    if (cond == SUCC) {
+        *seen = load(&c[(g + 1) * SLOT]);
+        return load(&c[g * SLOT]) - *seen <= p->d_u[g];
+    }
+    *seen = load(&p->ctl[CTL_COUNT]);
+    return load(&p->ctl[CTL_SENSE]) == sense;
+}
+
+/* Spin until the condition holds.  Each round checks the abort word and the
+ * watchdog: no progress for watchdog_s sets the abort word and returns
+ * DEADLOCK.  The clock is read only once a wait has begun. */
+static int wait_until(const struct pass_spec *p, int64_t g, int cond,
+                      int64_t sense, int64_t *stats, int wait_slot)
+{
+    int64_t seen, last;
+    if (ready(p, g, cond, sense, &seen))
+        return DONE;
+    const double budget_ns = p->watchdog_s * 1e9;  /* finite and > 0 */
+    const int64_t start = now_ns();
+    const int64_t budget = budget_ns < 9e18 ? (int64_t)budget_ns : INT64_MAX;
+    int64_t now = start, since = start, rc = DONE;
+    for (int64_t round = 0;; round++) {
+        stats[ST_SPINS]++;
+        last = seen;
+        if (load(&p->ctl[CTL_ABORT])) {
+            rc = ABORTED;
+            break;
+        }
+        if (now - since > budget) {
+            store(&p->ctl[CTL_ABORT], 1);
+            rc = DEADLOCK;
+            break;
+        }
+        relax(round);
+        int ok = ready(p, g, cond, sense, &seen);
+        now = now_ns();
+        if (ok)
+            break;
+        if (seen != last)
+            since = now;
+    }
+    stats[wait_slot] += now - start;
+    return rc;
+}
+
+static int barrier_wait(const struct pass_spec *p, int64_t g, int64_t *sense,
+                        int64_t *stats)
+{
+    *sense = !*sense;
+    if (__atomic_sub_fetch(&p->ctl[CTL_COUNT], 1, __ATOMIC_ACQ_REL) == 0) {
+        __atomic_store_n(&p->ctl[CTL_COUNT], p->nt, __ATOMIC_RELAXED);
+        store(&p->ctl[CTL_SENSE], *sense);
+        return DONE;
+    }
+    return wait_until(p, g, BARRIER, *sense, stats, ST_PRED_WAIT_NS);
+}
+
+/* Dirichlet values next to a window at the destination frame, as
+ * kernel.write_ring_strips. */
+static void ring_strips(const struct pass_spec *p, double *dst, const int64_t *r,
+                        ptrdiff_t o)
+{
+    const ptrdiff_t sy = p->sy, sz = p->sz, nx = p->nx, ny = p->ny;
+    for (int side = 0; side < 2; side++) {
+        if (r[SIDES] & (1 << side)) {
+            const double *v = p->face[side];
+            ptrdiff_t at = (side ? nx : -1) + o;
+            for (ptrdiff_t z = r[ZL]; z < r[ZH]; z++)
+                for (ptrdiff_t y = r[YL]; y < r[YH]; y++)
+                    dst[(z + o) * sz + (y + o) * sy + at] = v[z * ny + y];
+        }
+        if (r[SIDES] & (4 << side)) {
+            const double *v = p->face[2 + side];
+            ptrdiff_t at = (side ? ny : -1) + o;
+            for (ptrdiff_t z = r[ZL]; z < r[ZH]; z++)
+                for (ptrdiff_t x = r[XL]; x < r[XH]; x++)
+                    dst[(z + o) * sz + at * sy + x + o] = v[z * nx + x];
+        }
+        if (r[SIDES] & (16 << side)) {
+            const double *v = p->face[4 + side];
+            ptrdiff_t at = (side ? p->nz : -1) + o;
+            for (ptrdiff_t y = r[YL]; y < r[YH]; y++)
+                for (ptrdiff_t x = r[XL]; x < r[XH]; x++)
+                    dst[at * sz + (y + o) * sy + x + o] = v[y * nx + x];
+        }
+    }
+}
+
+static void run_row(const struct pass_spec *p, const int64_t *r, int64_t *stats)
+{
+    if (r[XL] >= r[XH] || r[YL] >= r[YH] || r[ZL] >= r[ZH])
+        return;  /* the window slid out of this block's share of the level */
+    const int64_t u = r[LEVEL];
+    const ptrdiff_t so = p->base_off - p->shift * (u - 1);
+    const ptrdiff_t o = p->base_off - p->shift * u;
+    double *dst = p->grid[(p->parity + u) & 1];
+    jacobi_window(p->grid[(p->parity + u - 1) & 1], dst, p->sy, p->sz, so, o,
+                  r[XL], r[XH], r[YL], r[YH], r[ZL], r[ZH], o > so);
+    stats[ST_WINDOWS]++;
+    stats[ST_CELLS] += (r[XH] - r[XL]) * (r[YH] - r[YL]) * (r[ZH] - r[ZL]);
+    if (r[SIDES])
+        ring_strips(p, dst, r, o);
+}
+
+static void pause_s(double seconds)
+{
+    struct timespec ts = {(time_t)seconds,
+                          (long)((seconds - (double)(time_t)seconds) * 1e9)};
+    nanosleep(&ts, NULL);
+}
+
+/* One thread's whole pass.  delays (NULL for none) holds a sleep in seconds
+ * per block; stats is the thread's NSTAT row.  Returns DONE, DEADLOCK or
+ * ABORTED. */
+int pipeline_worker(const struct pass_spec *p, int64_t g, const double *delays,
+                    int64_t *stats)
+{
+    int64_t *own = &p->counters[g * SLOT];
+    const int64_t last = p->nblocks - 1;
+    int64_t sense = 0, gap, seen;
+    int rc = DONE;
+    stats[ST_PRED_GAP_MIN] = stats[ST_SUCC_GAP_MAX] = -1;
+    /* lockstep: in round r thread g works on block r-g */
+    for (int64_t i = 0; p->barrier && i < g && rc == DONE; i++)
+        rc = barrier_wait(p, g, &sense, stats);
+    for (int64_t k = 0; k <= last && rc == DONE; k++) {
+        if (!p->barrier && g > 0) {
+            if ((rc = wait_until(p, g, PRED, 0, stats, ST_PRED_WAIT_NS)))
+                break;
+            gap = load(&p->counters[(g - 1) * SLOT]) - load(own);
+            if (stats[ST_PRED_GAP_MIN] < 0 || gap < stats[ST_PRED_GAP_MIN])
+                stats[ST_PRED_GAP_MIN] = gap;
+            if (!ready(p, g, PRED, 0, &seen))
+                stats[ST_PRED_VIOLATIONS]++;
+        }
+        if (delays && delays[k] > 0.0)
+            pause_s(delays[k]);
+        const int64_t *row = p->rows + (k * p->h + g * p->T) * NCOL;
+        for (int64_t i = 0; i < p->T; i++)
+            run_row(p, row + i * NCOL, stats);
+        stats[ST_BLOCKS]++;
+        if (p->barrier) {
+            store(own, *own + 1);
+            rc = barrier_wait(p, g, &sense, stats);
+        } else if (k == last) {
+            store(own, *own + p->d_u[g] + 1);  /* pipeline wind-down */
+        } else {
+            store(own, *own + 1);
+            if (g < p->nt - 1) {
+                gap = *own - load(&p->counters[(g + 1) * SLOT]);
+                if (gap > stats[ST_SUCC_GAP_MAX])
+                    stats[ST_SUCC_GAP_MAX] = gap;
+                rc = wait_until(p, g, SUCC, 0, stats, ST_SUCC_WAIT_NS);
+            }
+        }
+    }
+    for (int64_t i = g + 1; p->barrier && i < p->nt && rc == DONE; i++)
+        rc = barrier_wait(p, g, &sense, stats);
+    return rc;
 }

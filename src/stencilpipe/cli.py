@@ -298,6 +298,9 @@ def cmd_dist(args) -> int:
                        for k, v in rt.timings.items()})
 
     if args.rankfile:
+        if args.verify:
+            raise ValueError("--verify cannot be combined with --rankfile: a "
+                             "TCP rank holds only its own subdomain")
         if args.rank is None or args.ranks is None:
             raise ValueError("TCP mode needs --rank and --ranks")
         addresses = parse_rankfile(Path(args.rankfile).read_text())
@@ -319,7 +322,7 @@ def cmd_dist(args) -> int:
             _write_owned_snapshot(rt, os.path.join(
                 args.out_dir, f"rank_{rt.sub.rank}.grid"))
     ok = True
-    if args.verify and not args.rankfile:
+    if args.verify:
         ok = _verify(rows, assemble_global(runtimes), dist.resolved_global(),
                      rc.init, rc.seed, cfg.h * args.cycles)
     return _emit(rows, args, ok)

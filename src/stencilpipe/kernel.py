@@ -8,9 +8,11 @@ the oracle for everything else.
 
 ``apply_window`` runs a compiled C loop (``_jacobi.c``), built with the system
 ``cc`` on first use and cached.  ctypes releases the interpreter lock for the
-call, so pipeline and rank threads compute at the same time.  Where no
-compiler works it falls back to the numpy body, which ``reference_sweep``
-always uses; ``BACKEND`` reads ``"c"`` or ``"numpy"``.
+call, so pipeline and rank threads compute at the same time.  The same
+library holds the pipelined pass driver (``pipeline_worker``, arguments in
+:class:`PassSpec`).  Where no compiler works it falls back to the numpy body,
+which ``reference_sweep`` always uses; ``BACKEND`` reads ``"c"`` or
+``"numpy"``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _ITEM = np.dtype(np.float64).itemsize
 
 _load_lock = threading.Lock()
-_jacobi = None      # the compiled function once loaded, None on numpy
+_jacobi = None      # the compiled library once loaded, None on numpy
 _backend = None     # "c" or "numpy" once the first load was attempted
 
 
@@ -56,16 +58,39 @@ def _build(target: Path) -> None:
             tmp.unlink()
 
 
+class PassSpec(ctypes.Structure):
+    """``struct pass_spec`` of ``_jacobi.c``: what every thread of one
+    pipelined pass shares (see ``pipeline._Pass``)."""
+    _fields_ = [("rows", ctypes.c_void_p), ("nblocks", ctypes.c_int64),
+                ("h", ctypes.c_int64), ("T", ctypes.c_int64),
+                ("nt", ctypes.c_int64), ("grid", ctypes.c_void_p * 2),
+                ("parity", ctypes.c_int64), ("sy", ctypes.c_int64),
+                ("sz", ctypes.c_int64), ("base_off", ctypes.c_int64),
+                ("shift", ctypes.c_int64), ("face", ctypes.c_void_p * 6),
+                ("nx", ctypes.c_int64), ("ny", ctypes.c_int64),
+                ("nz", ctypes.c_int64), ("counters", ctypes.c_void_p),
+                ("ctl", ctypes.c_void_p), ("d_l", ctypes.c_void_p),
+                ("d_u", ctypes.c_void_p), ("barrier", ctypes.c_int64),
+                ("watchdog_s", ctypes.c_double)]
+
+
 def _bind(path: Path):
-    fn = ctypes.CDLL(str(path)).jacobi_window  # CDLL: the call drops the GIL
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_ssize_t] * 10 \
-        + [ctypes.c_int]
-    fn.restype = None
-    return fn
+    lib = ctypes.CDLL(str(path))  # CDLL: every call drops the GIL
+    lib.jacobi_window.argtypes = [ctypes.c_void_p, ctypes.c_void_p] \
+        + [ctypes.c_ssize_t] * 10 + [ctypes.c_int]
+    lib.jacobi_window.restype = None
+    lib.pipeline_worker.argtypes = [ctypes.POINTER(PassSpec), ctypes.c_int64,
+                                    ctypes.c_void_p, ctypes.c_void_p]
+    lib.pipeline_worker.restype = ctypes.c_int
+    lib.pass_spec_size.argtypes = []
+    lib.pass_spec_size.restype = ctypes.c_int64
+    if lib.pass_spec_size() != ctypes.sizeof(PassSpec):
+        raise OSError(f"{path}: struct pass_spec does not match PassSpec")
+    return lib
 
 
 def _load_compiled():
-    """The compiled window function, from the cache or freshly built.
+    """The compiled library, from the cache or freshly built.
 
     The cache file is keyed by the source, the flags and the compiler
     version, under ``$XDG_CACHE_HOME/stencilpipe`` (``~/.cache`` when unset);
@@ -90,8 +115,8 @@ def _load_compiled():
 
 
 def _compiled():
-    """The compiled window function, loading it on first use; None when no
-    compiler works (one RuntimeWarning, then the numpy body)."""
+    """The compiled library, loading it on first use; None when no compiler
+    works (one RuntimeWarning, then the numpy body)."""
     global _jacobi, _backend
     if _backend is None:
         with _load_lock:
@@ -134,16 +159,7 @@ def apply_window(src: np.ndarray, dst: np.ndarray, window, src_off: int,
     (xl, xh), (yl, yh), (zl, zh) = window
     if xl >= xh or yl >= yh or zl >= zh:
         return
-    if src.dtype != np.float64 or dst.dtype != np.float64:
-        raise ValueError(f"apply_window needs float64 arrays, got {src.dtype} "
-                         f"and {dst.dtype}")
-    if src.strides != dst.strides or src.strides[2] != _ITEM \
-            or src.strides[1] % _ITEM or src.strides[0] % _ITEM:
-        raise ValueError(f"apply_window needs equal whole-element strides "
-                         f"with unit x stride, got {src.strides} and "
-                         f"{dst.strides}")
-    if not dst.flags.writeable:
-        raise ValueError("apply_window destination is read-only")
+    check_arrays(src, dst)
     for lo, hi, ns, nd in zip((xl, yl, zl), (xh, yh, zh), src.shape[::-1],
                               dst.shape[::-1]):
         if lo + src_off - 1 < 0 or hi + src_off + 1 > ns \
@@ -155,12 +171,29 @@ def apply_window(src: np.ndarray, dst: np.ndarray, window, src_off: int,
     if np.may_share_memory(src, dst) and (sp != dp or src_off == dst_off):
         raise ValueError("src and dst may overlap only as one array written "
                          "in a shifted frame")
-    fn = _compiled()
-    if fn is None:
+    lib = _compiled()
+    if lib is None:
         _apply_window_numpy(src, dst, window, src_off, dst_off)
         return
-    fn(sp, dp, src.strides[1] // _ITEM, src.strides[0] // _ITEM, src_off,
-       dst_off, xl, xh, yl, yh, zl, zh, dst_off > src_off)
+    lib.jacobi_window(sp, dp, src.strides[1] // _ITEM, src.strides[0] // _ITEM,
+                      src_off, dst_off, xl, xh, yl, yh, zl, zh,
+                      dst_off > src_off)
+
+
+def check_arrays(src: np.ndarray, dst: np.ndarray) -> None:
+    """Raise ValueError unless the compiled loop can read ``src`` and write
+    ``dst``: float64, equal whole-element strides with a unit x stride and a
+    writable destination."""
+    if src.dtype != np.float64 or dst.dtype != np.float64:
+        raise ValueError(f"apply_window needs float64 arrays, got {src.dtype} "
+                         f"and {dst.dtype}")
+    if src.strides != dst.strides or src.strides[2] != _ITEM \
+            or src.strides[1] % _ITEM or src.strides[0] % _ITEM:
+        raise ValueError(f"apply_window needs equal whole-element strides "
+                         f"with unit x stride, got {src.strides} and "
+                         f"{dst.strides}")
+    if not dst.flags.writeable:
+        raise ValueError("apply_window destination is read-only")
 
 
 def _apply_window_numpy(src: np.ndarray, dst: np.ndarray, window,

@@ -333,6 +333,23 @@ def test_tcp_handshake_mismatch_exits_transport_error(tmp_path, capsys):
     assert "config hash mismatch" in capsys.readouterr().err
 
 
+def test_dist_rankfile_rejects_verify(tmp_path, monkeypatch, capsys):
+    # a TCP rank holds only its subdomain: --verify would be skipped silently
+    def no_connect(*_args):
+        raise AssertionError("a rank connected despite --verify")
+
+    monkeypatch.setattr(cli, "tcp_endpoint", no_connect)
+    rankfile = tmp_path / "ranks.txt"
+    rankfile.write_text("0 127.0.0.1 1\n1 127.0.0.1 2\n")
+    code, out, err = run_cli(["dist", "--topo", "2,1,1", "--grid", "12",
+                              "--block", "6,6,6", "--ranks", "2", "--rank",
+                              "0", "--rankfile", str(rankfile), "--verify"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "--verify" in err and "--rankfile" in err
+
+
 # ---------------------------------------------------------------------------
 # flat text files: config, model and rankfile share one line reader
 # ---------------------------------------------------------------------------

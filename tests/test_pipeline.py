@@ -1,7 +1,12 @@
+import gc
+import sys
+import threading
 import time
+import weakref
 
 import pytest
 
+from stencilpipe import kernel, pipeline
 from stencilpipe import (
     BlockSpec,
     EffectiveDistances,
@@ -321,3 +326,197 @@ def test_pinning_hint_is_best_effort(oracle):
     g0 = create_grid(16, 16, 16, init="random", seed=42)
     st = _run(g0, cfg, 2)
     assert_bitwise(st.result.interior_view(), oracle.after_sweeps(16, 42, 4))
+
+
+# ---------------------------------------------------------------------------
+# the compiled pass driver and the Python walker
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def walker_calls(monkeypatch):
+    """Wrap pipeline.apply_window in a pass-through that counts its calls;
+    a wrapped name sends every pass through the Python walker."""
+    calls = []
+    real = pipeline.apply_window
+
+    def counting(*args):
+        calls.append(args[2])
+        real(*args)
+
+    monkeypatch.setattr(pipeline, "apply_window", counting)
+    return calls
+
+
+def _jittered_run(sync):
+    cfg = _cfg(spec=BlockSpec(16, 4, 4), n=2, t=2, T=1, d_l=1, d_u=2, d_t=1,
+               sync_mode=sync, grid_mode="compressed", jitter_prob=0.05,
+               jitter_max_s=0.0005, jitter_seed=99)
+    g = create_grid(16, 16, 16, pad=cfg.h, init="random", seed=3)
+    return cfg, run_pipelined(g, cfg, 2)
+
+
+@pytest.mark.parametrize("sync", ["relaxed", "barrier"])
+def test_driver_and_walker_stats_agree(sync, monkeypatch):
+    if kernel.BACKEND == "c":  # the first run must not walk
+        monkeypatch.setattr(pipeline._Pass, "walk", None)
+    cfg, driven = _jittered_run(sync)
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(pipeline, "apply_window",
+                        lambda *a: calls.append(1) or kernel.apply_window(*a))
+    _, walked = _jittered_run(sync)
+    assert calls and sum(t.windows for t in walked.threads) == len(calls)
+    assert_bitwise(walked.result.interior_view(), driven.result.interior_view())
+    for st in (driven, walked):
+        assert len(st.threads) == cfg.threads
+        for t in st.threads:
+            assert 0.0 <= t.pred_wait_s <= st.wall_seconds
+            assert 0.0 <= t.succ_wait_s <= st.wall_seconds
+        assert st.pred_violations == 0
+        if sync == "relaxed":
+            assert st.pred_gap_min >= cfg.d_l
+            assert st.succ_gap_max <= cfg.d_u + cfg.d_t + 1
+    assert driven.block_updates == walked.block_updates == 2 * cfg.threads * 16
+    assert driven.counters_final == walked.counters_final
+    for d, w in zip(driven.threads, walked.threads):
+        assert (d.blocks, d.windows, d.cells) == (w.blocks, w.windows, w.cells)
+
+
+def _stalled_pass(sync, watchdog_s):
+    cfg = _cfg(spec=BlockSpec(12, 4, 4), t=2, sync_mode=sync,
+               watchdog_s=watchdog_s)
+    g = create_grid(12, 12, 12, init="random", seed=5)
+    return pipeline._Pass(PipelineEngine(cfg, (g, g.copy())), 1)
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+@pytest.mark.parametrize("sync", ["relaxed", "barrier"])
+def test_rear_thread_alone_raises_deadlock(sync, walk, request):
+    if walk:
+        request.getfixturevalue("walker_calls")
+    run = _stalled_pass(sync, watchdog_s=0.3)
+    errors = []
+
+    def rear_only():
+        try:
+            run.run([1])  # the front thread never starts
+        except PipelineDeadlock as exc:
+            errors.append(exc)
+
+    th = threading.Thread(target=rear_only, daemon=True)
+    th.start()
+    th.join(timeout=0.3 + 1.0)
+    stuck = th.is_alive()
+    run.abort()  # releases a thread whose watchdog never fired
+    th.join(timeout=2.0)
+    assert not stuck
+    assert len(errors) == 1
+    assert "no pipeline progress" in str(errors[0]) or "barrier" in str(errors[0])
+    assert "counters = [0, " in str(errors[0])
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+@pytest.mark.parametrize("sync", ["relaxed", "barrier"])
+def test_abort_word_stops_a_spinning_thread(sync, walk, request):
+    if walk:
+        request.getfixturevalue("walker_calls")
+    elif kernel.BACKEND != "c":
+        pytest.skip("no compiled driver")
+    run = _stalled_pass(sync, watchdog_s=60.0)
+    assert run.walker == walk
+    codes = []
+    th = threading.Thread(
+        target=lambda: codes.append((run.walk if walk else run.drive)(1)),
+        daemon=True)
+    th.start()
+    time.sleep(0.2)
+    assert th.is_alive()  # waiting for a predecessor that never moves
+    run.abort()
+    th.join(timeout=2.0)
+    assert not th.is_alive()
+    assert codes == [pipeline._ABORTED]
+
+
+@pytest.mark.parametrize("sync", ["relaxed", "barrier"])
+def test_walker_reraises_kernel_error(sync, monkeypatch):
+    lock, calls = threading.Lock(), []
+
+    def failing(*args):
+        with lock:
+            calls.append(1)
+            if len(calls) == 7:
+                raise RuntimeError("injected kernel fault")
+        kernel.apply_window(*args)
+
+    monkeypatch.setattr(pipeline, "apply_window", failing)
+    cfg = _cfg(spec=BlockSpec(16, 4, 4), t=4, sync_mode=sync,
+               grid_mode="compressed", watchdog_s=20.0)
+    g = create_grid(16, 16, 16, pad=cfg.h, init="random", seed=4)
+    with pytest.raises(RuntimeError, match="injected kernel fault"):
+        run_pipelined(g, cfg, 2)  # a hang would end in PipelineDeadlock
+
+
+def test_wrapped_apply_window_is_called_and_bitwise(walker_calls, oracle):
+    cfg = _cfg(spec=BlockSpec(16, 4, 4), n=1, t=3, T=2, grid_mode="compressed")
+    g0 = create_grid(16, 16, 16, init="random", seed=42)
+    st = _run(g0, cfg, 2)
+    assert_bitwise(st.result.interior_view(), oracle.after_sweeps(16, 42, 12))
+    assert walker_calls
+    assert sum(t.windows for t in st.threads) == len(walker_calls)
+    assert sum(t.cells for t in st.threads) == 16 ** 3 * 12
+
+
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+def test_live_range_beyond_the_interior_raises(mode):
+    cfg = _cfg(spec=BlockSpec(12, 4, 4), t=2, grid_mode=mode)
+    g = create_grid(12, 12, 12, pad=cfg.h, init="random", seed=6)
+    engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
+                            live_bounds=lambda ax, u: (0, 13 + cfg.h))
+    with pytest.raises(ValueError, match="leaves the grid interior"):
+        engine.run_pass(1)
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+def test_frames_beyond_the_arrays_raise(walk, request):
+    # the compiled driver checks no bounds: Python checks the frames first
+    if walk:
+        request.getfixturevalue("walker_calls")
+    cfg = _cfg(spec=BlockSpec(12, 4, 4), t=2, grid_mode="compressed")
+    g = create_grid(12, 12, 12, pad=cfg.h, init="random", seed=6)
+    g.alignment = g.pad + 1  # one cell beyond the head room
+    with pytest.raises(ValueError, match="leave"):
+        PipelineEngine(cfg, g).run_pass(-1)
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+@pytest.mark.parametrize("sync", ["relaxed", "barrier"])
+def test_finished_run_frees_its_grid_without_gc(sync, walk, request):
+    # a reference cycle would hold every run's grids until a collection
+    if walk:
+        request.getfixturevalue("walker_calls")
+    cfg = _cfg(spec=BlockSpec(12, 4, 4), t=2, sync_mode=sync,
+               grid_mode="compressed")
+    g = create_grid(12, 12, 12, pad=cfg.h, init="random", seed=8)
+    alive = weakref.ref(g)
+    gc.disable()
+    try:
+        run_pipelined(g, cfg, 2)
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_oversubscribed_walker_under_fast_switching(walker_calls, oracle):
+    # 16 walker threads on few cores, switching as often as CPython allows
+    cfg = _cfg(spec=BlockSpec(16, 4, 4), n=4, t=4, T=1, d_u=2,
+               grid_mode="compressed", watchdog_s=60.0)
+    g0 = create_grid(16, 16, 16, init="random", seed=43)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        st = _run(g0, cfg, 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_bitwise(st.result.interior_view(), oracle.after_sweeps(16, 43, 32))
+    assert st.pred_violations == 0
