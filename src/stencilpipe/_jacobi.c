@@ -1,5 +1,5 @@
-/* Jacobi window update and pipelined pass driver, the compiled bodies of
- * kernel.apply_window and pipeline.PipelineEngine.run_pass.
+/* Jacobi window update and pipelined run driver, the compiled bodies of
+ * kernel.apply_window and pipeline.PipelineEngine.run_passes.
  *
  * Summation order per cell is fixed: ((((x- + x+) + y-) + y+) + z-) + z+,
  * then times 1/6, the same as the numpy oracle.  Build without fast-math and
@@ -38,13 +38,14 @@ void jacobi_window(const double *src, double *dst, ptrdiff_t sy, ptrdiff_t sz,
     }
 }
 
-/* The pass driver.  pipeline.py builds the work table, a row per (block,
- * level) holding the window, the level u and a bit mask of the Dirichlet
- * ring sides (bit 2*axis + side) the window touches.  Thread g walks the
- * rows of its levels g*T+1 .. (g+1)*T block by block and enforces the same
- * two conditions as pipeline.predecessor_ready / successor_within on the
- * shared counters, or a staggered lockstep on a sense-reversing barrier.
- * Every field is 8 bytes wide; kernel.PassSpec mirrors this layout. */
+/* The run driver.  pipeline.py builds one work table per direction, a row
+ * per (block, level) holding the window, the level u and a bit mask of the
+ * Dirichlet ring sides (bit 2*axis + side) the window touches.  Thread g
+ * walks the rows of its levels g*T+1 .. (g+1)*T block by block, for every
+ * pass of the run, and enforces the same two conditions as
+ * pipeline.predecessor_ready / successor_within on the shared counters, or a
+ * staggered lockstep on a sense-reversing barrier.  Every field is 8 bytes
+ * wide; kernel.RunSpec mirrors this layout. */
 enum { XL, XH, YL, YH, ZL, ZH, LEVEL, SIDES, NCOL };
 enum { ST_BLOCKS, ST_WINDOWS, ST_CELLS, ST_SPINS, ST_PRED_WAIT_NS,
        ST_SUCC_WAIT_NS, ST_PRED_GAP_MIN, ST_PRED_VIOLATIONS, ST_SUCC_GAP_MAX,
@@ -54,14 +55,23 @@ enum { CTL_ABORT = 0, CTL_COUNT = SLOT, CTL_SENSE = 2 * SLOT };
 enum { DONE = 0, DEADLOCK = 1, ABORTED = 2 };
 enum { PRED, SUCC, BARRIER };
 
-struct pass_spec {
-    const int64_t *rows;        /* nblocks x h rows of NCOL */
+/* Pass q of a run is pass first+q of the engine: even ones run forward with
+ * rows[0], odd ones backward with rows[1].  Level u of a pass reads
+ * grid[(parity+u-1)&1] at frame offset base-shift*(u-1) and writes
+ * grid[(parity+u)&1] at base-shift*u; shift is 0 (two grids) or the
+ * direction (one array, compressed), and each pass starts where the last one
+ * ended: parity grows by h, base moves by -shift*h. */
+struct run_spec {
+    const int64_t *rows[2];     /* nblocks x h rows of NCOL, or NULL if unused */
     int64_t nblocks, h, T, nt;
-    double *grid[2];            /* level u reads grid[(parity+u-1)&1] ... */
-    int64_t parity;             /* ... and writes grid[(parity+u)&1] */
+    int64_t passes, first;
+    double *grid[2];
+    int64_t parity;             /* of the first pass */
     int64_t sy, sz;
-    int64_t base_off, shift;    /* frame offset of level u: base_off-shift*u */
+    int64_t base_off;           /* frame offset of the first pass's level 0 */
+    int64_t shifting;           /* 1: frames shift by the direction per level */
     const double *face[6];      /* x0 x1 y0 y1 z0 z1, C-contiguous */
+    int64_t ring;               /* sides restored in full before each pass */
     int64_t nx, ny, nz;
     int64_t *counters;          /* counter i at counters[i*SLOT] */
     int64_t *ctl;               /* abort word, barrier count, barrier sense */
@@ -70,7 +80,12 @@ struct pass_spec {
     double watchdog_s;
 };
 
-int64_t pass_spec_size(void) { return (int64_t)sizeof(struct pass_spec); }
+struct frame {                  /* one pass of the run */
+    const int64_t *rows;
+    int64_t parity, base, shift;
+};
+
+int64_t run_spec_size(void) { return (int64_t)sizeof(struct run_spec); }
 
 static int64_t load(const int64_t *p) { return __atomic_load_n(p, __ATOMIC_ACQUIRE); }
 static void store(int64_t *p, int64_t v) { __atomic_store_n(p, v, __ATOMIC_RELEASE); }
@@ -96,7 +111,7 @@ static void relax(int64_t round)
 
 /* Whether thread g's condition holds; *seen is the value whose change counts
  * as progress for the watchdog. */
-static int ready(const struct pass_spec *p, int64_t g, int cond, int64_t sense,
+static int ready(const struct run_spec *p, int64_t g, int cond, int64_t sense,
                  int64_t *seen)
 {
     const int64_t *c = p->counters;
@@ -115,7 +130,7 @@ static int ready(const struct pass_spec *p, int64_t g, int cond, int64_t sense,
 /* Spin until the condition holds.  Each round checks the abort word and the
  * watchdog: no progress for watchdog_s sets the abort word and returns
  * DEADLOCK.  The clock is read only once a wait has begun. */
-static int wait_until(const struct pass_spec *p, int64_t g, int cond,
+static int wait_until(const struct run_spec *p, int64_t g, int cond,
                       int64_t sense, int64_t *stats, int wait_slot)
 {
     int64_t seen, last;
@@ -149,11 +164,16 @@ static int wait_until(const struct pass_spec *p, int64_t g, int cond,
     return rc;
 }
 
-static int barrier_wait(const struct pass_spec *p, int64_t g, int64_t *sense,
-                        int64_t *stats)
+/* All nt threads meet.  With reset, the last to arrive zeroes every counter
+ * before it releases the others: no thread reads a counter while it waits
+ * here, and none reads one again before the release. */
+static int barrier_wait(const struct run_spec *p, int64_t g, int64_t *sense,
+                        int64_t *stats, int reset)
 {
     *sense = !*sense;
     if (__atomic_sub_fetch(&p->ctl[CTL_COUNT], 1, __ATOMIC_ACQ_REL) == 0) {
+        for (int64_t i = 0; reset && i < p->nt; i++)
+            __atomic_store_n(&p->counters[i * SLOT], 0, __ATOMIC_RELAXED);
         __atomic_store_n(&p->ctl[CTL_COUNT], p->nt, __ATOMIC_RELAXED);
         store(&p->ctl[CTL_SENSE], *sense);
         return DONE;
@@ -163,7 +183,7 @@ static int barrier_wait(const struct pass_spec *p, int64_t g, int64_t *sense,
 
 /* Dirichlet values next to a window at the destination frame, as
  * kernel.write_ring_strips. */
-static void ring_strips(const struct pass_spec *p, double *dst, const int64_t *r,
+static void ring_strips(const struct run_spec *p, double *dst, const int64_t *r,
                         ptrdiff_t o)
 {
     const ptrdiff_t sy = p->sy, sz = p->sz, nx = p->nx, ny = p->ny;
@@ -192,15 +212,16 @@ static void ring_strips(const struct pass_spec *p, double *dst, const int64_t *r
     }
 }
 
-static void run_row(const struct pass_spec *p, const int64_t *r, int64_t *stats)
+static void run_row(const struct run_spec *p, const struct frame *f,
+                    const int64_t *r, int64_t *stats)
 {
     if (r[XL] >= r[XH] || r[YL] >= r[YH] || r[ZL] >= r[ZH])
         return;  /* the window slid out of this block's share of the level */
     const int64_t u = r[LEVEL];
-    const ptrdiff_t so = p->base_off - p->shift * (u - 1);
-    const ptrdiff_t o = p->base_off - p->shift * u;
-    double *dst = p->grid[(p->parity + u) & 1];
-    jacobi_window(p->grid[(p->parity + u - 1) & 1], dst, p->sy, p->sz, so, o,
+    const ptrdiff_t so = f->base - f->shift * (u - 1);
+    const ptrdiff_t o = f->base - f->shift * u;
+    double *dst = p->grid[(f->parity + u) & 1];
+    jacobi_window(p->grid[(f->parity + u - 1) & 1], dst, p->sy, p->sz, so, o,
                   r[XL], r[XH], r[YL], r[YH], r[ZL], r[ZH], o > so);
     stats[ST_WINDOWS]++;
     stats[ST_CELLS] += (r[XH] - r[XL]) * (r[YH] - r[YL]) * (r[ZH] - r[ZL]);
@@ -215,20 +236,25 @@ static void pause_s(double seconds)
     nanosleep(&ts, NULL);
 }
 
-/* One thread's whole pass.  delays (NULL for none) holds a sleep in seconds
- * per block; stats is the thread's NSTAT row.  Returns DONE, DEADLOCK or
- * ABORTED. */
-int pipeline_worker(const struct pass_spec *p, int64_t g, const double *delays,
-                    int64_t *stats)
+/* Thread g's part of one pass.  delays (NULL for none) holds a sleep in
+ * seconds per block. */
+static int run_pass(const struct run_spec *p, const struct frame *f, int64_t g,
+                    const double *delays, int64_t *stats, int64_t *sense)
 {
     int64_t *own = &p->counters[g * SLOT];
     const int64_t last = p->nblocks - 1;
-    int64_t sense = 0, gap, seen;
+    int64_t gap, seen;
     int rc = DONE;
-    stats[ST_PRED_GAP_MIN] = stats[ST_SUCC_GAP_MAX] = -1;
+    if (g == 0 && p->ring) {
+        /* mid-pass strips span only the update windows, which may be
+         * narrower than the first level's region: restore the whole ring at
+         * this pass's read frame before any thread reads it */
+        const int64_t all[NCOL] = {0, p->nx, 0, p->ny, 0, p->nz, 0, p->ring};
+        ring_strips(p, p->grid[0], all, f->base);
+    }
     /* lockstep: in round r thread g works on block r-g */
     for (int64_t i = 0; p->barrier && i < g && rc == DONE; i++)
-        rc = barrier_wait(p, g, &sense, stats);
+        rc = barrier_wait(p, g, sense, stats, 0);
     for (int64_t k = 0; k <= last && rc == DONE; k++) {
         if (!p->barrier && g > 0) {
             if ((rc = wait_until(p, g, PRED, 0, stats, ST_PRED_WAIT_NS)))
@@ -241,13 +267,13 @@ int pipeline_worker(const struct pass_spec *p, int64_t g, const double *delays,
         }
         if (delays && delays[k] > 0.0)
             pause_s(delays[k]);
-        const int64_t *row = p->rows + (k * p->h + g * p->T) * NCOL;
+        const int64_t *row = f->rows + (k * p->h + g * p->T) * NCOL;
         for (int64_t i = 0; i < p->T; i++)
-            run_row(p, row + i * NCOL, stats);
+            run_row(p, f, row + i * NCOL, stats);
         stats[ST_BLOCKS]++;
         if (p->barrier) {
             store(own, *own + 1);
-            rc = barrier_wait(p, g, &sense, stats);
+            rc = barrier_wait(p, g, sense, stats, 0);
         } else if (k == last) {
             store(own, *own + p->d_u[g] + 1);  /* pipeline wind-down */
         } else {
@@ -261,6 +287,33 @@ int pipeline_worker(const struct pass_spec *p, int64_t g, const double *delays,
         }
     }
     for (int64_t i = g + 1; p->barrier && i < p->nt && rc == DONE; i++)
-        rc = barrier_wait(p, g, &sense, stats);
+        rc = barrier_wait(p, g, sense, stats, 0);
+    return rc;
+}
+
+/* Thread g's whole run: every pass, in one call.  A pass begins only once
+ * every thread has finished the one before, at a barrier whose last arrival
+ * resets the counters.  delays (NULL for none) holds a sleep in seconds per
+ * (pass, thread, block); stats is the thread's NSTAT row, summed over the
+ * passes.  Returns DONE, DEADLOCK or ABORTED. */
+int pipeline_worker(const struct run_spec *p, int64_t g, const double *delays,
+                    int64_t *stats)
+{
+    int64_t sense = 0;
+    int rc = DONE;
+    struct frame f = {NULL, p->parity, p->base_off, 0};
+    stats[ST_PRED_GAP_MIN] = stats[ST_SUCC_GAP_MAX] = -1;
+    for (int64_t q = 0; q < p->passes && rc == DONE; q++) {
+        const int back = (int)((p->first + q) & 1);
+        if (q > 0 && (rc = barrier_wait(p, g, &sense, stats, 1)))
+            break;
+        f.rows = p->rows[back];
+        f.shift = p->shifting * (back ? -1 : 1);
+        rc = run_pass(p, &f, g,
+                      delays ? delays + (q * p->nt + g) * p->nblocks : NULL,
+                      stats, &sense);
+        f.parity += p->h;
+        f.base -= f.shift * p->h;
+    }
     return rc;
 }

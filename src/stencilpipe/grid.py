@@ -201,14 +201,11 @@ def decompose_blocks(grid: Grid3, spec: BlockSpec, direction: int = 1) -> BlockP
     xb = _axis_bases(grid.nx, spec.bx)
     yb = _axis_bases(grid.ny, spec.by)
     zb = _axis_bases(grid.nz, spec.bz)
-    blocks = []
-    for z in zb:
-        for y in yb:
-            for x in xb:
-                size = (min(spec.bx, grid.nx - x),
-                        min(spec.by, grid.ny - y),
-                        min(spec.bz, grid.nz - z))
-                blocks.append(((x, y, z), size))
+    xs = [(x, min(spec.bx, grid.nx - x)) for x in xb]
+    ys = [(y, min(spec.by, grid.ny - y)) for y in yb]
+    zs = [(z, min(spec.bz, grid.nz - z)) for z in zb]
+    blocks = [((x, y, z), (sx, sy, sz))
+              for z, sz in zs for y, sy in ys for x, sx in xs]
     if direction == -1:
         blocks.reverse()
     return BlockPlan(bases=(xb, yb, zb), sizes=(grid.nx, grid.ny, grid.nz),

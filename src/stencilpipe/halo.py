@@ -324,10 +324,11 @@ class RankRuntime:
                     f"{m.neighbor}")
 
     def cycle(self, index: int):
-        """h updates (shrinking regions) followed by the halo exchange."""
-        direction = 1 if index % 2 == 0 else -1
+        """h updates (shrinking regions) followed by the halo exchange: one
+        pass, whose direction follows the engine's pass count as the index
+        does."""
         t0 = time.perf_counter()
-        pass_stats = self.engine.run_pass(direction)
+        pass_stats = self.engine.run_passes(1)
         self.timings["compute_s"] += time.perf_counter() - t0
         # only the grid holding the latest update level needs fresh halos
         self.sub.grid = self.engine.current_grid()
@@ -404,11 +405,14 @@ def run_rank(dist: DistConfig, rank: int, ep) -> RankRuntime:
 
 def run_distributed_inprocess(dist: DistConfig):
     """All ranks as threads over the in-process transport; returns the list
-    of per-rank runtimes (stats in .timings, data via .owned_view())."""
+    of per-rank runtimes (stats in .timings, data via .owned_view()).  The
+    first rank to fail aborts the fabric, which ends its peers' waits, and
+    its error is the one raised."""
     import threading
-    from .transport import create_topology
+    from .transport import InProcessFabric
 
-    eps = create_topology(dist.topo.ranks)
+    fabric = InProcessFabric(dist.topo.ranks)
+    eps = fabric.endpoints()
     out = [None] * dist.topo.ranks
     errors = []
 
@@ -417,6 +421,7 @@ def run_distributed_inprocess(dist: DistConfig):
             out[r] = run_rank(dist, r, eps[r])
         except BaseException as exc:
             errors.append((r, exc))
+            fabric.abort()
 
     threads = [threading.Thread(target=body, args=(r,), daemon=True)
                for r in range(dist.topo.ranks)]

@@ -9,8 +9,8 @@ the oracle for everything else.
 ``apply_window`` runs a compiled C loop (``_jacobi.c``), built with the system
 ``cc`` on first use and cached.  ctypes releases the interpreter lock for the
 call, so pipeline and rank threads compute at the same time.  The same
-library holds the pipelined pass driver (``pipeline_worker``, arguments in
-:class:`PassSpec`).  Where no compiler works it falls back to the numpy body,
+library holds the pipelined run driver (``pipeline_worker``, arguments in
+:class:`RunSpec`).  Where no compiler works it falls back to the numpy body,
 which ``reference_sweep`` always uses; ``BACKEND`` reads ``"c"`` or
 ``"numpy"``.
 """
@@ -58,20 +58,21 @@ def _build(target: Path) -> None:
             tmp.unlink()
 
 
-class PassSpec(ctypes.Structure):
-    """``struct pass_spec`` of ``_jacobi.c``: what every thread of one
-    pipelined pass shares (see ``pipeline._Pass``)."""
-    _fields_ = [("rows", ctypes.c_void_p), ("nblocks", ctypes.c_int64),
+class RunSpec(ctypes.Structure):
+    """``struct run_spec`` of ``_jacobi.c``: what every thread of one
+    pipelined run shares (see ``pipeline._Run``)."""
+    _fields_ = [("rows", ctypes.c_void_p * 2), ("nblocks", ctypes.c_int64),
                 ("h", ctypes.c_int64), ("T", ctypes.c_int64),
-                ("nt", ctypes.c_int64), ("grid", ctypes.c_void_p * 2),
+                ("nt", ctypes.c_int64), ("passes", ctypes.c_int64),
+                ("first", ctypes.c_int64), ("grid", ctypes.c_void_p * 2),
                 ("parity", ctypes.c_int64), ("sy", ctypes.c_int64),
                 ("sz", ctypes.c_int64), ("base_off", ctypes.c_int64),
-                ("shift", ctypes.c_int64), ("face", ctypes.c_void_p * 6),
-                ("nx", ctypes.c_int64), ("ny", ctypes.c_int64),
-                ("nz", ctypes.c_int64), ("counters", ctypes.c_void_p),
-                ("ctl", ctypes.c_void_p), ("d_l", ctypes.c_void_p),
-                ("d_u", ctypes.c_void_p), ("barrier", ctypes.c_int64),
-                ("watchdog_s", ctypes.c_double)]
+                ("shifting", ctypes.c_int64), ("face", ctypes.c_void_p * 6),
+                ("ring", ctypes.c_int64), ("nx", ctypes.c_int64),
+                ("ny", ctypes.c_int64), ("nz", ctypes.c_int64),
+                ("counters", ctypes.c_void_p), ("ctl", ctypes.c_void_p),
+                ("d_l", ctypes.c_void_p), ("d_u", ctypes.c_void_p),
+                ("barrier", ctypes.c_int64), ("watchdog_s", ctypes.c_double)]
 
 
 def _bind(path: Path):
@@ -79,13 +80,13 @@ def _bind(path: Path):
     lib.jacobi_window.argtypes = [ctypes.c_void_p, ctypes.c_void_p] \
         + [ctypes.c_ssize_t] * 10 + [ctypes.c_int]
     lib.jacobi_window.restype = None
-    lib.pipeline_worker.argtypes = [ctypes.POINTER(PassSpec), ctypes.c_int64,
+    lib.pipeline_worker.argtypes = [ctypes.POINTER(RunSpec), ctypes.c_int64,
                                     ctypes.c_void_p, ctypes.c_void_p]
     lib.pipeline_worker.restype = ctypes.c_int
-    lib.pass_spec_size.argtypes = []
-    lib.pass_spec_size.restype = ctypes.c_int64
-    if lib.pass_spec_size() != ctypes.sizeof(PassSpec):
-        raise OSError(f"{path}: struct pass_spec does not match PassSpec")
+    lib.run_spec_size.argtypes = []
+    lib.run_spec_size.restype = ctypes.c_int64
+    if lib.run_spec_size() != ctypes.sizeof(RunSpec):
+        raise OSError(f"{path}: struct run_spec does not match RunSpec")
     return lib
 
 

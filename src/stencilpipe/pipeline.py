@@ -15,10 +15,11 @@ or a staggered global-barrier lockstep used as the baseline.  Both produce
 bitwise identical grids; only timing differs.
 
 The schedule of a pass is one int64 table per direction
-(:meth:`PipelineEngine.work_table`).  Each thread runs its rows of a pass in
-one call into the compiled driver (``pipeline_worker`` in ``_jacobi.c``) with
-the interpreter lock released.  A Python walker runs the same rows instead
-when the numpy kernel is in use or when ``apply_window`` or
+(:meth:`PipelineEngine.work_table`).  Each thread runs its rows of every pass
+of a run in one call into the compiled driver (``pipeline_worker`` in
+``_jacobi.c``) with the interpreter lock released; a pass begins once every
+thread has finished the one before.  A Python walker runs the same rows
+instead when the numpy kernel is in use or when ``apply_window`` or
 ``write_ring_strips`` of this module no longer is the kernel's own function
 (wrapped for tracing or in a test), so that every call reaches the wrapper.
 """
@@ -28,12 +29,11 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import operator
 import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -190,14 +190,9 @@ def estimate_max_distance(cache_bytes: float, t: int, spec: BlockSpec) -> int:
     return int(cache_bytes // (t * volume * 8))
 
 
-def _combine(fn, a, b):
-    """fn(a, b) where None stands for no value."""
-    return b if a is None else a if b is None else fn(a, b)
-
-
 @dataclass
 class ThreadStats:
-    """One pipeline thread's account of its passes, filled by the compiled
+    """One pipeline thread's account of its run, filled by the compiled
     driver or the Python walker alike.  Wait seconds count only time spent
     waiting (barrier waits count as predecessor waits); the gaps are None
     where the thread has no predecessor or successor condition."""
@@ -218,18 +213,12 @@ class ThreadStats:
         return cls(blocks, windows, cells, spins, pred_ns / 1e9, succ_ns / 1e9,
                    None if gap < 0 else gap, bad, None if succ < 0 else succ)
 
-    def merge(self, other: "ThreadStats") -> None:
-        for f in fields(self):
-            fn = {"pred_gap_min": min, "succ_gap_max": max}.get(f.name,
-                                                                 operator.add)
-            setattr(self, f.name, _combine(fn, getattr(self, f.name),
-                                           getattr(other, f.name)))
-
 
 @dataclass
 class RunStats:
     """Outcome of a pipelined run; one CSV row per run.  ``threads`` holds a
-    ThreadStats per pipeline position, summed over the passes."""
+    ThreadStats per pipeline position, summed over the passes;
+    ``counters_final`` holds the counters at the end of the last pass."""
     wall_seconds: float = 0.0
     mlups: float = 0.0
     updates_total: int = 0
@@ -264,17 +253,9 @@ class RunStats:
         return max((t.succ_gap_max for t in self.threads
                     if t.succ_gap_max is not None), default=None)
 
-    def merge_pass(self, other: "RunStats") -> None:
-        self.passes += other.passes
-        if not self.threads:
-            self.threads = [ThreadStats() for _ in other.threads]
-        for mine, theirs in zip(self.threads, other.threads):
-            mine.merge(theirs)
-        self.counters_final = other.counters_final
-
 
 class _Watchdog:
-    """Aborts the pass when no counter changes for ``budget`` seconds."""
+    """Aborts the run when no counter changes for ``budget`` seconds."""
 
     def __init__(self, counters: SyncCounters, budget: float):
         self.counters = counters
@@ -333,17 +314,17 @@ class PipelineEngine:
             if len(self.grids) != 1:
                 raise ValueError("compressed mode uses a single grid")
         g = self.grids[0]
-        cfg.spec.validate(g)
         self.dims = g.shape
-        self.plan_fwd = decompose_blocks(g, cfg.spec, 1)
-        self.plan_bwd = decompose_blocks(g, cfg.spec, -1)
+        self.plan = decompose_blocks(g, cfg.spec, 1)  # backward: reversed
+        # each block's index along each axis, in forward traversal order
+        self._block_index = np.array(
+            [base for base, _size in self.plan.blocks],
+            dtype=np.int64) // (cfg.spec.bx, cfg.spec.by, cfg.spec.bz)
         dims = self.dims  # not self: a cycle would keep the grids alive
         self.live_bounds = live_bounds or (lambda ax, u: (0, dims[ax]))
         if physical_sides is None:
             physical_sides = {ax: (True, True) for ax in range(3)}
         self.physical_sides = physical_sides
-        self._ring_sides = [(name, side) for ax, name in enumerate("xyz")
-                            for side in (0, 1) if physical_sides[ax][side]]
         self._tables = {}
         self.levels_done = 0
         self.passes_done = 0
@@ -364,15 +345,14 @@ class PipelineEngine:
         A window empty on some axis slid out of its block's share of the
         level; both executors skip it.  Raises ValueError when a live range
         leaves the grid interior."""
+        if direction not in (1, -1):
+            raise ValueError("direction must be +1 or -1")
         table = self._tables.get(direction)
         if table is not None:
             return table
-        cfg = self.cfg
-        plan = self.plan_fwd if direction == 1 else self.plan_bwd
+        cfg, plan = self.cfg, self.plan
         bases = plan.bases
-        index = [{b: i for i, b in enumerate(axis)} for axis in bases]
-        idx = np.array([[index[ax][base[ax]] for ax in range(3)]
-                        for base, _size in plan.blocks], dtype=np.int64)
+        idx = self._block_index[::direction]
         table = np.empty((plan.total_blocks, cfg.h, _COLS), dtype=np.int64)
         for u in range(1, cfg.h + 1):
             delta = -u if direction == 1 else u
@@ -397,62 +377,70 @@ class PipelineEngine:
         self._tables[direction] = table
         return table
 
-    def _maybe_pin(self, g):
-        if self.cfg.pin_threads and hasattr(os, "sched_setaffinity"):
-            try:
-                cpus = sorted(os.sched_getaffinity(0))
-                os.sched_setaffinity(0, {cpus[g % len(cpus)]})
-            except OSError:
-                pass  # pinning is best-effort; correctness never depends on it
+    def run_passes(self, count: int) -> RunStats:
+        """``count`` team sweeps; each gives every interior cell h updates.
 
-    def run_pass(self, direction: int) -> RunStats:
-        """One team sweep: every interior cell receives h updates."""
-        cfg = self.cfg
-        if direction not in (1, -1):
-            raise ValueError("direction must be +1 or -1")
-        a0 = self.grids[0].alignment
-        if cfg.grid_mode == "compressed":
-            pad = self.grids[0].pad
-            if direction == 1 and a0 + cfg.h > pad:
-                raise ValueError(
-                    f"forward pass needs alignment+h <= pad ({a0}+{cfg.h} > {pad})")
-            if direction == -1 and a0 - cfg.h < 0:
-                raise ValueError(
-                    f"backward pass needs alignment >= h ({a0} < {cfg.h})")
-            # mid-pass strips span only the update windows, which may be
-            # narrower than this pass's first-level region: restore the whole
-            # ring at the current alignment first
-            g = self.grids[0]
-            write_ring_strips(g.data, g.boundary_faces,
-                              tuple((0, n) for n in self.dims),
-                              g.origin - a0, self._ring_sides, self.dims)
-        run = _Pass(self, direction)
-        run.run(range(cfg.threads))
+        Directions alternate with ``passes_done``: forward after an even
+        number of passes, backward after an odd one.  Each pipeline position
+        runs all ``count`` passes in one call, in one thread started for the
+        whole run (a single position runs in the calling thread).  The
+        arrays, live ranges, frames, faces and compressed alignment are
+        checked once, before any thread starts."""
+        if count < 0:
+            raise ValueError(f"pass count must be >= 0, got {count}")
+        return self.run_pass(count)
 
-        self.levels_done += cfg.h
-        self.passes_done += 1
-        if cfg.grid_mode == "compressed":
-            self.grids[0].alignment = a0 + (cfg.h if direction == 1 else -cfg.h)
-        return RunStats(passes=1, threads=run.thread_stats(),
+    def run_pass(self, count: int) -> RunStats:
+        """The body of :meth:`run_passes`, kept under the name the
+        benchmark's tracer (``perfbench/tracing.py``) wraps, so that each run
+        is one ``pipeline.run_pass`` span holding its threads' spans."""
+        if count == 0:
+            return RunStats()
+        run = _Run(self, count)
+        run.run(range(self.cfg.threads))
+        self.levels_done += self.cfg.h * count
+        self.passes_done += count
+        if self.cfg.grid_mode == "compressed":
+            self.grids[0].alignment = run.alignment_after
+        return RunStats(passes=count, threads=run.thread_stats(),
                         counters_final=run.counters.snapshot())
 
 
-class _Pass:
-    """One pass in flight: its work table, its read and write frames and the
-    state its threads share (counters, control words, stats rows).
+def _pin(g: int) -> None:
+    """Bind the calling thread to one CPU, chosen by pipeline position."""
+    if hasattr(os, "sched_setaffinity"):
+        try:
+            cpus = sorted(os.sched_getaffinity(0))
+            os.sched_setaffinity(0, {cpus[g % len(cpus)]})
+        except OSError:
+            pass  # pinning is best-effort; correctness never depends on it
 
-    Level u reads ``arrays[(parity + u - 1) % 2]`` at offset
-    ``base - shift * (u - 1)`` and writes ``arrays[(parity + u) % 2]`` at
-    ``base - shift * u``: two-grid mode alternates the arrays at a fixed
-    offset, compressed mode shifts one array's frame by one cell per level.
-    ``drive(g)`` runs thread g's rows in the compiled driver with the
-    interpreter lock released; ``walk(g)`` runs the same rows in Python
-    through the module-level ``apply_window`` and ``write_ring_strips``."""
 
-    def __init__(self, engine: PipelineEngine, direction: int):
+class _Run:
+    """``count`` passes in flight: their work tables and frames and the
+    state the threads share (counters, control words, stats rows).
+
+    Pass q of the run is the engine's pass ``first + q``; it runs forward
+    when that is even and backward when odd.  Level u of a pass reads
+    ``arrays[(parity + u - 1) % 2]`` at offset ``base - shift * (u - 1)``
+    and writes ``arrays[(parity + u) % 2]`` at ``base - shift * u``
+    (:meth:`frame`): two-grid mode alternates the arrays at a fixed offset,
+    compressed mode shifts one array's frame by one cell per level in the
+    pass's direction.  Each pass starts where the one before ended.
+
+    A pass begins once every thread has finished the one before, at a
+    barrier whose last arrival resets the counters.  In compressed mode the
+    front position then restores the whole Dirichlet ring at the pass's read
+    frame before its first block: mid-pass strips span only the update
+    windows, which may be narrower than the first level's region.
+    ``drive(g)`` runs thread g's passes in the compiled driver with the
+    interpreter lock released; ``walk(g)`` runs them in Python through the
+    module-level ``apply_window`` and ``write_ring_strips``."""
+
+    def __init__(self, engine: PipelineEngine, count: int):
         cfg = self.cfg = engine.cfg
-        self.engine, self.direction = engine, direction
-        self.table = engine.work_table(direction)
+        self.engine, self.count = engine, count
+        self.first = engine.passes_done
         self.nt = nt = cfg.threads
         self.counters = SyncCounters(nt)
         self.dist = EffectiveDistances.from_config(cfg)
@@ -460,45 +448,64 @@ class _Pass:
         self.ctl[_CTL_COUNT] = nt
         self.stats = np.zeros((nt, len(_STATS)), dtype=np.int64)
         g0 = engine.grids[0]
+        self.faces = g0.boundary_faces
         if cfg.grid_mode == "compressed":
             self.arrays = (g0.data, g0.data)
-            self.parity, self.base = 0, g0.origin - g0.alignment
-            self.shift = direction
+            self.parity, self.base, self.shifting = 0, g0.origin - g0.alignment, 1
+            self.ring = sum(1 << bit for bit, (name, side) in enumerate(_SIDES)
+                            if engine.physical_sides["xyz".index(name)][side])
+            self.alignment_after = g0.alignment + (
+                count % 2) * cfg.h * self.direction(0)
         else:
             self.arrays = (g0.data, engine.grids[1].data)
-            self.parity, self.base, self.shift = engine.levels_done % 2, g0.origin, 0
-        self.faces = g0.boundary_faces
-        self.delays = self._jitter_delays(engine.passes_done)
+            self.parity, self.base, self.shifting = engine.levels_done % 2, g0.origin, 0
+            self.ring = 0
+        # (forward, backward) tables; None for a direction the run never takes
+        used = {self.direction(q) for q in range(min(count, 2))}
+        self.tables = [engine.work_table(d) if d in used else None
+                       for d in (1, -1)]
+        self.nblocks = engine.plan.total_blocks
+        self._check()
+        self.delays = self._jitter_delays()
         # wrapped kernel functions (tracing, tests) must see every call
         self.walker = (kernel.BACKEND == "numpy"
                        or apply_window is not kernel.apply_window
                        or write_ring_strips is not kernel.write_ring_strips)
-        self.barrier = None
+        self.lockstep = self.boundary = None
         if self.walker:
             self.watchdog = _Watchdog(self.counters, cfg.watchdog_s)
             if cfg.sync_mode == "barrier":
-                self.barrier = threading.Barrier(nt)
+                self.lockstep = threading.Barrier(nt)
+            self.boundary = threading.Barrier(nt, action=self.counters.reset)
         else:
             self.spec = self._driver_spec()
 
-    def _jitter_delays(self, passes_done):
-        """Sleep in seconds per thread and block, drawn from one
-        random.Random per thread and pass; None without jitter."""
-        cfg = self.cfg
-        if cfg.jitter_prob <= 0.0:
-            return None
-        delays = np.zeros((self.nt, self.table.shape[0]))
-        for g, row in enumerate(delays):
-            rng = random.Random(cfg.jitter_seed * 1_000_003 + passes_done * 8191 + g)
-            for k in range(len(row)):
-                if rng.random() < cfg.jitter_prob:
-                    row[k] = rng.random() * cfg.jitter_max_s
-        return delays
+    def direction(self, q: int) -> int:
+        return 1 if (self.first + q) % 2 == 0 else -1
 
-    def _driver_spec(self) -> kernel.PassSpec:
-        """The compiled driver's arguments, after the checks that
-        apply_window makes per call, made here once for every row."""
+    def frame(self, q: int):
+        """(table, parity, base, shift) of pass q: an odd pass starts at the
+        offset where the first one ended."""
+        d = self.direction(q)
+        shift = self.shifting * d
+        return (self.tables[d == -1], (self.parity + q * self.cfg.h) % 2,
+                self.base + (q % 2) * self.cfg.h * shift, shift)
+
+    def _check(self) -> None:
+        """Raise ValueError before any thread starts where a pass of the run
+        would leave the arrays: the compiled driver checks no bounds, and
+        apply_window's checks run per call.  Every pass spans the offsets of
+        the first one, so checking it covers the run."""
         cfg, dims = self.cfg, self.engine.dims
+        g0 = self.engine.grids[0]
+        if cfg.grid_mode == "compressed":
+            a0, pad = g0.alignment, g0.pad
+            if self.direction(0) == 1 and a0 + cfg.h > pad:
+                raise ValueError(
+                    f"forward pass needs alignment+h <= pad ({a0}+{cfg.h} > {pad})")
+            if self.direction(0) == -1 and a0 - cfg.h < 0:
+                raise ValueError(
+                    f"backward pass needs alignment >= h ({a0} < {cfg.h})")
         src, dst = self.arrays
         kernel.check_arrays(src, dst)
         if src is not dst and (src.shape != dst.shape
@@ -507,45 +514,68 @@ class _Pass:
                              "or overlap")
         # windows lie inside the interior (work_table), so the interior plus
         # its ring at every level's offset bounds every load and store
-        first, last = self.base, self.base - self.shift * cfg.h
+        first = self.base
+        last = first - self.shifting * self.direction(0) * cfg.h
         if min(first, last) < 1 or any(
                 n + max(first, last) + 1 > size
                 for n, size in zip(dims, src.shape[::-1])):
-            raise ValueError(f"the frames of the pass, offsets {first} to "
+            raise ValueError(f"the frames of the run, offsets {first} to "
                              f"{last}, leave the arrays of shape {src.shape}")
         nx, ny, nz = dims
         shapes = {"x": (nz, ny), "y": (nz, nx), "z": (ny, nx)}
-        sides = np.bitwise_or.reduce(self.table[..., 7], axis=None)
-        faces = []
-        for bit, key in enumerate(_SIDES):
-            face = None
-            if sides >> bit & 1:
-                face = np.ascontiguousarray(self.faces[key], dtype=np.float64)
-                if face.shape != shapes[key[0]]:
-                    raise ValueError(f"boundary face {key} has shape "
-                                     f"{face.shape}, expected {shapes[key[0]]}")
-            faces.append(face)
+        for name, side in _SIDE_LISTS[self.ring]:
+            shape = np.shape(self.faces[(name, side)])
+            if shape != shapes[name]:
+                raise ValueError(f"boundary face {(name, side)} has shape "
+                                 f"{shape}, expected {shapes[name]}")
+
+    def _jitter_delays(self):
+        """Sleep in seconds per pass, thread and block, drawn from one
+        random.Random per engine pass and thread; None without jitter."""
+        cfg = self.cfg
+        if cfg.jitter_prob <= 0.0:
+            return None
+        delays = np.zeros((self.count, self.nt, self.nblocks))
+        for q, per_pass in enumerate(delays):
+            for g, row in enumerate(per_pass):
+                rng = random.Random(cfg.jitter_seed * 1_000_003
+                                    + (self.first + q) * 8191 + g)
+                for k in range(len(row)):
+                    if rng.random() < cfg.jitter_prob:
+                        row[k] = rng.random() * cfg.jitter_max_s
+        return delays
+
+    def _driver_spec(self) -> kernel.RunSpec:
+        """The compiled driver's arguments."""
+        cfg, (nx, ny, nz) = self.cfg, self.engine.dims
+        src, dst = self.arrays
+        faces = [np.ascontiguousarray(self.faces[key], dtype=np.float64)
+                 if self.ring >> bit & 1 else None
+                 for bit, key in enumerate(_SIDES)]
         d_l = np.array(self.dist.d_l, dtype=np.int64)
         d_u = np.array(self.dist.d_u, dtype=np.int64)
         self._keep = (faces, d_l, d_u)  # referenced while the driver runs
-        return kernel.PassSpec(
-            rows=self.table.ctypes.data, nblocks=self.table.shape[0],
-            h=cfg.h, T=cfg.T, nt=self.nt,
+        return kernel.RunSpec(
+            rows=(ctypes.c_void_p * 2)(
+                *(None if t is None else t.ctypes.data for t in self.tables)),
+            nblocks=self.nblocks, h=cfg.h, T=cfg.T, nt=self.nt,
+            passes=self.count, first=self.first,
             grid=(ctypes.c_void_p * 2)(src.ctypes.data, dst.ctypes.data),
             parity=self.parity, sy=src.strides[1] // src.itemsize,
             sz=src.strides[0] // src.itemsize, base_off=self.base,
-            shift=self.shift,
+            shifting=self.shifting,
             face=(ctypes.c_void_p * 6)(
                 *(None if f is None else f.ctypes.data for f in faces)),
-            nx=nx, ny=ny, nz=nz, counters=self.counters._slots.ctypes.data,
+            ring=self.ring, nx=nx, ny=ny, nz=nz,
+            counters=self.counters._slots.ctypes.data,
             ctl=self.ctl.ctypes.data, d_l=d_l.ctypes.data, d_u=d_u.ctypes.data,
             barrier=cfg.sync_mode == "barrier", watchdog_s=cfg.watchdog_s)
 
     def run(self, positions) -> None:
-        """Run the given pipeline positions and raise the first failure: a
-        worker's exception, or PipelineDeadlock when a watchdog fired or the
-        pass was aborted.  A single position runs in the calling thread,
-        unpinned; more run in one new thread each."""
+        """Run the given pipeline positions through every pass and raise the
+        first failure: a worker's exception, or PipelineDeadlock when a
+        watchdog fired or the run was aborted.  A single position runs in the
+        calling thread, unpinned; more run in one new thread each."""
         work = self.walk if self.walker else self.drive
         positions = list(positions)
         if len(positions) == 1:
@@ -555,10 +585,12 @@ class _Pass:
             codes = {positions[0]: work(positions[0])}
         else:
             codes, errors = {}, []
+            pin = self.cfg.pin_threads
 
             def body(g):
                 try:
-                    self.engine._maybe_pin(g)
+                    if pin:
+                        _pin(g)
                     codes[g] = work(g)
                 except BaseException as exc:  # re-raised by the caller below
                     errors.append(exc)
@@ -574,80 +606,95 @@ class _Pass:
                 raise errors[0]
         for code, what in ((_DEADLOCK, "no pipeline progress for "
                             f"{self.cfg.watchdog_s:.1f}s"),
-                           (_ABORTED, "pass aborted")):
+                           (_ABORTED, "run aborted")):
             if code in codes.values():
                 raise PipelineDeadlock(
                     f"{what}; counters = {self.counters.snapshot()}")
 
     def abort(self) -> None:
-        """Stop every thread of the pass at its next wait."""
+        """Stop every thread of the run at its next wait."""
         self.ctl[_CTL_ABORT] = 1
-        if self.barrier is not None:
-            self.barrier.abort()
+        for barrier in (self.lockstep, self.boundary):
+            if barrier is not None:
+                barrier.abort()
 
     def thread_stats(self) -> list:
         return [ThreadStats.from_row(row) for row in self.stats.tolist()]
 
     def drive(self, g: int) -> int:
-        """Thread g's whole pass in one compiled call."""
-        delays = None if self.delays is None else self.delays[g].ctypes.data
+        """Thread g's whole run in one compiled call."""
+        delays = None if self.delays is None else self.delays.ctypes.data
         return kernel._compiled().pipeline_worker(
             ctypes.byref(self.spec), g, delays, self.stats[g].ctypes.data)
 
     def walk(self, g: int) -> int:
-        """Thread g's whole pass in Python, step for step as
+        """Thread g's whole run in Python, step for step as
         pipeline_worker in _jacobi.c."""
-        cfg, c, T = self.cfg, self.counters, self.cfg.T
-        relaxed = cfg.sync_mode == "relaxed"
         st = [0] * len(_STATS)
         st[_GAP_MIN] = st[_SUCC_MAX] = -1
-        pred = functools.partial(predecessor_ready, c, g, self.dist)
-        succ = functools.partial(successor_within, c, g, self.dist)
-        blocks = self.table[:, g * T:(g + 1) * T].tolist()
-        last = len(blocks) - 1
         try:
-            # lockstep: in round r thread g works on block r-g
-            for _ in range(0 if relaxed else g):
-                self._barrier_wait(st)
-            for k, rows in enumerate(blocks):
-                if relaxed and g > 0:
-                    self._spin(pred, st, _PRED_WAIT)
-                    gap = c.get(g - 1) - c.get(g)
-                    st[_GAP_MIN] = gap if st[_GAP_MIN] < 0 else min(st[_GAP_MIN], gap)
-                    if not pred():
-                        st[_VIOLATIONS] += 1
-                if self.delays is not None and self.delays[g, k] > 0.0:
-                    time.sleep(self.delays[g, k])
-                for row in rows:
-                    self._walk_row(row, st)
-                st[_BLOCKS] += 1
-                if not relaxed:
-                    c.bump(g, 1)
-                    self._barrier_wait(st)
-                elif k == last:
-                    c.bump(g, self.dist.d_u[g] + 1)  # pipeline wind-down
-                else:
-                    c.bump(g, 1)
-                    if g < self.nt - 1:
-                        st[_SUCC_MAX] = max(st[_SUCC_MAX], c.get(g) - c.get(g + 1))
-                        self._spin(succ, st, _SUCC_WAIT)
-            for _ in range(0 if relaxed else self.nt - 1 - g):
-                self._barrier_wait(st)
+            for q in range(self.count):
+                if q:
+                    self._barrier_wait(self.boundary, st)
+                self._walk_pass(g, q, st)
         except _Aborted:
             return _ABORTED
         finally:
             self.stats[g] = st
         return _DONE
 
-    def _walk_row(self, row, st):
+    def _walk_pass(self, g, q, st):
+        cfg, c, T = self.cfg, self.counters, self.cfg.T
+        frame = table, _parity, base, _shift = self.frame(q)
+        if g == 0 and self.ring:
+            dims = self.engine.dims
+            write_ring_strips(self.arrays[0], self.faces,
+                              tuple((0, n) for n in dims), base,
+                              _SIDE_LISTS[self.ring], dims)
+        relaxed = cfg.sync_mode == "relaxed"
+        pred = functools.partial(predecessor_ready, c, g, self.dist)
+        succ = functools.partial(successor_within, c, g, self.dist)
+        blocks = table[:, g * T:(g + 1) * T].tolist()
+        delays = None if self.delays is None else self.delays[q, g]
+        last = len(blocks) - 1
+        # lockstep: in round r thread g works on block r-g
+        for _ in range(0 if relaxed else g):
+            self._barrier_wait(self.lockstep, st)
+        for k, rows in enumerate(blocks):
+            if relaxed and g > 0:
+                self._spin(pred, st, _PRED_WAIT)
+                gap = c.get(g - 1) - c.get(g)
+                st[_GAP_MIN] = gap if st[_GAP_MIN] < 0 else min(st[_GAP_MIN], gap)
+                if not pred():
+                    st[_VIOLATIONS] += 1
+            if delays is not None and delays[k] > 0.0:
+                time.sleep(delays[k])
+            for row in rows:
+                self._walk_row(row, frame, st)
+            st[_BLOCKS] += 1
+            if not relaxed:
+                c.bump(g, 1)
+                self._barrier_wait(self.lockstep, st)
+            elif k == last:
+                c.bump(g, self.dist.d_u[g] + 1)  # pipeline wind-down
+            else:
+                c.bump(g, 1)
+                if g < self.nt - 1:
+                    st[_SUCC_MAX] = max(st[_SUCC_MAX], c.get(g) - c.get(g + 1))
+                    self._spin(succ, st, _SUCC_WAIT)
+        for _ in range(0 if relaxed else self.nt - 1 - g):
+            self._barrier_wait(self.lockstep, st)
+
+    def _walk_row(self, row, frame, st):
         xl, xh, yl, yh, zl, zh, u, sides = row
         if xl >= xh or yl >= yh or zl >= zh:
             return
-        dst_off = self.base - self.shift * u
-        dst = self.arrays[(self.parity + u) % 2]
+        _table, parity, base, shift = frame
+        dst_off = base - shift * u
+        dst = self.arrays[(parity + u) % 2]
         window = ((xl, xh), (yl, yh), (zl, zh))
-        apply_window(self.arrays[(self.parity + u - 1) % 2], dst, window,
-                     self.base - self.shift * (u - 1), dst_off)
+        apply_window(self.arrays[(parity + u - 1) % 2], dst, window,
+                     base - shift * (u - 1), dst_off)
         st[_WINDOWS] += 1
         st[_CELLS] += (xh - xl) * (yh - yl) * (zh - zl)
         if sides:
@@ -668,10 +715,10 @@ class _Pass:
             time.sleep(0)  # GIL yield; the closest CPython gets to a pause
         st[slot] += int((time.perf_counter() - start) * 1e9)
 
-    def _barrier_wait(self, st):
+    def _barrier_wait(self, barrier, st):
         start = time.perf_counter()
         try:
-            self.barrier.wait(timeout=self.cfg.watchdog_s)
+            barrier.wait(timeout=self.cfg.watchdog_s)
         except threading.BrokenBarrierError:
             if self.ctl[_CTL_ABORT]:
                 raise _Aborted() from None
@@ -692,11 +739,8 @@ def run_pipelined(grids, cfg: PipelineConfig, total_passes: int) -> RunStats:
         if engine.grids[0].pad < cfg.h:
             raise ValueError(
                 f"compressed mode needs pad >= h ({engine.grids[0].pad} < {cfg.h})")
-    stats = RunStats()
     t0 = time.perf_counter()
-    for p in range(total_passes):
-        direction = 1 if p % 2 == 0 else -1
-        stats.merge_pass(engine.run_pass(direction))
+    stats = engine.run_passes(total_passes)
     stats.wall_seconds = time.perf_counter() - t0
     nx, ny, nz = engine.dims
     stats.updates_total = nx * ny * nz * cfg.h * total_passes

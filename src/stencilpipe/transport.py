@@ -72,6 +72,9 @@ class Endpoint:
 # in-process backend
 # ---------------------------------------------------------------------------
 
+_ABORTED = object()  # queued by InProcessFabric.abort in place of a message
+
+
 class InProcessFabric:
     """All-pairs queues for ranks living in one process (as threads)."""
 
@@ -82,9 +85,18 @@ class InProcessFabric:
         self._queues = {(a, b): SimpleQueue()
                         for a in range(ranks) for b in range(ranks) if a != b}
         self._barrier = threading.Barrier(ranks)
+        self.aborted = False
 
     def endpoints(self):
         return [InProcessEndpoint(r, self) for r in range(self.ranks)]
+
+    def abort(self) -> None:
+        """Fail every pending and later sendrecv and barrier with
+        TransportError, so that one rank's error ends its peers at once."""
+        self.aborted = True
+        for q in self._queues.values():
+            q.put(_ABORTED)
+        self._barrier.abort()
 
 
 class InProcessEndpoint(Endpoint):
@@ -96,6 +108,8 @@ class InProcessEndpoint(Endpoint):
     def sendrecv(self, neighbor, outgoing, expected_len, timeout=60.0):
         if not 0 <= neighbor < self.ranks or neighbor == self.rank:
             raise TransportError(f"rank {self.rank}: bad neighbor {neighbor}")
+        if self._fabric.aborted:
+            raise TransportError(f"rank {self.rank}: the fabric was aborted")
         self._fabric._queues[(self.rank, neighbor)].put(bytes(outgoing))
         self.messages_sent += 1
         try:
@@ -103,6 +117,9 @@ class InProcessEndpoint(Endpoint):
         except Empty:
             raise TransportError(
                 f"rank {self.rank}: timed out waiting for rank {neighbor}")
+        if incoming is _ABORTED:
+            raise TransportError(f"rank {self.rank}: the fabric was aborted "
+                                 f"while waiting for rank {neighbor}")
         if len(incoming) != expected_len:
             raise ProtocolError(
                 f"rank {self.rank}: expected {expected_len} bytes from "

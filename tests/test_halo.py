@@ -7,6 +7,7 @@ from stencilpipe import BlockSpec, PipelineConfig
 from stencilpipe.halo import (
     DistConfig,
     HaloSpec,
+    RankRuntime,
     RankTopology,
     assemble_global,
     build_halo_plan,
@@ -280,6 +281,34 @@ def test_per_phase_timings_reported():
                     "wall_s", "mlups"):
             assert key in t
         assert t["messages"] == 2  # one neighbored side, one exchange per cycle
+
+
+def test_rank_error_ends_its_inprocess_peers(monkeypatch):
+    # without an abort the peer waits 60 s for a halo that never comes
+    real = RankRuntime.cycle
+
+    def cycle(self, index):
+        if self.sub.rank == 0:
+            raise RuntimeError("injected rank fault")
+        return real(self, index)
+
+    monkeypatch.setattr(RankRuntime, "cycle", cycle)
+    dist = DistConfig(topo=RankTopology(2, 1, 1),
+                      cfg=_cfg(t=1, T=1, spec=(10, 10, 10)), cycles=2,
+                      global_dims=(20, 20, 20))
+    errors = []
+
+    def run():
+        try:
+            run_distributed_inprocess(dist)
+        except Exception as exc:
+            errors.append(exc)
+
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    th.join(timeout=5.0)
+    assert not th.is_alive()
+    assert len(errors) == 1 and str(errors[0]) == "injected rank fault"
 
 
 def test_config_hash_mismatch_aborts():

@@ -148,7 +148,7 @@ def test_compressed_update_realigned_equals_two_grid_bitwise():
     gc = create_grid(6, 6, 6, pad=2, init="random", seed=33)
     from stencilpipe.pipeline import PipelineEngine
     eng = PipelineEngine(cfg, gc)
-    eng.run_pass(1)
+    eng.run_passes(1)
     assert gc.alignment == 1
     assert_bitwise(gc.interior_view(), b.interior_view())
 

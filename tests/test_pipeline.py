@@ -4,6 +4,7 @@ import threading
 import time
 import weakref
 
+import numpy as np
 import pytest
 
 from stencilpipe import kernel, pipeline
@@ -19,6 +20,7 @@ from stencilpipe import (
     may_advance,
     run_pipelined,
 )
+from stencilpipe.grid import decompose_blocks
 from stencilpipe.pipeline import _Watchdog, predecessor_ready, successor_within
 from tests.conftest import assert_bitwise
 
@@ -158,7 +160,7 @@ def test_three_thread_team_equals_three_sweeps(oracle):
     cfg = _cfg(spec=BlockSpec(60, 20, 20), n=1, t=3, T=1)
     g0 = create_grid(60, 60, 60, init="random", seed=42)
     a, b = g0.copy(), g0.copy()
-    PipelineEngine(cfg, (a, b)).run_pass(1)
+    PipelineEngine(cfg, (a, b)).run_passes(1)
     assert_bitwise(b.interior_view(), oracle.after_sweeps(60, 42, 3))
 
 
@@ -246,7 +248,7 @@ def test_counter_windown_final_values():
     cfg = _cfg(spec=BlockSpec(12, 6, 6), n=1, t=3, T=1, d_l=1, d_u=2)
     g0 = create_grid(12, 12, 12, init="random", seed=2)
     a, b = g0.copy(), g0.copy()
-    st = PipelineEngine(cfg, (a, b)).run_pass(1)
+    st = PipelineEngine(cfg, (a, b)).run_passes(1)
     dist = EffectiveDistances.from_config(cfg)
     total = 4  # 12^3 with (12,6,6) blocks
     assert st.counters_final == [total + dist.d_u[i] for i in range(3)]
@@ -358,7 +360,7 @@ def _jittered_run(sync):
 @pytest.mark.parametrize("sync", ["relaxed", "barrier"])
 def test_driver_and_walker_stats_agree(sync, monkeypatch):
     if kernel.BACKEND == "c":  # the first run must not walk
-        monkeypatch.setattr(pipeline._Pass, "walk", None)
+        monkeypatch.setattr(pipeline._Run, "walk", None)
     cfg, driven = _jittered_run(sync)
     monkeypatch.undo()
     calls = []
@@ -382,11 +384,33 @@ def test_driver_and_walker_stats_agree(sync, monkeypatch):
         assert (d.blocks, d.windows, d.cells) == (w.blocks, w.windows, w.cells)
 
 
-def _stalled_pass(sync, watchdog_s):
-    cfg = _cfg(spec=BlockSpec(12, 4, 4), t=2, sync_mode=sync,
-               watchdog_s=watchdog_s)
+def _stalled_run(sync, watchdog_s, passes=1, spec=BlockSpec(12, 4, 4)):
+    cfg = _cfg(spec=spec, t=2, sync_mode=sync, watchdog_s=watchdog_s)
     g = create_grid(12, 12, 12, init="random", seed=5)
-    return pipeline._Pass(PipelineEngine(cfg, (g, g.copy())), 1)
+    return pipeline._Run(PipelineEngine(cfg, (g, g.copy())), passes)
+
+
+def _deadlock_of(run, positions, watchdog_s):
+    """The PipelineDeadlock raised by running only ``positions``, asserted
+    with a join deadline so that a dead watchdog fails instead of hanging."""
+    errors = []
+
+    def partial_team():
+        try:
+            run.run(positions)
+        except PipelineDeadlock as exc:
+            errors.append(exc)
+
+    th = threading.Thread(target=partial_team, daemon=True)
+    th.start()
+    th.join(timeout=watchdog_s + 1.0)
+    stuck = th.is_alive()
+    run.abort()  # releases a thread whose watchdog never fired
+    th.join(timeout=2.0)
+    assert not stuck
+    assert len(errors) == 1
+    assert "no pipeline progress" in str(errors[0]) or "barrier" in str(errors[0])
+    return errors[0]
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
@@ -394,25 +418,23 @@ def _stalled_pass(sync, watchdog_s):
 def test_rear_thread_alone_raises_deadlock(sync, walk, request):
     if walk:
         request.getfixturevalue("walker_calls")
-    run = _stalled_pass(sync, watchdog_s=0.3)
-    errors = []
+    for passes in (1, 3):
+        run = _stalled_run(sync, watchdog_s=0.3, passes=passes)
+        exc = _deadlock_of(run, [1], 0.3)  # the front thread never starts
+        assert "counters = [0, " in str(exc)
 
-    def rear_only():
-        try:
-            run.run([1])  # the front thread never starts
-        except PipelineDeadlock as exc:
-            errors.append(exc)
 
-    th = threading.Thread(target=rear_only, daemon=True)
-    th.start()
-    th.join(timeout=0.3 + 1.0)
-    stuck = th.is_alive()
-    run.abort()  # releases a thread whose watchdog never fired
-    th.join(timeout=2.0)
-    assert not stuck
-    assert len(errors) == 1
-    assert "no pipeline progress" in str(errors[0]) or "barrier" in str(errors[0])
-    assert "counters = [0, " in str(errors[0])
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+def test_front_thread_alone_stops_at_the_pass_boundary(walk, request):
+    # three blocks fit within d_u = 3, so the front finishes its first pass
+    # without its successor and then waits for it at the pass boundary
+    if walk:
+        request.getfixturevalue("walker_calls")
+    run = _stalled_run("relaxed", watchdog_s=0.3, passes=2,
+                       spec=BlockSpec(12, 12, 4))
+    exc = _deadlock_of(run, [0], 0.3)
+    assert "counters = [6, 0]" in str(exc)  # 3 blocks plus the wind-down
+    assert run.stats[0, pipeline._BLOCKS] == 3
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
@@ -422,7 +444,7 @@ def test_abort_word_stops_a_spinning_thread(sync, walk, request):
         request.getfixturevalue("walker_calls")
     elif kernel.BACKEND != "c":
         pytest.skip("no compiled driver")
-    run = _stalled_pass(sync, watchdog_s=60.0)
+    run = _stalled_run(sync, watchdog_s=60.0)
     assert run.walker == walk
     codes = []
     th = threading.Thread(
@@ -473,7 +495,7 @@ def test_live_range_beyond_the_interior_raises(mode):
     engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
                             live_bounds=lambda ax, u: (0, 13 + cfg.h))
     with pytest.raises(ValueError, match="leaves the grid interior"):
-        engine.run_pass(1)
+        engine.run_passes(1)
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
@@ -484,8 +506,10 @@ def test_frames_beyond_the_arrays_raise(walk, request):
     cfg = _cfg(spec=BlockSpec(12, 4, 4), t=2, grid_mode="compressed")
     g = create_grid(12, 12, 12, pad=cfg.h, init="random", seed=6)
     g.alignment = g.pad + 1  # one cell beyond the head room
+    engine = PipelineEngine(cfg, g)
+    engine.passes_done = 1  # the next pass runs backward
     with pytest.raises(ValueError, match="leave"):
-        PipelineEngine(cfg, g).run_pass(-1)
+        engine.run_passes(1)
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
@@ -520,3 +544,187 @@ def test_oversubscribed_walker_under_fast_switching(walker_calls, oracle):
         sys.setswitchinterval(interval)
     assert_bitwise(st.result.interior_view(), oracle.after_sweeps(16, 43, 32))
     assert st.pred_violations == 0
+
+
+# ---------------------------------------------------------------------------
+# multi-pass runs: one call per thread, a barrier between passes
+# ---------------------------------------------------------------------------
+
+def _tail_delays(self):
+    """Delays on the last two blocks of every pass, longest on the rear
+    position: a pass that began before the one before had ended everywhere
+    would read unfinished data here."""
+    delays = np.zeros((self.count, self.nt, self.nblocks))
+    delays[:, :, -2:] = 0.001
+    delays[:, -1, -2:] = 0.003
+    return delays
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+@pytest.mark.parametrize("sync", ["relaxed", "barrier"])
+@pytest.mark.parametrize("mode,passes", [("two_grid", 2), ("two_grid", 3),
+                                         ("two_grid", 4), ("compressed", 2),
+                                         ("compressed", 4)])
+def test_multi_pass_run_equals_reference(mode, passes, sync, walk, request,
+                                         monkeypatch, oracle):
+    if walk:
+        request.getfixturevalue("walker_calls")
+    monkeypatch.setattr(pipeline._Run, "_jitter_delays", _tail_delays)
+    cfg = _cfg(spec=BlockSpec(16, 4, 4), t=3, T=1, d_l=1, d_u=2,
+               sync_mode=sync, grid_mode=mode)
+    g0 = create_grid(16, 16, 16, init="random", seed=44)
+    st = _run(g0, cfg, passes)
+    assert_bitwise(st.result.interior_view(),
+                   oracle.after_sweeps(16, 44, cfg.h * passes))
+    assert st.passes == passes and st.pred_violations == 0
+    assert st.block_updates == passes * cfg.threads * 16
+    # counters_final: the counters at the end of the last pass
+    dist = EffectiveDistances.from_config(cfg)
+    assert st.counters_final == [16 + (dist.d_u[g] if sync == "relaxed" else 0)
+                                 for g in range(cfg.threads)]
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_one_thread_per_position_per_run(t, walk, request, monkeypatch):
+    if walk:
+        request.getfixturevalue("walker_calls")
+    started = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    cfg = _cfg(spec=BlockSpec(12, 4, 4), t=t)
+    g0 = create_grid(12, 12, 12, init="random", seed=9)
+    st = _run(g0, cfg, 4)
+    assert st.passes == 4
+    assert len(started) == (t if t > 1 else 0)
+
+
+def test_abort_in_the_second_pass_stops_every_thread():
+    if kernel.BACKEND != "c":
+        pytest.skip("no compiled driver")
+    cfg = _cfg(spec=BlockSpec(16, 4, 4), t=2, watchdog_s=60.0,
+               jitter_prob=1.0, jitter_max_s=0.004)
+    g = create_grid(16, 16, 16, init="random", seed=5)
+    run = pipeline._Run(PipelineEngine(cfg, (g, g.copy())), 4)
+    errors = []
+
+    def whole_team():
+        try:
+            run.run(range(2))
+        except PipelineDeadlock as exc:
+            errors.append(exc)
+
+    th = threading.Thread(target=whole_team, daemon=True)
+    th.start()
+    deadline = time.monotonic() + 10.0
+    while run.stats[:, pipeline._BLOCKS].min() <= 16:  # both in pass 2
+        assert th.is_alive() and time.monotonic() < deadline
+        time.sleep(0.001)
+    run.abort()
+    th.join(timeout=2.0)
+    assert not th.is_alive()
+    assert len(errors) == 1 and "aborted" in str(errors[0])
+    assert run.stats[:, pipeline._BLOCKS].max() <= 2 * 16
+
+
+def test_kernel_error_in_the_second_pass_ends_the_run(monkeypatch):
+    lock, calls = threading.Lock(), []
+    cfg = _cfg(spec=BlockSpec(16, 4, 4), t=3, grid_mode="compressed",
+               watchdog_s=20.0)
+    per_pass = 16 * cfg.h  # every window of a 16^3 grid is nonempty here
+
+    def failing(*args):
+        with lock:
+            calls.append(1)
+            if len(calls) == per_pass + 5:
+                raise RuntimeError("injected kernel fault")
+        kernel.apply_window(*args)
+
+    monkeypatch.setattr(pipeline, "apply_window", failing)
+    g = create_grid(16, 16, 16, pad=cfg.h, init="random", seed=4)
+    errors = []
+
+    def run():
+        try:
+            run_pipelined(g, cfg, 4)
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    th.join(timeout=10.0)
+    assert not th.is_alive()  # every pipeline thread was joined
+    assert [str(e) for e in errors] == ["injected kernel fault"]
+    assert len(calls) < 2 * per_pass
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+def test_one_call_of_passes_equals_one_call_per_pass(mode, walk, request):
+    # live ranges shrink on the high y side, as on a rank with a neighbour
+    # there: the last level's ring strips then miss part of the ring that
+    # the next pass's first level reads, and only the full restore at each
+    # pass start puts it back
+    if walk:
+        request.getfixturevalue("walker_calls")
+    cfg = _cfg(spec=BlockSpec(12, 4, 4), t=2, T=2, grid_mode=mode)
+    phys = {0: (True, True), 1: (True, False), 2: (True, True)}
+
+    def live(ax, u):
+        return (0, 12 - (u if ax == 1 else 0))
+
+    g0 = create_grid(12, 12, 12, pad=cfg.h, init="random", seed=12)
+    engines = []
+    for calls in ([4], [1, 1, 1, 1]):
+        g = g0.copy()
+        engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
+                                live_bounds=live, physical_sides=phys)
+        for count in calls:
+            engine.run_passes(count)
+        engines.append(engine)
+    for a, b in zip(engines[0].grids, engines[1].grids):
+        assert a.alignment == b.alignment == 0
+        assert_bitwise(a.data, b.data)
+
+
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_work_table_matches_a_plain_build(mode, direction):
+    # truncated last blocks on every axis, live ranges shrinking on the low
+    # x and high z sides as on a rank with neighbours there
+    dims, spec = (13, 10, 7), BlockSpec(5, 4, 3)
+    cfg = _cfg(spec=spec, t=2, T=2, grid_mode=mode)
+    phys = {0: (False, True), 1: (True, True), 2: (True, False)}
+
+    def live(ax, u):
+        return (u if ax == 0 else 0, dims[ax] - (u if ax == 2 else 0))
+
+    g = create_grid(*dims, pad=cfg.h)
+    engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
+                            live_bounds=live, physical_sides=phys)
+    plan = decompose_blocks(g, spec, direction)
+    expected = []
+    for base, _size in plan.blocks:
+        rows = []
+        for u in range(1, cfg.h + 1):
+            delta = -u if direction == 1 else u
+            row, mask = [], 0
+            for ax in range(3):
+                live_lo, live_hi = live(ax, u)
+                axis = plan.bases[ax]
+                i = axis.index(base[ax])
+                lo = live_lo if i == 0 else min(max(axis[i] + delta, live_lo), live_hi)
+                hi = (live_hi if i == len(axis) - 1
+                      else min(max(axis[i + 1] + delta, live_lo), live_hi))
+                row += [lo, hi]
+                if mode == "compressed":
+                    mask |= (lo == live_lo and phys[ax][0]) << 2 * ax
+                    mask |= (hi == live_hi and phys[ax][1]) << 2 * ax + 1
+            rows.append(row + [u, mask])
+        expected.append(rows)
+    assert engine.work_table(direction).tolist() == expected

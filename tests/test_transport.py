@@ -133,6 +133,32 @@ def test_inproc_ordering_between_fixed_pair():
     assert got == [bytes([i]) for i in range(50)]
 
 
+def test_fabric_abort_fails_pending_and_later_calls():
+    fabric = InProcessFabric(3)
+    eps = fabric.endpoints()
+    errors = []
+
+    def wait(call):
+        try:
+            call()
+        except TransportError as exc:
+            errors.append(str(exc))
+
+    ts = [threading.Thread(target=wait, daemon=True, args=(call,))
+          for call in (lambda: eps[1].sendrecv(0, b"x", 1),
+                       lambda: eps[2].barrier())]
+    for t in ts:
+        t.start()
+    fabric.abort()
+    for t in ts:
+        t.join(timeout=5.0)
+    assert not any(t.is_alive() for t in ts)
+    assert len(errors) == 2
+    assert any("aborted" in e for e in errors)
+    with pytest.raises(TransportError, match="aborted"):
+        eps[0].sendrecv(2, b"y", 1)
+
+
 def test_tcp_echo_roundtrip_on_loopback():
     eps = _tcp_pair()
     results = {}
