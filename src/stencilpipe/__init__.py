@@ -20,7 +20,6 @@ from .pipeline import (
     SyncCounters,
     ThreadStats,
     estimate_max_distance,
-    may_advance,
     run_pipelined,
 )
 from .halo import (

@@ -42,10 +42,9 @@ void jacobi_window(const double *src, double *dst, ptrdiff_t sy, ptrdiff_t sz,
  * per (block, level) holding the window, the level u and a bit mask of the
  * Dirichlet ring sides (bit 2*axis + side) the window touches.  Thread g
  * walks the rows of its levels g*T+1 .. (g+1)*T block by block, for every
- * pass of the run, and enforces the same two conditions as
- * pipeline.predecessor_ready / successor_within on the shared counters, or a
- * staggered lockstep on a sense-reversing barrier.  Every field is 8 bytes
- * wide; kernel.RunSpec mirrors this layout. */
+ * pass of the run, and enforces the relaxed conditions of ready() on the
+ * shared counters, or a staggered lockstep on a sense-reversing barrier.
+ * Every field is 8 bytes wide; kernel.RunSpec mirrors this layout. */
 enum { XL, XH, YL, YH, ZL, ZH, LEVEL, SIDES, NCOL };
 enum { ST_BLOCKS, ST_WINDOWS, ST_CELLS, ST_SPINS, ST_PRED_WAIT_NS,
        ST_SUCC_WAIT_NS, ST_PRED_GAP_MIN, ST_PRED_VIOLATIONS, ST_SUCC_GAP_MAX,
@@ -110,7 +109,10 @@ static void relax(int64_t round)
 }
 
 /* Whether thread g's condition holds; *seen is the value whose change counts
- * as progress for the watchdog. */
+ * as progress for the watchdog.  PRED: the predecessor is at least d_l[g]
+ * blocks ahead, so every cell g reads next is final.  SUCC: the successor is
+ * at most d_u[g] blocks behind, which bounds the cache footprint.  The front
+ * thread never tests PRED and the rear thread never tests SUCC. */
 static int ready(const struct run_spec *p, int64_t g, int cond, int64_t sense,
                  int64_t *seen)
 {

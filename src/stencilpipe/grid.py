@@ -184,8 +184,6 @@ class BlockPlan:
     from them.
     """
     bases: tuple  # (x_bases, y_bases, z_bases)
-    sizes: tuple  # interior extents (nx, ny, nz)
-    direction: int
     blocks: list = field(default_factory=list)
 
     @property
@@ -208,8 +206,7 @@ def decompose_blocks(grid: Grid3, spec: BlockSpec, direction: int = 1) -> BlockP
               for z, sz in zs for y, sy in ys for x, sx in xs]
     if direction == -1:
         blocks.reverse()
-    return BlockPlan(bases=(xb, yb, zb), sizes=(grid.nx, grid.ny, grid.nz),
-                     direction=direction, blocks=blocks)
+    return BlockPlan(bases=(xb, yb, zb), blocks=blocks)
 
 
 def write_snapshot(grid: Grid3, path):

@@ -346,7 +346,7 @@ def run_digest(cfg: PipelineConfig, global_dims, passes, seed, init,
     """SHA-256 hex of everything that decides a run's output: the resolved
     global dims (so strong and weak scaling alike), the rank topology, the
     pass or cycle count, the seed and init rule, and the pipeline shape.
-    Watchdog, jitter and pinning change timing only and are left out."""
+    Watchdog and jitter change timing only and are left out."""
     b = cfg.spec
     text = "\n".join([
         f"dims={tuple(int(d) for d in global_dims)}",

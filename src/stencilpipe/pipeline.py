@@ -18,18 +18,19 @@ The schedule of a pass is one int64 table per direction
 (:meth:`PipelineEngine.work_table`).  Each thread runs its rows of every pass
 of a run in one call into the compiled driver (``pipeline_worker`` in
 ``_jacobi.c``) with the interpreter lock released; a pass begins once every
-thread has finished the one before.  A Python walker runs the same rows
-instead when the numpy kernel is in use or when ``apply_window`` or
-``write_ring_strips`` of this module no longer is the kernel's own function
-(wrapped for tracing or in a test), so that every call reaches the wrapper.
+thread has finished the one before; ``ready()`` in ``_jacobi.c`` is the one
+statement of the sync conditions.  When the numpy kernel is in use, or when
+``apply_window`` or ``write_ring_strips`` of this module no longer is the
+kernel's own function (wrapped for tracing or in a test), the calling thread
+walks the same table instead, so that every call reaches the wrapper: block
+by block, and within a block level by level.  That is the t=1, T=h schedule
+of the same work, bitwise equal to the driver's, with nothing to wait for.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
-import os
 import random
 import threading
 import time
@@ -60,10 +61,6 @@ class PipelineDeadlock(RuntimeError):
     """No counter made progress within the watchdog budget."""
 
 
-class _Aborted(RuntimeError):
-    pass
-
-
 @dataclass
 class PipelineConfig:
     """Tunables of the pipelined scheme.
@@ -82,7 +79,6 @@ class PipelineConfig:
     sync_mode: str = "relaxed"      # "relaxed" | "barrier"
     grid_mode: str = "two_grid"     # "two_grid" | "compressed"
     watchdog_s: float = 30.0
-    pin_threads: bool = False
     jitter_prob: float = 0.0        # per block-update probability of a delay
     jitter_max_s: float = 0.0
     jitter_seed: int = 0
@@ -119,15 +115,11 @@ class SyncCounters:
 
     Only thread i writes c_i (single-writer); everyone may read.  The
     compiled driver loads them with acquire and stores them with release
-    semantics; in the Python walker the GIL gives the same visibility.
+    semantics.
     """
 
     def __init__(self, count: int):
-        self.count = count
         self._slots = np.zeros(count * _SLOT, dtype=np.int64)
-
-    def get(self, i: int) -> int:
-        return int(self._slots[i * _SLOT])
 
     def bump(self, i: int, amount: int = 1) -> None:
         self._slots[i * _SLOT] += amount
@@ -136,7 +128,7 @@ class SyncCounters:
         self._slots[:] = 0
 
     def snapshot(self):
-        return [self.get(i) for i in range(self.count)]
+        return self._slots[::_SLOT].tolist()
 
 
 @dataclass(frozen=True)
@@ -159,26 +151,6 @@ class EffectiveDistances:
         return cls(d_l=tuple(dl), d_u=tuple(du))
 
 
-def predecessor_ready(c: SyncCounters, i: int, dist: EffectiveDistances) -> bool:
-    """Thread i's predecessor is at least d_l_i blocks ahead, so every cell
-    thread i reads next is final (averts data races).  The front thread has
-    no predecessor."""
-    return i == 0 or c.get(i - 1) - c.get(i) >= dist.d_l[i]
-
-
-def successor_within(c: SyncCounters, i: int, dist: EffectiveDistances) -> bool:
-    """Thread i's successor is at most d_u_i blocks behind (bounds the cache
-    footprint).  The rear thread has no successor."""
-    return i == c.count - 1 or c.get(i) - c.get(i + 1) <= dist.d_u[i]
-
-
-def may_advance(c: SyncCounters, i: int, dist: EffectiveDistances) -> bool:
-    """Both progress conditions for thread i, evaluated without side effects."""
-    if not 0 <= i < c.count:
-        raise IndexError(f"thread index {i} out of range")
-    return predecessor_ready(c, i, dist) and successor_within(c, i, dist)
-
-
 def estimate_max_distance(cache_bytes: float, t: int, spec: BlockSpec) -> int:
     """Upper bound on the thread distance: cache size divided by t times the
     size of one block (8-byte cells)."""
@@ -192,10 +164,10 @@ def estimate_max_distance(cache_bytes: float, t: int, spec: BlockSpec) -> int:
 
 @dataclass
 class ThreadStats:
-    """One pipeline thread's account of its run, filled by the compiled
-    driver or the Python walker alike.  Wait seconds count only time spent
-    waiting (barrier waits count as predecessor waits); the gaps are None
-    where the thread has no predecessor or successor condition."""
+    """One pipeline position's account of its run.  Wait seconds count only
+    time spent waiting (barrier waits count as predecessor waits); the gaps
+    are None where the thread has no predecessor or successor condition.
+    The walker never waits: it fills blocks, windows and cells only."""
     blocks: int = 0
     windows: int = 0
     cells: int = 0
@@ -252,29 +224,6 @@ class RunStats:
     def succ_gap_max(self) -> int | None:
         return max((t.succ_gap_max for t in self.threads
                     if t.succ_gap_max is not None), default=None)
-
-
-class _Watchdog:
-    """Aborts the run when no counter changes for ``budget`` seconds."""
-
-    def __init__(self, counters: SyncCounters, budget: float):
-        self.counters = counters
-        self.budget = budget
-        self._lock = threading.Lock()
-        self._last = counters.snapshot()
-        self._since = time.perf_counter()
-
-    def check(self):
-        with self._lock:
-            snap = self.counters.snapshot()
-            now = time.perf_counter()
-            if snap != self._last:
-                self._last = snap
-                self._since = now
-            elif now - self._since > self.budget:
-                raise PipelineDeadlock(
-                    f"no pipeline progress for {self.budget:.1f}s; "
-                    f"counters = {snap}")
 
 
 def _window_boundaries(bases, delta, live_lo, live_hi):
@@ -385,7 +334,8 @@ class PipelineEngine:
         runs all ``count`` passes in one call, in one thread started for the
         whole run (a single position runs in the calling thread).  The
         arrays, live ranges, frames, faces and compressed alignment are
-        checked once, before any thread starts."""
+        checked once, before any thread starts.  The walker runs in the
+        calling thread."""
         if count < 0:
             raise ValueError(f"pass count must be >= 0, got {count}")
         return self.run_pass(count)
@@ -397,23 +347,16 @@ class PipelineEngine:
         if count == 0:
             return RunStats()
         run = _Run(self, count)
-        run.run(range(self.cfg.threads))
+        if run.walker:
+            run.walk()
+        else:
+            run.run(range(self.cfg.threads))
         self.levels_done += self.cfg.h * count
         self.passes_done += count
         if self.cfg.grid_mode == "compressed":
             self.grids[0].alignment = run.alignment_after
         return RunStats(passes=count, threads=run.thread_stats(),
                         counters_final=run.counters.snapshot())
-
-
-def _pin(g: int) -> None:
-    """Bind the calling thread to one CPU, chosen by pipeline position."""
-    if hasattr(os, "sched_setaffinity"):
-        try:
-            cpus = sorted(os.sched_getaffinity(0))
-            os.sched_setaffinity(0, {cpus[g % len(cpus)]})
-        except OSError:
-            pass  # pinning is best-effort; correctness never depends on it
 
 
 class _Run:
@@ -428,14 +371,14 @@ class _Run:
     compressed mode shifts one array's frame by one cell per level in the
     pass's direction.  Each pass starts where the one before ended.
 
-    A pass begins once every thread has finished the one before, at a
-    barrier whose last arrival resets the counters.  In compressed mode the
-    front position then restores the whole Dirichlet ring at the pass's read
-    frame before its first block: mid-pass strips span only the update
-    windows, which may be narrower than the first level's region.
-    ``drive(g)`` runs thread g's passes in the compiled driver with the
-    interpreter lock released; ``walk(g)`` runs them in Python through the
-    module-level ``apply_window`` and ``write_ring_strips``."""
+    A pass begins with its counters reset, once every position has finished
+    the one before.  In compressed mode the front position then restores the
+    whole Dirichlet ring at the pass's read frame before its first block:
+    mid-pass strips span only the update windows, which may be narrower than
+    the first level's region.  ``drive(g)`` runs position g's passes in the
+    compiled driver with the interpreter lock released; ``walk()`` runs every
+    position's passes in the calling thread through the module-level
+    ``apply_window`` and ``write_ring_strips``."""
 
     def __init__(self, engine: PipelineEngine, count: int):
         cfg = self.cfg = engine.cfg
@@ -466,18 +409,12 @@ class _Run:
                        for d in (1, -1)]
         self.nblocks = engine.plan.total_blocks
         self._check()
-        self.delays = self._jitter_delays()
         # wrapped kernel functions (tracing, tests) must see every call
         self.walker = (kernel.BACKEND == "numpy"
                        or apply_window is not kernel.apply_window
                        or write_ring_strips is not kernel.write_ring_strips)
-        self.lockstep = self.boundary = None
-        if self.walker:
-            self.watchdog = _Watchdog(self.counters, cfg.watchdog_s)
-            if cfg.sync_mode == "barrier":
-                self.lockstep = threading.Barrier(nt)
-            self.boundary = threading.Barrier(nt, action=self.counters.reset)
-        else:
+        if not self.walker:
+            self.delays = self._jitter_delays()
             self.spec = self._driver_spec()
 
     def direction(self, q: int) -> int:
@@ -572,26 +509,23 @@ class _Run:
             barrier=cfg.sync_mode == "barrier", watchdog_s=cfg.watchdog_s)
 
     def run(self, positions) -> None:
-        """Run the given pipeline positions through every pass and raise the
-        first failure: a worker's exception, or PipelineDeadlock when a
-        watchdog fired or the run was aborted.  A single position runs in the
-        calling thread, unpinned; more run in one new thread each."""
-        work = self.walk if self.walker else self.drive
+        """Run the given pipeline positions through every pass in the
+        compiled driver and raise the first failure: a worker's exception,
+        or PipelineDeadlock when a watchdog fired or the run was aborted.  A
+        single position runs in the calling thread; more run in one new
+        thread each."""
         positions = list(positions)
         if len(positions) == 1:
             # no short-lived thread: with them, the rank threads that allocate
             # grids drift over more malloc arenas, each keeping freed grids
             # resident (20-37 MiB more peak RSS on a 2-rank TCP run)
-            codes = {positions[0]: work(positions[0])}
+            codes = {positions[0]: self.drive(positions[0])}
         else:
             codes, errors = {}, []
-            pin = self.cfg.pin_threads
 
             def body(g):
                 try:
-                    if pin:
-                        _pin(g)
-                    codes[g] = work(g)
+                    codes[g] = self.drive(g)
                 except BaseException as exc:  # re-raised by the caller below
                     errors.append(exc)
                     self.abort()
@@ -614,9 +548,6 @@ class _Run:
     def abort(self) -> None:
         """Stop every thread of the run at its next wait."""
         self.ctl[_CTL_ABORT] = 1
-        for barrier in (self.lockstep, self.boundary):
-            if barrier is not None:
-                barrier.abort()
 
     def thread_stats(self) -> list:
         return [ThreadStats.from_row(row) for row in self.stats.tolist()]
@@ -627,63 +558,35 @@ class _Run:
         return kernel._compiled().pipeline_worker(
             ctypes.byref(self.spec), g, delays, self.stats[g].ctypes.data)
 
-    def walk(self, g: int) -> int:
-        """Thread g's whole run in Python, step for step as
-        pipeline_worker in _jacobi.c."""
-        st = [0] * len(_STATS)
-        st[_GAP_MIN] = st[_SUCC_MAX] = -1
-        try:
-            for q in range(self.count):
-                if q:
-                    self._barrier_wait(self.boundary, st)
-                self._walk_pass(g, q, st)
-        except _Aborted:
-            return _ABORTED
-        finally:
-            self.stats[g] = st
-        return _DONE
-
-    def _walk_pass(self, g, q, st):
-        cfg, c, T = self.cfg, self.counters, self.cfg.T
-        frame = table, _parity, base, _shift = self.frame(q)
-        if g == 0 and self.ring:
-            dims = self.engine.dims
-            write_ring_strips(self.arrays[0], self.faces,
-                              tuple((0, n) for n in dims), base,
-                              _SIDE_LISTS[self.ring], dims)
-        relaxed = cfg.sync_mode == "relaxed"
-        pred = functools.partial(predecessor_ready, c, g, self.dist)
-        succ = functools.partial(successor_within, c, g, self.dist)
-        blocks = table[:, g * T:(g + 1) * T].tolist()
-        delays = None if self.delays is None else self.delays[q, g]
-        last = len(blocks) - 1
-        # lockstep: in round r thread g works on block r-g
-        for _ in range(0 if relaxed else g):
-            self._barrier_wait(self.lockstep, st)
-        for k, rows in enumerate(blocks):
-            if relaxed and g > 0:
-                self._spin(pred, st, _PRED_WAIT)
-                gap = c.get(g - 1) - c.get(g)
-                st[_GAP_MIN] = gap if st[_GAP_MIN] < 0 else min(st[_GAP_MIN], gap)
-                if not pred():
-                    st[_VIOLATIONS] += 1
-            if delays is not None and delays[k] > 0.0:
-                time.sleep(delays[k])
-            for row in rows:
-                self._walk_row(row, frame, st)
-            st[_BLOCKS] += 1
-            if not relaxed:
-                c.bump(g, 1)
-                self._barrier_wait(self.lockstep, st)
-            elif k == last:
-                c.bump(g, self.dist.d_u[g] + 1)  # pipeline wind-down
-            else:
-                c.bump(g, 1)
-                if g < self.nt - 1:
-                    st[_SUCC_MAX] = max(st[_SUCC_MAX], c.get(g) - c.get(g + 1))
-                    self._spin(succ, st, _SUCC_WAIT)
-        for _ in range(0 if relaxed else self.nt - 1 - g):
-            self._barrier_wait(self.lockstep, st)
+    def walk(self) -> None:
+        """Every position's whole run in the calling thread: per pass, block
+        by block, and within a block position by position through its rows
+        in level order.  Windows depend only on block, level and direction,
+        so this t=1, T=h order of the same table gives the driver's result
+        bit for bit.  Each position's counter is bumped per block, wind-down
+        included, so that ``counters_final`` reads as the driver's."""
+        T, c = self.cfg.T, self.counters
+        relaxed = self.cfg.sync_mode == "relaxed"
+        last_bump = [d + 1 if relaxed else 1 for d in self.dist.d_u]
+        st = [[0] * len(_STATS) for _ in range(self.nt)]
+        for own in st:
+            own[_GAP_MIN] = own[_SUCC_MAX] = -1
+        for q in range(self.count):
+            frame = table, _parity, base, _shift = self.frame(q)
+            c.reset()
+            if self.ring:
+                dims = self.engine.dims
+                write_ring_strips(self.arrays[0], self.faces,
+                                  tuple((0, n) for n in dims), base,
+                                  _SIDE_LISTS[self.ring], dims)
+            last = len(table) - 1
+            for k, rows in enumerate(table.tolist()):
+                for g, own in enumerate(st):
+                    for row in rows[g * T:(g + 1) * T]:
+                        self._walk_row(row, frame, own)
+                    own[_BLOCKS] += 1
+                    c.bump(g, last_bump[g] if k == last else 1)
+        self.stats[:] = st
 
     def _walk_row(self, row, frame, st):
         xl, xh, yl, yh, zl, zh, u, sides = row
@@ -700,32 +603,6 @@ class _Run:
         if sides:
             write_ring_strips(dst, self.faces, window, dst_off,
                               _SIDE_LISTS[sides], self.engine.dims)
-
-    def _spin(self, cond, st, slot):
-        """Wait until cond() holds, checking the abort word and the watchdog
-        every round; the clock is read only once a wait has begun."""
-        if cond():
-            return
-        start = time.perf_counter()
-        while not cond():
-            if self.ctl[_CTL_ABORT]:
-                raise _Aborted()
-            st[_SPINS] += 1
-            self.watchdog.check()
-            time.sleep(0)  # GIL yield; the closest CPython gets to a pause
-        st[slot] += int((time.perf_counter() - start) * 1e9)
-
-    def _barrier_wait(self, barrier, st):
-        start = time.perf_counter()
-        try:
-            barrier.wait(timeout=self.cfg.watchdog_s)
-        except threading.BrokenBarrierError:
-            if self.ctl[_CTL_ABORT]:
-                raise _Aborted() from None
-            raise PipelineDeadlock(
-                f"barrier timed out after {self.cfg.watchdog_s:.1f}s; "
-                f"counters = {self.counters.snapshot()}") from None
-        st[_PRED_WAIT] += int((time.perf_counter() - start) * 1e9)
 
 
 def run_pipelined(grids, cfg: PipelineConfig, total_passes: int) -> RunStats:

@@ -15,7 +15,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from queue import Empty, SimpleQueue
 
 from .flatfile import flat_lines
@@ -53,9 +53,6 @@ class Endpoint:
     """One rank's attachment to the fabric."""
     rank: int
     ranks: int
-    backend: str
-    address: str = ""
-    messages_sent: int = field(default=0)
 
     def sendrecv(self, neighbor: int, outgoing: bytes, expected_len: int,
                  timeout: float = 60.0) -> bytes:
@@ -101,8 +98,7 @@ class InProcessFabric:
 
 class InProcessEndpoint(Endpoint):
     def __init__(self, rank: int, fabric: InProcessFabric):
-        super().__init__(rank=rank, ranks=fabric.ranks, backend="inproc",
-                         address=f"inproc:{rank}")
+        super().__init__(rank=rank, ranks=fabric.ranks)
         self._fabric = fabric
 
     def sendrecv(self, neighbor, outgoing, expected_len, timeout=60.0):
@@ -111,7 +107,6 @@ class InProcessEndpoint(Endpoint):
         if self._fabric.aborted:
             raise TransportError(f"rank {self.rank}: the fabric was aborted")
         self._fabric._queues[(self.rank, neighbor)].put(bytes(outgoing))
-        self.messages_sent += 1
         try:
             incoming = self._fabric._queues[(neighbor, self.rank)].get(timeout=timeout)
         except Empty:
@@ -155,8 +150,7 @@ class TcpEndpoint(Endpoint):
     i listens and j connects; a one-byte hello identifies the dialing rank."""
 
     def __init__(self, rank: int, addresses, connect_timeout: float = 30.0):
-        super().__init__(rank=rank, ranks=len(addresses), backend="tcp",
-                         address=f"{addresses[rank][0]}:{addresses[rank][1]}")
+        super().__init__(rank=rank, ranks=len(addresses))
         self._socks = {}
         host, port = addresses[rank]
         lower = list(range(rank))                   # we dial these
@@ -249,7 +243,6 @@ class TcpEndpoint(Endpoint):
         finally:
             sel.close()
             sock.setblocking(True)
-        self.messages_sent += 1
         return bytes(incoming)
 
     def barrier(self, timeout=60.0):

@@ -380,8 +380,8 @@ def test_run_digest_covers_every_output_input(change):
 
 def test_run_digest_ignores_timing_only_settings():
     base = run_digest(_cfg(spec=(8, 8, 8)), **_DIGEST_BASE)
-    timing = _cfg(spec=(8, 8, 8), watchdog_s=5.0, pin_threads=True,
-                  jitter_prob=0.5, jitter_max_s=0.001, jitter_seed=9)
+    timing = _cfg(spec=(8, 8, 8), watchdog_s=5.0, jitter_prob=0.5,
+                  jitter_max_s=0.001, jitter_seed=9)
     assert run_digest(timing, **_DIGEST_BASE) == base
     assert len(base) == 64 and set(base) <= set("0123456789abcdef")
 

@@ -14,26 +14,12 @@ from stencilpipe import (
     PipelineConfig,
     PipelineDeadlock,
     PipelineEngine,
-    SyncCounters,
     create_grid,
     estimate_max_distance,
-    may_advance,
     run_pipelined,
 )
 from stencilpipe.grid import decompose_blocks
-from stencilpipe.pipeline import _Watchdog, predecessor_ready, successor_within
 from tests.conftest import assert_bitwise
-
-
-def _counters(values):
-    c = SyncCounters(len(values))
-    for i, v in enumerate(values):
-        c.bump(i, v)
-    return c
-
-
-def _dist(n, d_l, d_u):
-    return EffectiveDistances(d_l=(d_l,) * n, d_u=(d_u,) * n)
 
 
 def _cfg(**kw):
@@ -51,57 +37,12 @@ def _run(g0, cfg, passes, pad=None):
     return run_pipelined((a, b), cfg, passes)
 
 
-# ---------------------------------------------------------------------------
-# may_advance: the two relaxed-synchronization conditions
-# ---------------------------------------------------------------------------
-
-def test_may_advance_predecessor_far_enough():
-    c = _counters([2, 1])
-    assert may_advance(c, 1, _dist(2, d_l=1, d_u=10**9)) is True
-
-
-def test_may_advance_blocks_on_race_condition():
-    c = _counters([1, 1])
-    assert may_advance(c, 1, _dist(2, d_l=1, d_u=10**9)) is False
-
-
-def test_may_advance_blocks_on_successor_distance():
-    c = _counters([5, 3, 0])
-    # first condition holds (5-3 >= 1) but 3-0 > d_u=1 violates the second
-    assert may_advance(c, 1, _dist(3, d_l=1, d_u=1)) is False
-
-
-def test_may_advance_front_and_rear_exemptions():
-    d = _dist(2, d_l=1, d_u=1)
-    # overall front ignores the predecessor condition but not the successor one
-    assert may_advance(_counters([5, 0]), 0, d) is False  # 5-0 > d_u
-    assert may_advance(_counters([1, 0]), 0, d) is True
-    # overall rear ignores the successor condition
-    assert may_advance(_counters([9, 0]), 1, d) is True
-
-
-def test_may_advance_has_no_side_effects():
-    c = _counters([3, 1])
-    before = c.snapshot()
-    may_advance(c, 1, _dist(2, 1, 3))
-    assert c.snapshot() == before
-
-
-def test_may_advance_bad_index():
-    with pytest.raises(IndexError):
-        may_advance(_counters([0]), 1, _dist(1, 1, 1))
-
-
-def test_may_advance_is_both_predicates():
-    d = _dist(3, d_l=2, d_u=3)
-    for vals in [(a, b, c) for a in range(7) for b in range(a + 1)
-                 for c in range(b + 1)]:
-        c = _counters(list(vals))
-        for i in range(3):
-            pred, succ = predecessor_ready(c, i, d), successor_within(c, i, d)
-            assert pred == (i == 0 or vals[i - 1] - vals[i] >= 2)
-            assert succ == (i == 2 or vals[i] - vals[i + 1] <= 3)
-            assert may_advance(c, i, d) == (pred and succ)
+def _needs_driver():
+    """Skip a test of what only the concurrent driver does: waits, gaps,
+    deadlocks and aborts."""
+    if kernel.BACKEND != "c":
+        pytest.skip("no compiled driver: the walker runs in one thread "
+                    "and never waits")
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +171,7 @@ def test_compressed_needs_pad_at_least_h():
 # ---------------------------------------------------------------------------
 
 def test_instrumented_gaps_respect_distances():
+    _needs_driver()
     cfg = _cfg(spec=BlockSpec(16, 4, 4), n=2, t=2, T=1, d_l=1, d_u=2,
                grid_mode="compressed", jitter_prob=0.05, jitter_max_s=0.0005,
                jitter_seed=99)
@@ -261,24 +203,6 @@ def test_spin_counts_are_reported():
     assert len(st.per_thread_spins) == 4
     assert st.spin_iterations_total == sum(st.per_thread_spins)
     assert st.mlups > 0 and st.wall_seconds > 0
-
-
-def test_watchdog_raises_on_stuck_counters():
-    c = SyncCounters(2)
-    wd = _Watchdog(c, budget=0.05)
-    wd.check()
-    time.sleep(0.08)
-    with pytest.raises(PipelineDeadlock) as exc:
-        wd.check()
-    assert "counters" in str(exc.value)
-
-
-def test_watchdog_resets_on_progress():
-    c = SyncCounters(2)
-    wd = _Watchdog(c, budget=0.05)
-    time.sleep(0.06)
-    c.bump(0, 1)
-    wd.check()  # progress happened; no raise
 
 
 def test_distances_exceeding_block_count_still_drain(oracle):
@@ -323,13 +247,6 @@ def test_oversubscribed_threads_still_correct(oracle):
     assert_bitwise(st.result.interior_view(), oracle.after_sweeps(16, 42, 32))
 
 
-def test_pinning_hint_is_best_effort(oracle):
-    cfg = _cfg(spec=BlockSpec(16, 8, 8), n=1, t=2, T=1, pin_threads=True)
-    g0 = create_grid(16, 16, 16, init="random", seed=42)
-    st = _run(g0, cfg, 2)
-    assert_bitwise(st.result.interior_view(), oracle.after_sweeps(16, 42, 4))
-
-
 # ---------------------------------------------------------------------------
 # the compiled pass driver and the Python walker
 # ---------------------------------------------------------------------------
@@ -359,8 +276,8 @@ def _jittered_run(sync):
 
 @pytest.mark.parametrize("sync", ["relaxed", "barrier"])
 def test_driver_and_walker_stats_agree(sync, monkeypatch):
-    if kernel.BACKEND == "c":  # the first run must not walk
-        monkeypatch.setattr(pipeline._Run, "walk", None)
+    _needs_driver()
+    monkeypatch.setattr(pipeline._Run, "walk", None)  # the first run must not walk
     cfg, driven = _jittered_run(sync)
     monkeypatch.undo()
     calls = []
@@ -371,13 +288,16 @@ def test_driver_and_walker_stats_agree(sync, monkeypatch):
     assert_bitwise(walked.result.interior_view(), driven.result.interior_view())
     for st in (driven, walked):
         assert len(st.threads) == cfg.threads
-        for t in st.threads:
-            assert 0.0 <= t.pred_wait_s <= st.wall_seconds
-            assert 0.0 <= t.succ_wait_s <= st.wall_seconds
         assert st.pred_violations == 0
-        if sync == "relaxed":
-            assert st.pred_gap_min >= cfg.d_l
-            assert st.succ_gap_max <= cfg.d_u + cfg.d_t + 1
+    for t in driven.threads:
+        assert 0.0 <= t.pred_wait_s <= driven.wall_seconds
+        assert 0.0 <= t.succ_wait_s <= driven.wall_seconds
+    if sync == "relaxed":
+        assert driven.pred_gap_min >= cfg.d_l
+        assert driven.succ_gap_max <= cfg.d_u + cfg.d_t + 1
+    for t in walked.threads:  # one thread in block order never waits
+        assert (t.spins, t.pred_wait_s, t.succ_wait_s) == (0, 0.0, 0.0)
+        assert t.pred_gap_min is None and t.succ_gap_max is None
     assert driven.block_updates == walked.block_updates == 2 * cfg.threads * 16
     assert driven.counters_final == walked.counters_final
     for d, w in zip(driven.threads, walked.threads):
@@ -409,27 +329,23 @@ def _deadlock_of(run, positions, watchdog_s):
     th.join(timeout=2.0)
     assert not stuck
     assert len(errors) == 1
-    assert "no pipeline progress" in str(errors[0]) or "barrier" in str(errors[0])
+    assert "no pipeline progress" in str(errors[0])
     return errors[0]
 
 
-@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
 @pytest.mark.parametrize("sync", ["relaxed", "barrier"])
-def test_rear_thread_alone_raises_deadlock(sync, walk, request):
-    if walk:
-        request.getfixturevalue("walker_calls")
+def test_rear_thread_alone_raises_deadlock(sync):
+    _needs_driver()
     for passes in (1, 3):
         run = _stalled_run(sync, watchdog_s=0.3, passes=passes)
         exc = _deadlock_of(run, [1], 0.3)  # the front thread never starts
         assert "counters = [0, " in str(exc)
 
 
-@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
-def test_front_thread_alone_stops_at_the_pass_boundary(walk, request):
+def test_front_thread_alone_stops_at_the_pass_boundary():
     # three blocks fit within d_u = 3, so the front finishes its first pass
     # without its successor and then waits for it at the pass boundary
-    if walk:
-        request.getfixturevalue("walker_calls")
+    _needs_driver()
     run = _stalled_run("relaxed", watchdog_s=0.3, passes=2,
                        spec=BlockSpec(12, 12, 4))
     exc = _deadlock_of(run, [0], 0.3)
@@ -437,19 +353,14 @@ def test_front_thread_alone_stops_at_the_pass_boundary(walk, request):
     assert run.stats[0, pipeline._BLOCKS] == 3
 
 
-@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
 @pytest.mark.parametrize("sync", ["relaxed", "barrier"])
-def test_abort_word_stops_a_spinning_thread(sync, walk, request):
-    if walk:
-        request.getfixturevalue("walker_calls")
-    elif kernel.BACKEND != "c":
-        pytest.skip("no compiled driver")
+def test_abort_word_stops_a_spinning_thread(sync):
+    _needs_driver()
     run = _stalled_run(sync, watchdog_s=60.0)
-    assert run.walker == walk
+    assert not run.walker
     codes = []
-    th = threading.Thread(
-        target=lambda: codes.append((run.walk if walk else run.drive)(1)),
-        daemon=True)
+    th = threading.Thread(target=lambda: codes.append(run.drive(1)),
+                          daemon=True)
     th.start()
     time.sleep(0.2)
     assert th.is_alive()  # waiting for a predecessor that never moves
@@ -486,6 +397,27 @@ def test_wrapped_apply_window_is_called_and_bitwise(walker_calls, oracle):
     assert walker_calls
     assert sum(t.windows for t in st.threads) == len(walker_calls)
     assert sum(t.cells for t in st.threads) == 16 ** 3 * 12
+
+
+def test_walker_follows_the_work_table_block_by_block(monkeypatch):
+    # t=3 positions of T=2 levels walk as one position of h=6: block-major,
+    # then by level; the destination offset names the level in compressed mode
+    cfg = _cfg(spec=BlockSpec(12, 4, 4), t=3, T=2, grid_mode="compressed")
+    g = create_grid(12, 12, 12, pad=cfg.h, init="random", seed=10)
+    base = g.origin - g.alignment
+    calls = []
+    monkeypatch.setattr(pipeline, "apply_window", lambda *a: calls.append(
+        (a[2], a[4])) or kernel.apply_window(*a))
+    engine = PipelineEngine(cfg, g)
+    engine.run_passes(2)
+    expected = []
+    for d in (1, -1):  # a forward pass, then a backward one
+        for xl, xh, yl, yh, zl, zh, u, _sides in (
+                engine.work_table(d).reshape(-1, 8).tolist()):
+            if xl < xh and yl < yh and zl < zh:
+                expected.append((((xl, xh), (yl, yh), (zl, zh)), base - d * u))
+        base -= d * cfg.h
+    assert calls == expected
 
 
 @pytest.mark.parametrize("mode", ["two_grid", "compressed"])
@@ -532,7 +464,8 @@ def test_finished_run_frees_its_grid_without_gc(sync, walk, request):
 
 
 def test_oversubscribed_walker_under_fast_switching(walker_calls, oracle):
-    # 16 walker threads on few cores, switching as often as CPython allows
+    # 16 positions walked in one thread while CPython switches as often as
+    # it allows: the walk must not depend on thread scheduling
     cfg = _cfg(spec=BlockSpec(16, 4, 4), n=4, t=4, T=1, d_u=2,
                grid_mode="compressed", watchdog_s=60.0)
     g0 = create_grid(16, 16, 16, init="random", seed=43)
@@ -601,12 +534,12 @@ def test_one_thread_per_position_per_run(t, walk, request, monkeypatch):
     g0 = create_grid(12, 12, 12, init="random", seed=9)
     st = _run(g0, cfg, 4)
     assert st.passes == 4
-    assert len(started) == (t if t > 1 else 0)
+    walker = walk or kernel.BACKEND != "c"  # the walker starts no thread
+    assert len(started) == (t if t > 1 and not walker else 0)
 
 
 def test_abort_in_the_second_pass_stops_every_thread():
-    if kernel.BACKEND != "c":
-        pytest.skip("no compiled driver")
+    _needs_driver()
     cfg = _cfg(spec=BlockSpec(16, 4, 4), t=2, watchdog_s=60.0,
                jitter_prob=1.0, jitter_max_s=0.004)
     g = create_grid(16, 16, 16, init="random", seed=5)
