@@ -12,6 +12,12 @@
  * descending when dst_off > src_off, so a store lands only where every cell
  * that reads it has already been updated.  A row's stores land in another
  * row than any it reads, so x always ascends.
+ *
+ * The window loop is compiled twice from one body: for baseline x86-64 (SSE2)
+ * and, with GCC or clang on x86-64, for AVX2.  The copy is chosen once, when
+ * the library loads, from CPUID; apply_window and the run driver both call
+ * it.  Each vector lane adds the six neighbours in the order above and AVX2
+ * brings no FMA, so every copy gives the same bits.
  */
 #define _POSIX_C_SOURCE 200809L
 #include <sched.h>
@@ -19,10 +25,19 @@
 #include <stdint.h>
 #include <time.h>
 
-void jacobi_window(const double *src, double *dst, ptrdiff_t sy, ptrdiff_t sz,
-                   ptrdiff_t src_off, ptrdiff_t dst_off,
-                   ptrdiff_t xl, ptrdiff_t xh, ptrdiff_t yl, ptrdiff_t yh,
-                   ptrdiff_t zl, ptrdiff_t zh, int descending)
+#if defined(__x86_64__) && defined(__GNUC__)
+#define AVX2_COPY 1
+#endif
+
+#define WINDOW_PARAMS const double *src, double *dst, ptrdiff_t sy, \
+    ptrdiff_t sz, ptrdiff_t src_off, ptrdiff_t dst_off, ptrdiff_t xl, \
+    ptrdiff_t xh, ptrdiff_t yl, ptrdiff_t yh, ptrdiff_t zl, ptrdiff_t zh, \
+    int descending
+#define WINDOW_ARGS src, dst, sy, sz, src_off, dst_off, xl, xh, yl, yh, zl, \
+    zh, descending
+
+/* The one body of the window loop; each copy below inlines it for its ISA. */
+static inline __attribute__((always_inline)) void window_loop(WINDOW_PARAMS)
 {
     const double sixth = 1.0 / 6.0;
     for (ptrdiff_t kz = 0; kz < zh - zl; kz++) {
@@ -36,6 +51,49 @@ void jacobi_window(const double *src, double *dst, ptrdiff_t sy, ptrdiff_t sz,
                          + c[x - sz]) + c[x + sz]) * sixth;
         }
     }
+}
+
+static void window_baseline(WINDOW_PARAMS) { window_loop(WINDOW_ARGS); }
+#ifdef AVX2_COPY
+__attribute__((target("avx2")))
+static void window_avx2(WINDOW_PARAMS) { window_loop(WINDOW_ARGS); }
+#endif
+
+/* Copies by index (kernel.ISAS), which this CPU can run, and the chosen one. */
+enum { ISA_BASELINE, ISA_AVX2, NISA };
+typedef void window_fn(WINDOW_PARAMS);
+static window_fn *const copies[NISA] = {
+    window_baseline,
+#ifdef AVX2_COPY
+    window_avx2,
+#endif
+};
+static int runnable[NISA] = {1};
+static int chosen = ISA_BASELINE;
+
+#ifdef AVX2_COPY
+__attribute__((constructor)) static void choose_copy(void)
+{
+    __builtin_cpu_init();  /* constructors may run before libgcc's own */
+    runnable[ISA_AVX2] = __builtin_cpu_supports("avx2") != 0;
+    if (runnable[ISA_AVX2])
+        chosen = ISA_AVX2;
+}
+#endif
+
+/* The index of the copy jacobi_window runs. */
+int jacobi_isa(void) { return chosen; }
+
+void jacobi_window(WINDOW_PARAMS) { copies[chosen](WINDOW_ARGS); }
+
+/* Copy isa's window loop, for tests: -1 without running it when this
+ * library holds no such copy or the CPU cannot run it, else 0. */
+int jacobi_window_isa(int isa, WINDOW_PARAMS)
+{
+    if (isa < 0 || isa >= NISA || !runnable[isa])
+        return -1;
+    copies[isa](WINDOW_ARGS);
+    return 0;
 }
 
 /* The run driver.  pipeline.py builds one work table per direction, a row

@@ -12,7 +12,9 @@ call, so pipeline and rank threads compute at the same time.  The same
 library holds the pipelined run driver (``pipeline_worker``, arguments in
 :class:`RunSpec`).  Where no compiler works it falls back to the numpy body,
 which ``reference_sweep`` always uses; ``BACKEND`` reads ``"c"`` or
-``"numpy"``.
+``"numpy"``.  The library holds a baseline and, on x86-64, an AVX2 copy of
+the loop and picks one when it loads; ``ISA`` reads ``"avx2"``,
+``"baseline"`` or ``"numpy"``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ _SOURCE = Path(__file__).with_name("_jacobi.c")
 # bits; fast-math (reassociation) would too and must never be added.
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _ITEM = np.dtype(np.float64).itemsize
+# the window loop copies of _jacobi.c by index, as jacobi_window_isa takes them
+ISAS = ("baseline", "avx2")
 
 _load_lock = threading.Lock()
 _jacobi = None      # the compiled library once loaded, None on numpy
@@ -77,9 +81,14 @@ class RunSpec(ctypes.Structure):
 
 def _bind(path: Path):
     lib = ctypes.CDLL(str(path))  # CDLL: every call drops the GIL
-    lib.jacobi_window.argtypes = [ctypes.c_void_p, ctypes.c_void_p] \
-        + [ctypes.c_ssize_t] * 10 + [ctypes.c_int]
+    window = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_ssize_t] * 10 \
+        + [ctypes.c_int]
+    lib.jacobi_window.argtypes = window
     lib.jacobi_window.restype = None
+    lib.jacobi_window_isa.argtypes = [ctypes.c_int] + window
+    lib.jacobi_window_isa.restype = ctypes.c_int
+    lib.jacobi_isa.argtypes = []
+    lib.jacobi_isa.restype = ctypes.c_int
     lib.pipeline_worker.argtypes = [ctypes.POINTER(RunSpec), ctypes.c_int64,
                                     ctypes.c_void_p, ctypes.c_void_p]
     lib.pipeline_worker.restype = ctypes.c_int
@@ -139,6 +148,9 @@ def __getattr__(name):
     if name == "BACKEND":  # resolved lazily: loading may run the compiler
         _compiled()
         return _backend
+    if name == "ISA":
+        lib = _compiled()
+        return "numpy" if lib is None else ISAS[lib.jacobi_isa()]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

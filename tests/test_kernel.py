@@ -175,8 +175,8 @@ FRAMES = {
 }
 
 
-def _random_storage(seed):
-    nx, ny, nz = DIMS
+def _random_storage(seed, nx=DIMS[0]):
+    _, ny, nz = DIMS
     rng = np.random.default_rng(seed)
     return rng.random((nz + 2 + PAD, ny + 2 + PAD, nx + 2 + PAD))
 
@@ -191,6 +191,44 @@ def test_apply_window_bitwise_equals_numpy(name, frame):
     dst_ref = src_ref if in_place else dst.copy()
     kernel.apply_window(src, dst, WINDOWS[name], so, do)
     kernel._apply_window_numpy(src_ref, dst_ref, WINDOWS[name], so, do)
+    assert_bitwise(dst, dst_ref)
+    assert_bitwise(src, src_ref)
+
+
+# x widths below, at and past the 4-lane AVX2 body, so that both the vector
+# body and its scalar tail run, from an x start that is not lane-aligned
+COPY_WINDOWS = {**WINDOWS, **{f"x_width_{w}": ((1, 1 + w), (0, 8), (0, 7))
+                              for w in (1, 3, 5, 7, 37)}}
+
+
+def _run_copy(lib, isa, src, dst, window, so, do):
+    """Copy ``isa`` of the compiled window loop; nonzero when it cannot run."""
+    (xl, xh), (yl, yh), (zl, zh) = window
+    return lib.jacobi_window_isa(kernel.ISAS.index(isa), src.ctypes.data,
+                                 dst.ctypes.data, src.strides[1] // 8,
+                                 src.strides[0] // 8, so, do, xl, xh, yl, yh,
+                                 zl, zh, do > so)
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+@pytest.mark.parametrize("name", COPY_WINDOWS)
+@pytest.mark.parametrize("isa", kernel.ISAS)
+def test_every_compiled_copy_bitwise_equals_numpy(isa, name, frame):
+    # apply_window runs only the copy chosen at load: call each one directly
+    lib = kernel._compiled()
+    if lib is None:
+        pytest.skip("no compiled kernel: the numpy body runs")
+    window = COPY_WINDOWS[name]
+    so, do, in_place = FRAMES[frame]
+    nx = max(DIMS[0], window[0][1])
+    src = _random_storage(3, nx)
+    dst = src if in_place else _random_storage(4, nx)
+    src_ref = src.copy()
+    dst_ref = src_ref if in_place else dst.copy()
+    if _run_copy(lib, isa, src, dst, window, so, do):
+        pytest.skip(f"the {isa} copy cannot run here: the CPU lacks {isa} "
+                    "or the compiler does not target x86-64 with GCC/clang")
+    kernel._apply_window_numpy(src_ref, dst_ref, window, so, do)
     assert_bitwise(dst, dst_ref)
     assert_bitwise(src, src_ref)
 
@@ -269,12 +307,23 @@ def test_no_compiler_falls_back_to_numpy_with_one_warning(fresh_loader,
         got = _window_pair(kernel.apply_window)
         _window_pair(kernel.apply_window)
         assert kernel.BACKEND == "numpy"
+        assert kernel.ISA == "numpy"
     assert len(record) == 1
     assert_bitwise(got, _window_pair(kernel._apply_window_numpy))
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler on PATH")
+
+
+@needs_cc
+def test_isa_names_the_copy_that_runs():
+    # the best copy this CPU can run: AVX2 wherever jacobi_window_isa runs it
+    lib = kernel._compiled()
+    avx2 = _run_copy(lib, "avx2", _random_storage(5), _random_storage(6),
+                     WINDOWS["single_cell"], PAD + 1, PAD + 1) == 0
+    assert kernel.ISA == ("avx2" if avx2 else "baseline")
+    assert kernel.ISAS[lib.jacobi_isa()] == kernel.ISA
 
 
 @needs_cc

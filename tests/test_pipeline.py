@@ -625,6 +625,61 @@ def test_one_call_of_passes_equals_one_call_per_pass(mode, walk, request):
         assert_bitwise(a.data, b.data)
 
 
+def _faces_reference(g0, levels):
+    """The interior of g0 after each of 0..levels Jacobi updates on a grid
+    pair whose whole Dirichlet ring is rewritten from g0's faces before every
+    level."""
+    a, b = g0.copy(), g0.copy()
+    whole = tuple((0, n) for n in g0.shape)
+    off = a.origin - a.alignment
+    sides = [(name, side) for name in "xyz" for side in (0, 1)]
+    out = [a.interior_view().copy()]
+    for _ in range(levels):
+        kernel.write_ring_strips(a.data, g0.boundary_faces, whole, off, sides,
+                                 g0.shape)
+        kernel._apply_window_numpy(a.data, b.data, whole, off, off)
+        a, b = b, a
+        out.append(a.interior_view().copy())
+    return out
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+def test_compressed_ring_restored_at_each_pass_start(walk, request):
+    # a rank with neighbours on the high x and low y sides: live ranges
+    # shrink there, one pass per cycle, and the halo is refreshed between
+    # passes.  The y ring next to the refreshed x halo is written by no strip
+    # of the pass before; only the restore at the pass start puts the face
+    # values back (a zero ring would match the zero pad by accident)
+    if walk:
+        request.getfixturevalue("walker_calls")
+    cfg = _cfg(spec=BlockSpec(8, 4, 4), t=2, T=2, grid_mode="compressed")
+    h, (nx, ny, nz) = cfg.h, (16, 12, 10)
+    g0 = create_grid(nx, ny, nz)
+    g0.data[...] = np.random.default_rng(21).random(g0.data.shape) + 1.0
+    g0.capture_boundary_faces()
+    g = create_grid(nx, ny, nz, pad=h)
+    o = g.origin
+    g.data[o - 1:o + nz + 1, o - 1:o + ny + 1, o - 1:o + nx + 1] = g0.data
+    g.capture_boundary_faces()
+
+    def live(ax, u):
+        return ((0, nx - u), (u, ny), (0, nz))[ax]
+
+    engine = PipelineEngine(cfg, g, live_bounds=live, physical_sides={
+        0: (True, False), 1: (False, True), 2: (True, True)})
+    owned = (slice(None), slice(h, ny), slice(0, nx - h))  # (z, y, x)
+    cycles = 4
+    expected = _faces_reference(g0, cycles * h)
+    for c in range(1, cycles + 1):
+        engine.run_passes(1)
+        iv, want = g.interior_view(), expected[c * h]
+        assert_bitwise(iv[owned], want[owned])
+        keep = iv[owned].copy()  # the neighbours' halo exchange
+        iv[...] = want
+        iv[owned] = keep
+    assert g.alignment == 0
+
+
 @pytest.mark.parametrize("mode", ["two_grid", "compressed"])
 @pytest.mark.parametrize("direction", [1, -1])
 def test_work_table_matches_a_plain_build(mode, direction):
