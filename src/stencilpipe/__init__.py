@@ -24,7 +24,6 @@ from .pipeline import (
 )
 from .halo import (
     DistConfig,
-    HaloSpec,
     RankTopology,
     Subdomain,
     assemble_global,

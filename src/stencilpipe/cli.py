@@ -285,11 +285,10 @@ def cmd_dist(args) -> int:
     topo = RankTopology(px, py, pz)
     cfg = rc.pipeline_config()
     dims = (rc.nx, rc.ny, rc.nz)
-    dist = DistConfig(
-        topo=topo, cfg=cfg, cycles=args.cycles, mode=args.scaling,
-        global_dims=dims if args.scaling == "strong" else None,
-        per_rank_dims=dims if args.scaling == "weak" else None,
-        seed=rc.seed, init=rc.init)
+    if args.scaling == "weak":  # the grid flags give each rank's share
+        dims = tuple(d * p for d, p in zip(dims, topo.dims))
+    dist = DistConfig(topo=topo, cfg=cfg, cycles=args.cycles,
+                      global_dims=dims, seed=rc.seed, init=rc.init)
     stamp = dist.digest()[:16]
 
     def rank_row(rt):
@@ -323,7 +322,7 @@ def cmd_dist(args) -> int:
                 args.out_dir, f"rank_{rt.sub.rank}.grid"))
     ok = True
     if args.verify:
-        ok = _verify(rows, assemble_global(runtimes), dist.resolved_global(),
+        ok = _verify(rows, assemble_global(runtimes), dims,
                      rc.init, rc.seed, cfg.h * args.cycles)
     return _emit(rows, args, ok)
 

@@ -129,29 +129,46 @@ class Grid3:
         return h.hexdigest()
 
 
-def create_grid(nx, ny, nz, pad=0, init="constant", value=0.0, seed=0) -> Grid3:
-    """Allocate and fill a grid.
+def fill_field(g: Grid3, init="constant", value=0.0, seed=0, origin=(0, 0, 0),
+               global_dims=None) -> None:
+    """Fill every stored cell of ``g`` in place with an init rule's global
+    field.  Logical cell (0, 0, 0) of ``g`` is global cell ``origin``, and
+    ``global_dims`` is the global interior (``g``'s own dims when None), so a
+    whole grid and a rank's share of it hold the same values cell for cell.
 
     init rules:
       "constant"  -- every stored cell (interior and ring) equals ``value``
-      "impulse"   -- all zero except a 1.0 at the interior center cell
-      "random"    -- interior filled from the seeded deterministic generator,
-                     ring zero
+      "impulse"   -- all zero except a 1.0 at the global interior center cell
+      "random"    -- global interior cells from the seeded deterministic
+                     generator at their global linear index, all else zero
     """
-    g = Grid3(nx, ny, nz, pad)
-    if init == "constant":
-        g.data[...] = value
-    elif init == "impulse":
-        g.data[...] = 0.0
-        g.data[g.index(nx // 2, ny // 2, nz // 2)] = 1.0
-    elif init == "random":
-        g.data[...] = 0.0
-        iv = g.interior_view()
-        slab = nx * ny
-        for k in range(nz):  # slab-wise keeps generator temporaries small
-            iv[k] = splitmix64_unit(k * slab, slab, seed).reshape(ny, nx)
-    else:
+    if init not in ("constant", "impulse", "random"):
         raise ValueError(f"unknown init rule {init!r}")
+    nx, ny, nz = global_dims or g.shape
+    g.data[...] = value if init == "constant" else 0.0
+    if init == "impulse":
+        c = tuple(n // 2 - o for n, o in zip((nx, ny, nz), origin))
+        if all(0 <= i < n for i, n in zip(c, g.shape)):
+            g.data[g.index(*c)] = 1.0
+    elif init == "random":
+        ox, oy, oz = origin
+        x0, x1 = max(ox, 0), min(ox + g.nx, nx)
+        y0, y1 = max(oy, 0), min(oy + g.ny, ny)
+        if x0 >= x1 or y0 >= y1:
+            return
+        iv = g.interior_view()
+        rows = (np.arange(y0, y1, dtype=np.uint64) * np.uint64(nx))[:, None] \
+            + np.arange(x0, x1, dtype=np.uint64)
+        for z in range(max(oz, 0), min(oz + g.nz, nz)):
+            # one z-slab per call keeps the generator temporaries small
+            iv[z - oz, y0 - oy:y1 - oy, x0 - ox:x1 - ox] = splitmix64_unit_at(
+                rows + np.uint64(z * ny * nx), seed)
+
+
+def create_grid(nx, ny, nz, pad=0, init="constant", value=0.0, seed=0) -> Grid3:
+    """Allocate a grid and fill it with an init rule (:func:`fill_field`)."""
+    g = Grid3(nx, ny, nz, pad)
+    fill_field(g, init, value, seed)
     g.capture_boundary_faces()
     return g
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid3, splitmix64_unit_at
+from . import grid
+from .grid import Grid3
 from .pipeline import PipelineConfig, PipelineEngine
 from .transport import ProtocolError, pack_frame, unpack_frame
 
@@ -63,16 +64,6 @@ class RankTopology:
         return self.rank_of(*c)
 
 
-@dataclass(frozen=True)
-class HaloSpec:
-    """Halo width in layers; equals the updates per exchange cycle."""
-    h: int
-
-    def __post_init__(self):
-        if self.h < 1:
-            raise ValueError("halo width must be >= 1")
-
-
 @dataclass
 class Subdomain:
     """One rank's share: owned interior extents, halo widths that exist per
@@ -92,6 +83,10 @@ class Subdomain:
                      for o, (lo, hi) in zip(self.owned, self.has_nb))
 
     @property
+    def global_dims(self):
+        return tuple(o * p for o, p in zip(self.owned, self.topo.dims))
+
+    @property
     def owned_lo(self):
         """Local logical start of the owned region per axis."""
         return tuple(self.h if lo else 0 for (lo, _hi) in self.has_nb)
@@ -99,15 +94,14 @@ class Subdomain:
     def owned_box(self):
         return tuple((s, s + o) for s, o in zip(self.owned_lo, self.owned))
 
-    def physical_sides(self):
-        return {ax: (not lo, not hi) for ax, (lo, hi) in enumerate(self.has_nb)}
 
-
-def decompose_domain(global_dims, topo: RankTopology, halo: HaloSpec):
+def decompose_domain(global_dims, topo: RankTopology, h: int):
     """Split the global interior evenly; every rank gets its owned share plus
-    h halo layers per neighbored side.  Owned regions tile the global domain;
-    each halo cell mirrors a cell owned by exactly one neighbor."""
-    h = halo.h
+    h halo layers per neighbored side, h being the updates per exchange
+    cycle.  Owned regions tile the global domain; each halo cell mirrors a
+    cell owned by exactly one neighbor."""
+    if h < 1:
+        raise ValueError("halo width must be >= 1")
     owned = []
     for n, p, name in zip(global_dims, topo.dims, "xyz"):
         if n % p != 0:
@@ -129,42 +123,14 @@ def decompose_domain(global_dims, topo: RankTopology, halo: HaloSpec):
     return subs
 
 
-def global_field_box(global_dims, seed: int, box):
-    """Values of the seeded global field over a local box given in global
-    coordinates; cells outside the global interior (the Dirichlet ring and
-    beyond) are zero, matching the global grid's random fill."""
-    nx, ny, nz = global_dims
-    (xl, xh), (yl, yh), (zl, zh) = box
-    out = np.zeros((zh - zl, yh - yl, xh - xl))
-    x0, x1 = max(xl, 0), min(xh, nx)
-    y0, y1 = max(yl, 0), min(yh, ny)
-    if x0 >= x1 or y0 >= y1:
-        return out
-    # one hash call per z-slab keeps the index temporaries at slab size
-    rows = (np.arange(y0, y1, dtype=np.uint64) * np.uint64(nx))[:, None] \
-        + np.arange(x0, x1, dtype=np.uint64)
-    for z in range(max(zl, 0), min(zh, nz)):
-        out[z - zl, y0 - yl:y1 - yl, x0 - xl:x1 - xl] = splitmix64_unit_at(
-            rows + np.uint64(z * ny * nx), seed)
-    return out
-
-
 def materialize_subdomain(sub: Subdomain, cfg: PipelineConfig, seed: int = 42,
                           init: str = "random", value: float = 0.0) -> Grid3:
-    """Allocate and fill the rank-local grid from the global init rule."""
-    mx, my, mz = sub.local_dims
+    """Allocate the rank-local grid and fill it with the global init rule's
+    values at the rank's global position."""
     pad = cfg.h if cfg.grid_mode == "compressed" else 0
-    g = Grid3(mx, my, mz, pad=pad)
-    if init == "constant":
-        g.data[...] = value
-    elif init == "random":
-        ox, oy, oz = sub.global_origin
-        g.interior_view()[...] = global_field_box(
-            (sub.topo.px * sub.owned[0], sub.topo.py * sub.owned[1],
-             sub.topo.pz * sub.owned[2]),
-            seed, ((ox, ox + mx), (oy, oy + my), (oz, oz + mz)))
-    else:
-        raise ValueError(f"unsupported distributed init {init!r}")
+    g = Grid3(*sub.local_dims, pad=pad)
+    grid.fill_field(g, init, value, seed, origin=sub.global_origin,
+                    global_dims=sub.global_dims)
     g.capture_boundary_faces()
     sub.grid = g
     return g
@@ -184,21 +150,12 @@ class MessageSpec:
     nbytes: int
 
 
-@dataclass
-class HaloPlan:
-    messages: list             # phase order: x sides, y sides, z sides
-
-    @property
-    def total_bytes(self):
-        return sum(m.nbytes for m in self.messages)
-
-
-def build_halo_plan(sub: Subdomain) -> HaloPlan:
-    """Message boxes per axis and side.  Tangential extents grow with the
-    phase: the x phase covers owned y/z only, later phases span the full
-    local extent of already-exchanged axes so received halo data is forwarded
-    onward (that is what delivers edges and corners without extra messages).
-    """
+def build_halo_plan(sub: Subdomain) -> list:
+    """One message per neighbored side, in phase order: x sides, y sides,
+    z sides.  Tangential extents grow with the phase: the x phase covers
+    owned y/z only, later phases span the full local extent of
+    already-exchanged axes so received halo data is forwarded onward (that
+    is what delivers edges and corners without extra messages)."""
     h = sub.h
     mx, my, mz = sub.local_dims
     olo = sub.owned_lo
@@ -228,24 +185,24 @@ def build_halo_plan(sub: Subdomain) -> HaloPlan:
             msgs.append(MessageSpec(axis=axis, side=side, neighbor=nb,
                                     send_box=send_box, recv_box=recv_box,
                                     nbytes=cells * 8))
-    return HaloPlan(messages=msgs)
+    return msgs
 
 
-def _box_slices(grid: Grid3, box):
-    off = grid.origin - grid.alignment
+def _box_slices(g: Grid3, box):
+    off = g.origin - g.alignment
     (xl, xh), (yl, yh), (zl, zh) = box
     return (slice(zl + off, zh + off), slice(yl + off, yh + off),
             slice(xl + off, xh + off))
 
 
-def exchange_multilayer_halos(sub: Subdomain, plan: HaloPlan, ep,
+def exchange_multilayer_halos(sub: Subdomain, plan: list, ep,
                               cycle_index: int = 0, timings=None) -> None:
     """Three sequential axis phases, one full-duplex message per neighbored
     side; afterwards every halo cell (faces, edges, corners) holds its
     owner's value."""
     g = sub.grid
     t = timings if timings is not None else {}
-    for m in plan.messages:
+    for m in plan:
         t0 = time.perf_counter()
         view = g.data[_box_slices(g, m.send_box)]
         payload = np.ascontiguousarray(view).astype("<f8", copy=False).tobytes()
@@ -277,20 +234,6 @@ def exchange_multilayer_halos(sub: Subdomain, plan: HaloPlan, ep,
 # distributed cycles
 # ---------------------------------------------------------------------------
 
-def _live_bounds_for(sub: Subdomain, cfg: PipelineConfig):
-    """Update region at level u: owned expanded by h-u layers on neighbored
-    sides, i.e. the live range shrinks one layer per level from those sides."""
-    dims = sub.local_dims
-
-    def live(ax, u):
-        lo_nb, hi_nb = sub.has_nb[ax]
-        lo = u if lo_nb else 0
-        hi = dims[ax] - u if hi_nb else dims[ax]
-        return (lo, hi)
-
-    return live
-
-
 class RankRuntime:
     """Per-rank state for a distributed run: subdomain, grid, engine, plan."""
 
@@ -304,16 +247,14 @@ class RankRuntime:
         materialize_subdomain(sub, cfg, seed=seed, init=init, value=value)
         grids = (sub.grid if cfg.grid_mode == "compressed"
                  else (sub.grid, sub.grid.copy()))
-        self.engine = PipelineEngine(cfg, grids,
-                                     live_bounds=_live_bounds_for(sub, cfg),
-                                     physical_sides=sub.physical_sides())
+        self.engine = PipelineEngine(cfg, grids, neighbors=sub.has_nb)
         self.plan = build_halo_plan(sub)
         self.timings = {"compute_s": 0.0}
 
     def check_config_hash(self, digest: bytes):
         """Abort unless all neighbors run the identical configuration."""
         seen = set()
-        for m in self.plan.messages:
+        for m in self.plan:
             if m.neighbor in seen:
                 continue
             seen.add(m.neighbor)
@@ -343,10 +284,11 @@ class RankRuntime:
 
 def run_digest(cfg: PipelineConfig, global_dims, passes, seed, init,
                topo=(1, 1, 1)) -> str:
-    """SHA-256 hex of everything that decides a run's output: the resolved
-    global dims (so strong and weak scaling alike), the rank topology, the
-    pass or cycle count, the seed and init rule, and the pipeline shape.
-    Watchdog and jitter change timing only and are left out."""
+    """SHA-256 hex of everything that decides a run's output: the global
+    dims (for weak scaling, the per-rank dims times the topology, so strong
+    and weak runs of one domain match), the rank topology, the pass or
+    cycle count, the seed and init rule, and the pipeline shape.  Watchdog
+    and jitter change timing only and are left out."""
     b = cfg.spec
     text = "\n".join([
         f"dims={tuple(int(d) for d in global_dims)}",
@@ -363,33 +305,18 @@ class DistConfig:
     topo: RankTopology
     cfg: PipelineConfig
     cycles: int
-    global_dims: tuple | None = None   # strong scaling: fixed global size
-    per_rank_dims: tuple | None = None  # weak scaling: fixed local size
-    mode: str = "strong"
+    global_dims: tuple
     seed: int = 42
     init: str = "random"
 
-    def resolved_global(self):
-        if self.mode == "strong":
-            if self.global_dims is None:
-                raise ValueError("strong mode needs global_dims")
-            return self.global_dims
-        if self.mode == "weak":
-            if self.per_rank_dims is None:
-                raise ValueError("weak mode needs per_rank_dims")
-            return tuple(d * p for d, p in
-                         zip(self.per_rank_dims, self.topo.dims))
-        raise ValueError(f"unknown scaling mode {self.mode!r}")
-
     def digest(self) -> str:
-        return run_digest(self.cfg, self.resolved_global(), self.cycles,
+        return run_digest(self.cfg, self.global_dims, self.cycles,
                           self.seed, self.init, self.topo.dims)
 
 
 def run_rank(dist: DistConfig, rank: int, ep) -> RankRuntime:
     """Execute all cycles for one rank; returns its runtime with timings."""
-    gd = dist.resolved_global()
-    subs = decompose_domain(gd, dist.topo, HaloSpec(dist.cfg.h))
+    subs = decompose_domain(dist.global_dims, dist.topo, dist.cfg.h)
     rt = RankRuntime(subs[rank], dist.cfg, ep, seed=dist.seed, init=dist.init)
     rt.check_config_hash(bytes.fromhex(dist.digest()))
     t0 = time.perf_counter()
@@ -436,10 +363,8 @@ def run_distributed_inprocess(dist: DistConfig):
 
 def assemble_global(runtimes) -> Grid3:
     """Stitch owned regions into one global grid (test-scale only)."""
-    dist_topo = runtimes[0].sub.topo
     owned = runtimes[0].sub.owned
-    gd = tuple(o * p for o, p in zip(owned, dist_topo.dims))
-    g = Grid3(*gd, pad=0)
+    g = Grid3(*runtimes[0].sub.global_dims, pad=0)
     iv = g.interior_view()
     for rt in runtimes:
         c = rt.sub.topo.coords(rt.sub.rank)

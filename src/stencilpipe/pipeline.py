@@ -241,15 +241,17 @@ def _window_boundaries(bases, delta, live_lo, live_hi):
 class PipelineEngine:
     """Executes pipelined passes over one compressed grid or a two-grid pair.
 
-    live_bounds, when given, maps (axis_index, level) -> (lo, hi_exclusive)
-    logical range updated at that level (used by the distributed driver whose
-    update regions shrink by one layer per level on sides with neighbors).
-    physical_sides marks which domain faces carry a Dirichlet ring that must
-    be re-materialized while data shifts (compressed mode only).
+    ``neighbors`` holds per axis a (lo, hi) pair of booleans, true where the
+    grid's side borders a neighbouring rank's halo rather than the domain's
+    Dirichlet ring; none has a neighbour by default.  Level u updates the
+    live range ``(u if lo else 0, n - u if hi else n)`` of each axis, so the
+    update region shrinks one layer per level toward neighbours, and the
+    other sides keep their ring (re-materialized while data shifts in
+    compressed mode).
     """
 
-    def __init__(self, cfg: PipelineConfig, grids, live_bounds=None,
-                 physical_sides=None):
+    def __init__(self, cfg: PipelineConfig, grids,
+                 neighbors=((False, False),) * 3):
         self.cfg = cfg
         if isinstance(grids, Grid3):
             grids = (grids,)
@@ -269,11 +271,14 @@ class PipelineEngine:
         self._block_index = np.array(
             [base for base, _size in self.plan.blocks],
             dtype=np.int64) // (cfg.spec.bx, cfg.spec.by, cfg.spec.bz)
-        dims = self.dims  # not self: a cycle would keep the grids alive
-        self.live_bounds = live_bounds or (lambda ax, u: (0, dims[ax]))
-        if physical_sides is None:
-            physical_sides = {ax: (True, True) for ax in range(3)}
-        self.physical_sides = physical_sides
+        self.neighbors = tuple((bool(lo), bool(hi)) for lo, hi in neighbors)
+        if len(self.neighbors) != 3:
+            raise ValueError(f"neighbors needs one (lo, hi) pair per axis, "
+                             f"got {neighbors!r}")
+        # bit 2*axis + side set where that side carries the Dirichlet ring
+        self.ring = sum(1 << 2 * ax + side
+                        for ax, pair in enumerate(self.neighbors)
+                        for side, nb in enumerate(pair) if not nb)
         self._tables = {}
         self.levels_done = 0
         self.passes_done = 0
@@ -289,11 +294,10 @@ class PipelineEngine:
 
         An int64 array of shape (blocks, h, 8): row [k, u-1] holds the window
         block k (in traversal order) updates at level u as xl, xh, yl, yh, zl,
-        zh, then u, then a bit mask (bit 2*axis + side) of the physical faces
+        zh, then u, then a bit mask (bit 2*axis + side) of the ring sides
         whose Dirichlet ring the window must re-materialize (compressed mode).
         A window empty on some axis slid out of its block's share of the
-        level; both executors skip it.  Raises ValueError when a live range
-        leaves the grid interior."""
+        level; both executors skip it."""
         if direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
         table = self._tables.get(direction)
@@ -303,26 +307,22 @@ class PipelineEngine:
         bases = plan.bases
         idx = self._block_index[::direction]
         table = np.empty((plan.total_blocks, cfg.h, _COLS), dtype=np.int64)
+        ring = self.ring if cfg.grid_mode == "compressed" else 0
         for u in range(1, cfg.h + 1):
             delta = -u if direction == 1 else u
             mask = np.zeros(plan.total_blocks, dtype=np.int64)
-            for ax in range(3):
-                live_lo, live_hi = self.live_bounds(ax, u)
-                if live_lo < 0 or live_hi > self.dims[ax]:
-                    raise ValueError(
-                        f"live range {(live_lo, live_hi)} of axis {ax} at "
-                        f"level {u} leaves the grid interior {self.dims}")
+            for ax, (nb_lo, nb_hi) in enumerate(self.neighbors):
+                n = self.dims[ax]
+                live_lo, live_hi = (u if nb_lo else 0, n - u if nb_hi else n)
                 bounds = np.array(_window_boundaries(bases[ax], delta, live_lo,
                                                      live_hi), dtype=np.int64)
                 lo, hi = bounds[idx[:, ax]], bounds[idx[:, ax] + 1]
                 table[:, u - 1, 2 * ax] = lo
                 table[:, u - 1, 2 * ax + 1] = hi
-                if cfg.grid_mode == "compressed":
-                    phys_lo, phys_hi = self.physical_sides[ax]
-                    mask |= ((lo == live_lo) & phys_lo).astype(np.int64) << 2 * ax
-                    mask |= ((hi == live_hi) & phys_hi).astype(np.int64) << 2 * ax + 1
+                mask |= (lo == live_lo).astype(np.int64) << 2 * ax
+                mask |= (hi == live_hi).astype(np.int64) << 2 * ax + 1
             table[:, u - 1, 6] = u
-            table[:, u - 1, 7] = mask
+            table[:, u - 1, 7] = mask & ring
         self._tables[direction] = table
         return table
 
@@ -333,9 +333,8 @@ class PipelineEngine:
         number of passes, backward after an odd one.  Each pipeline position
         runs all ``count`` passes in one call, in one thread started for the
         whole run (a single position runs in the calling thread).  The
-        arrays, live ranges, frames, faces and compressed alignment are
-        checked once, before any thread starts.  The walker runs in the
-        calling thread."""
+        arrays, frames, faces and compressed alignment are checked once,
+        before any thread starts.  The walker runs in the calling thread."""
         if count < 0:
             raise ValueError(f"pass count must be >= 0, got {count}")
         return self.run_pass(count)
@@ -395,8 +394,7 @@ class _Run:
         if cfg.grid_mode == "compressed":
             self.arrays = (g0.data, g0.data)
             self.parity, self.base, self.shifting = 0, g0.origin - g0.alignment, 1
-            self.ring = sum(1 << bit for bit, (name, side) in enumerate(_SIDES)
-                            if engine.physical_sides["xyz".index(name)][side])
+            self.ring = engine.ring
             self.alignment_after = g0.alignment + (
                 count % 2) * cfg.h * self.direction(0)
         else:

@@ -240,6 +240,10 @@ class TcpEndpoint(Endpoint):
                     if chunk:
                         incoming[got:got + len(chunk)] = chunk
                         got += len(chunk)
+        except OSError as exc:  # a dead peer: BrokenPipeError, reset, ...
+            raise TransportError(
+                f"rank {self.rank}: link to rank {neighbor} failed: {exc}"
+            ) from exc
         finally:
             sel.close()
             sock.setblocking(True)

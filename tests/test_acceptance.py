@@ -104,7 +104,7 @@ def test_criterion_2_distributed_oracle(oracle):
             assert cfg.h == h
             dist = DistConfig(topo=RankTopology(*topo_dims), cfg=cfg,
                               cycles=2, global_dims=(SIZE, SIZE, SIZE),
-                              mode="strong", seed=SEED)
+                              seed=SEED)
             runtimes = run_distributed_inprocess(dist)
             assembled = assemble_global(runtimes)
             expected = oracle.after_sweeps(SIZE, SEED, 2 * h)

@@ -207,6 +207,16 @@ def test_dist_inprocess_verify(tmp_path, capsys):
     assert (tmp_path / "rank_1.grid").exists()
 
 
+def test_dist_impulse_init_verifies(capsys):
+    # solve, sweep and dist share the init rules; the impulse sits on the
+    # corner the four ranks share
+    code, out, err = run_cli(["dist", "--topo", "2,2,1", "--grid", "24",
+                              "--t", "2", "--block", "12,8,8", "--cycles",
+                              "2", "--init", "impulse", "--verify"], capsys)
+    assert code == 0, err
+    assert [r["verified"] for r in rows_of(out)] == ["bitwise match"] * 4
+
+
 def test_dist_rejects_mismatched_topology(capsys):
     code, _, err = run_cli(["dist", "--topo", "2,1,1", "--grid", "25",
                             "--t", "2", "--block", "12,8,8"], capsys)
@@ -252,6 +262,15 @@ def test_dist_stamp_covers_topology_cycles_and_scaling(dist_runs):
     distinct = [stamps[k] for k in ("topo_x", "topo_y", "cycles", "weak")]
     assert len(set(distinct)) == 4
     assert stamps["topo_x_again"] == stamps["topo_x"]
+
+
+def test_dist_weak_scaling_gives_each_rank_the_grid_extent(dist_runs):
+    # --grid 24 on 2,1,1: weak scaling solves 48x24x24, strong 24x24x24;
+    # both verify bitwise against the oracle of that global grid
+    headers = {name: [f.split(b"\n", 1)[0] for f in files.values()]
+               for name, (_code, _rows, files) in dist_runs.items()}
+    assert headers["weak"] == [b"24 24 24"] * 2
+    assert headers["topo_x"] == [b"12 24 24"] * 2
 
 
 def test_dist_equal_stamps_write_identical_rank_files(dist_runs):

@@ -1,19 +1,20 @@
+import itertools
 import threading
 
 import numpy as np
 import pytest
 
-from stencilpipe import BlockSpec, PipelineConfig
+from stencilpipe import BlockSpec, PipelineConfig, grid, pipeline
+from stencilpipe.grid import Grid3, create_grid, fill_field
+from stencilpipe.kernel import reference_sweep
 from stencilpipe.halo import (
     DistConfig,
-    HaloSpec,
     RankRuntime,
     RankTopology,
     assemble_global,
     build_halo_plan,
     decompose_domain,
     exchange_multilayer_halos,
-    global_field_box,
     materialize_subdomain,
     run_digest,
     run_distributed_inprocess,
@@ -65,15 +66,15 @@ def test_topology_coords_roundtrip_and_symmetry():
 
 
 def test_single_rank_needs_no_halos():
-    subs = decompose_domain((60, 60, 60), RankTopology(1, 1, 1), HaloSpec(4))
+    subs = decompose_domain((60, 60, 60), RankTopology(1, 1, 1), 4)
     (sub,) = subs
     assert sub.local_dims == (60, 60, 60)
     assert sub.owned_lo == (0, 0, 0)
-    assert build_halo_plan(sub).messages == []
+    assert build_halo_plan(sub) == []
 
 
 def test_two_rank_cut_geometry():
-    subs = decompose_domain((60, 60, 60), RankTopology(2, 1, 1), HaloSpec(4))
+    subs = decompose_domain((60, 60, 60), RankTopology(2, 1, 1), 4)
     a, b = subs
     assert a.owned == (30, 60, 60)
     assert a.local_dims == (34, 60, 60)  # 4-layer halo at the cut only
@@ -83,7 +84,7 @@ def test_two_rank_cut_geometry():
 
 def test_owned_regions_tile_global_domain():
     topo = RankTopology(2, 2, 2)
-    subs = decompose_domain((24, 24, 24), topo, HaloSpec(2))
+    subs = decompose_domain((24, 24, 24), topo, 2)
     cover = np.zeros((24, 24, 24), dtype=int)
     for s in subs:
         gx, gy, gz = (s.global_origin[ax] + s.owned_lo[ax] for ax in range(3))
@@ -94,36 +95,50 @@ def test_owned_regions_tile_global_domain():
 def test_thin_interior_rejected():
     # owned 20 with h=16 falls below the 2(h-1) feasibility floor
     with pytest.raises(ValueError):
-        decompose_domain((60, 60, 60), RankTopology(3, 1, 1), HaloSpec(16))
+        decompose_domain((60, 60, 60), RankTopology(3, 1, 1), 16)
 
 
 def test_interior_at_feasibility_floor_allowed():
     # owned 30 per axis carries h=16 (floor is 2*(16-1) = 30)
-    subs = decompose_domain((60, 60, 60), RankTopology(2, 2, 2), HaloSpec(16))
+    subs = decompose_domain((60, 60, 60), RankTopology(2, 2, 2), 16)
     assert subs[0].owned == (30, 30, 30)
-    subs8 = decompose_domain((60, 60, 60), RankTopology(2, 2, 2), HaloSpec(8))
+    subs8 = decompose_domain((60, 60, 60), RankTopology(2, 2, 2), 8)
     assert subs8[0].owned == (30, 30, 30)  # 30 > 2*7
 
 
 def test_indivisible_axis_rejected():
     with pytest.raises(ValueError):
-        decompose_domain((61, 60, 60), RankTopology(2, 1, 1), HaloSpec(2))
+        decompose_domain((61, 60, 60), RankTopology(2, 1, 1), 2)
 
 
-def test_global_field_box_matches_create_grid():
-    from stencilpipe import create_grid
-    g = create_grid(12, 10, 8, init="random", seed=7)
-    box = global_field_box((12, 10, 8), 7, ((0, 12), (0, 10), (0, 8)))
-    assert np.array_equal(box, g.interior_view())
-    # outside the interior the field is zero (the global ring)
-    edge = global_field_box((12, 10, 8), 7, ((-2, 1), (0, 2), (0, 2)))
-    assert np.all(edge[:, :, :2] == 0.0)
-    # a box clipped on the low and high side of every axis: the global ring
-    # and beyond read zero, the rest equals the padded global grid
-    clipped = global_field_box((12, 10, 8), 7, ((-2, 14), (-1, 12), (-3, 9)))
-    padded = np.zeros((12, 13, 16))
-    padded[3:11, 1:11, 2:14] = g.interior_view()
-    assert np.array_equal(clipped, padded)
+@pytest.mark.parametrize("init", ["constant", "impulse", "random"])
+def test_one_field_for_whole_and_rank_grids(init):
+    whole = create_grid(12, 10, 8, init=init, value=2.5, seed=7)
+    wv = whole.interior_view()
+    subs = decompose_domain((12, 10, 8), RankTopology(2, 2, 2), 2)
+    for sub, mode in zip(subs, itertools.cycle(("two_grid", "compressed"))):
+        g = materialize_subdomain(sub, _cfg(t=2, mode=mode, spec=(4, 4, 4)),
+                                  seed=7, init=init, value=2.5)
+        o, m = sub.global_origin, sub.local_dims
+        assert_bitwise(g.interior_view(), wv[o[2]:o[2] + m[2],
+                                             o[1]:o[1] + m[1],
+                                             o[0]:o[0] + m[0]])
+        # the ring on the sides without a neighbour is the global ring
+        for ax, name in enumerate("xyz"):
+            for side in (0, 1):
+                if not sub.has_nb[ax][side]:
+                    face = tuple(slice(o[a], o[a] + m[a])
+                                 for a in (2, 1, 0) if a != ax)
+                    assert_bitwise(g.boundary_faces[(name, side)],
+                                   whole.boundary_faces[(name, side)][face])
+    # a grid reaching past the global interior on both sides of every axis:
+    # the global ring and beyond hold the rule's background value, the rest
+    # equals the whole grid's interior
+    g = Grid3(16, 13, 12)
+    fill_field(g, init, 2.5, 7, origin=(-2, -1, -3), global_dims=(12, 10, 8))
+    padded = np.full((12, 13, 16), 2.5 if init == "constant" else 0.0)
+    padded[3:11, 1:11, 2:14] = wv
+    assert_bitwise(g.interior_view(), padded)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +147,7 @@ def test_global_field_box_matches_create_grid():
 
 def test_single_layer_exchange_classic():
     topo = RankTopology(2, 1, 1)
-    subs = decompose_domain((12, 12, 12), topo, HaloSpec(1))
+    subs = decompose_domain((12, 12, 12), topo, 1)
     cfg = _cfg(spec=(6, 6, 6))
 
     def body(sub, ep):
@@ -159,7 +174,7 @@ def test_rank_id_fill_ownership_oracle(topo_dims, h):
     topo = RankTopology(*topo_dims)
     n_per = 12 if max(topo_dims) < 3 else 18
     gd = tuple(n_per * p for p in topo_dims)
-    subs = decompose_domain(gd, topo, HaloSpec(h))
+    subs = decompose_domain(gd, topo, h)
     cfg = _cfg(spec=(4, 4, 4))
 
     def body(sub, ep):
@@ -190,7 +205,7 @@ def test_rank_id_fill_ownership_oracle(topo_dims, h):
 
 def test_exchange_idempotent():
     topo = RankTopology(2, 2, 1)
-    subs = decompose_domain((12, 12, 12), topo, HaloSpec(2))
+    subs = decompose_domain((12, 12, 12), topo, 2)
     cfg = _cfg(spec=(4, 4, 4))
 
     def body(sub, ep):
@@ -207,23 +222,23 @@ def test_exchange_idempotent():
 def test_message_count_two_per_axis_regardless_of_h():
     topo = RankTopology(3, 3, 3)
     for h in (1, 2, 4):
-        subs = decompose_domain((24, 24, 24), topo, HaloSpec(h))
+        subs = decompose_domain((24, 24, 24), topo, h)
         center = subs[topo.rank_of(1, 1, 1)]
         plan = build_halo_plan(center)
-        assert len(plan.messages) == 6
+        assert len(plan) == 6
         per_axis = {}
-        for m in plan.messages:
+        for m in plan:
             per_axis[m.axis] = per_axis.get(m.axis, 0) + 1
         assert per_axis == {0: 2, 1: 2, 2: 2}
 
 
 def test_later_axis_messages_include_earlier_halos():
-    subs = decompose_domain((12, 12, 12), RankTopology(2, 2, 2), HaloSpec(2))
+    subs = decompose_domain((12, 12, 12), RankTopology(2, 2, 2), 2)
     sub = subs[subs[0].topo.rank_of(1, 1, 1)]
     plan = build_halo_plan(sub)
-    x_msg = next(m for m in plan.messages if m.axis == 0)
-    y_msg = next(m for m in plan.messages if m.axis == 1)
-    z_msg = next(m for m in plan.messages if m.axis == 2)
+    x_msg = next(m for m in plan if m.axis == 0)
+    y_msg = next(m for m in plan if m.axis == 1)
+    z_msg = next(m for m in plan if m.axis == 2)
     # x phase: owned tangential extents; later phases: full local extents
     assert x_msg.send_box[1] == sub.owned_box()[1]
     assert y_msg.send_box[0] == (0, sub.local_dims[0])
@@ -238,7 +253,7 @@ def test_later_axis_messages_include_earlier_halos():
 def test_single_rank_cycle_reduces_to_run_pipelined(oracle):
     cfg = _cfg(n=1, t=2, T=1, mode="compressed", spec=(20, 10, 10))
     dist = DistConfig(topo=RankTopology(1, 1, 1), cfg=cfg, cycles=2,
-                      global_dims=(40, 40, 40), mode="strong", seed=42)
+                      global_dims=(40, 40, 40), seed=42)
     (rt,) = run_distributed_inprocess(dist)
     assert_bitwise(rt.owned_view(), oracle.after_sweeps(40, 42, 4))
 
@@ -253,28 +268,63 @@ def test_distributed_cycles_match_undecomposed_oracle(topo_dims, nt, T, mode,
                                                       oracle):
     cfg = _cfg(n=1, t=nt, T=T, mode=mode, spec=(20, 10, 10))
     dist = DistConfig(topo=RankTopology(*topo_dims), cfg=cfg, cycles=2,
-                      global_dims=(40, 40, 40), mode="strong", seed=42)
+                      global_dims=(40, 40, 40), seed=42)
     runtimes = run_distributed_inprocess(dist)
     assembled = assemble_global(runtimes)
     assert_bitwise(assembled.interior_view(),
                    oracle.after_sweeps(40, 42, cfg.h * 2))
 
 
-def test_weak_mode_resolves_per_rank_size(oracle):
-    cfg = _cfg(n=1, t=2, T=1, mode="two_grid", spec=(12, 6, 6))
-    dist = DistConfig(topo=RankTopology(2, 1, 1), cfg=cfg, cycles=2,
-                      per_rank_dims=(12, 24, 24), mode="weak", seed=42)
-    assert dist.resolved_global() == (24, 24, 24)
-    runtimes = run_distributed_inprocess(dist)
-    assembled = assemble_global(runtimes)
-    assert_bitwise(assembled.interior_view(),
-                   oracle.after_sweeps(24, 42, cfg.h * 2))
+def _fill_with_ring(real):
+    """``fill_field`` that also gives the global Dirichlet ring nonzero
+    values, each a function of its cell's global position, so that a whole
+    grid and every rank's share of it hold the same ring."""
+    def fill(g, init="constant", value=0.0, seed=0, origin=(0, 0, 0),
+             global_dims=None):
+        real(g, init, value, seed, origin, global_dims)
+        nx, ny, nz = global_dims or g.shape
+        gx = np.arange(-1, g.nx + 1) + origin[0]
+        gy = (np.arange(-1, g.ny + 1) + origin[1])[:, None]
+        gz = (np.arange(-1, g.nz + 1) + origin[2])[:, None, None]
+        ring = ((gx == -1) | (gx == nx) | (gy == -1) | (gy == ny)
+                | (gz == -1) | (gz == nz))
+        o = g.origin - g.alignment
+        box = g.data[o - 1:o + g.nz + 1, o - 1:o + g.ny + 1, o - 1:o + g.nx + 1]
+        box[...] = np.where(ring, 1.0 + (7 * gx + 13 * gy + 29 * gz) % 17 / 16,
+                            box)
+    return fill
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+@pytest.mark.parametrize("topo_dims", [(2, 1, 1), (2, 2, 1)])
+def test_distributed_cycles_match_the_oracle_with_a_nonzero_ring(
+        topo_dims, mode, walk, monkeypatch):
+    # with a zero ring, a rank that misses the ring restore at a pass start
+    # (compressed mode) reads the zero pad, which equals the ring by accident
+    monkeypatch.setattr(grid, "fill_field", _fill_with_ring(fill_field))
+    if walk:  # a wrapped kernel name sends every pass through the walker
+        real = pipeline.apply_window
+        monkeypatch.setattr(pipeline, "apply_window",
+                            lambda *args: real(*args))
+    dims, seed, cycles = (24, 24, 16), 5, 3
+    cfg = _cfg(t=2, T=2, mode=mode, spec=(8, 8, 8))
+    a = create_grid(*dims, init="random", seed=seed)
+    assert all(np.all(f > 0) for f in a.boundary_faces.values())
+    b = a.copy()
+    for _ in range(cycles * cfg.h):
+        reference_sweep(a, b)
+        a, b = b, a
+    dist = DistConfig(topo=RankTopology(*topo_dims), cfg=cfg, cycles=cycles,
+                      global_dims=dims, seed=seed)
+    assembled = assemble_global(run_distributed_inprocess(dist))
+    assert_bitwise(assembled.interior_view(), a.interior_view())
 
 
 def test_per_phase_timings_reported():
     cfg = _cfg(n=1, t=2, T=1, spec=(10, 10, 10))
     dist = DistConfig(topo=RankTopology(2, 1, 1), cfg=cfg, cycles=2,
-                      global_dims=(20, 20, 20), mode="strong")
+                      global_dims=(20, 20, 20))
     for rt in run_distributed_inprocess(dist):
         t = rt.timings
         for key in ("compute_s", "pack_s", "transfer_s", "unpack_s",
@@ -320,7 +370,7 @@ def test_config_hash_mismatch_aborts():
 
     def body(r):
         dist = DistConfig(topo=topo, cfg=cfgs[r], cycles=1,
-                          global_dims=(20, 20, 20), mode="strong")
+                          global_dims=(20, 20, 20))
         try:
             run_rank(dist, r, eps[r])
         except RuntimeError as exc:
@@ -388,7 +438,7 @@ def test_run_digest_ignores_timing_only_settings():
 
 def test_halo_width_must_match_pipeline_h():
     topo = RankTopology(2, 1, 1)
-    subs = decompose_domain((20, 20, 20), topo, HaloSpec(4))
+    subs = decompose_domain((20, 20, 20), topo, 4)
     cfg = _cfg(n=1, t=2, T=1, spec=(10, 10, 10))  # h=2, mismatch
     from stencilpipe.halo import RankRuntime
     eps = create_topology(2)

@@ -420,16 +420,6 @@ def test_walker_follows_the_work_table_block_by_block(monkeypatch):
     assert calls == expected
 
 
-@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
-def test_live_range_beyond_the_interior_raises(mode):
-    cfg = _cfg(spec=BlockSpec(12, 4, 4), t=2, grid_mode=mode)
-    g = create_grid(12, 12, 12, pad=cfg.h, init="random", seed=6)
-    engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
-                            live_bounds=lambda ax, u: (0, 13 + cfg.h))
-    with pytest.raises(ValueError, match="leaves the grid interior"):
-        engine.run_passes(1)
-
-
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
 def test_frames_beyond_the_arrays_raise(walk, request):
     # the compiled driver checks no bounds: Python checks the frames first
@@ -606,17 +596,13 @@ def test_one_call_of_passes_equals_one_call_per_pass(mode, walk, request):
     if walk:
         request.getfixturevalue("walker_calls")
     cfg = _cfg(spec=BlockSpec(12, 4, 4), t=2, T=2, grid_mode=mode)
-    phys = {0: (True, True), 1: (True, False), 2: (True, True)}
-
-    def live(ax, u):
-        return (0, 12 - (u if ax == 1 else 0))
-
     g0 = create_grid(12, 12, 12, pad=cfg.h, init="random", seed=12)
     engines = []
     for calls in ([4], [1, 1, 1, 1]):
         g = g0.copy()
         engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
-                                live_bounds=live, physical_sides=phys)
+                                neighbors=((False, False), (False, True),
+                                           (False, False)))
         for count in calls:
             engine.run_passes(count)
         engines.append(engine)
@@ -662,11 +648,8 @@ def test_compressed_ring_restored_at_each_pass_start(walk, request):
     g.data[o - 1:o + nz + 1, o - 1:o + ny + 1, o - 1:o + nx + 1] = g0.data
     g.capture_boundary_faces()
 
-    def live(ax, u):
-        return ((0, nx - u), (u, ny), (0, nz))[ax]
-
-    engine = PipelineEngine(cfg, g, live_bounds=live, physical_sides={
-        0: (True, False), 1: (False, True), 2: (True, True)})
+    engine = PipelineEngine(cfg, g, neighbors=((False, True), (True, False),
+                                               (False, False)))
     owned = (slice(None), slice(h, ny), slice(0, nx - h))  # (z, y, x)
     cycles = 4
     expected = _faces_reference(g0, cycles * h)
@@ -687,14 +670,15 @@ def test_work_table_matches_a_plain_build(mode, direction):
     # x and high z sides as on a rank with neighbours there
     dims, spec = (13, 10, 7), BlockSpec(5, 4, 3)
     cfg = _cfg(spec=spec, t=2, T=2, grid_mode=mode)
-    phys = {0: (False, True), 1: (True, True), 2: (True, False)}
+    nbs = ((True, False), (False, False), (False, True))
 
     def live(ax, u):
-        return (u if ax == 0 else 0, dims[ax] - (u if ax == 2 else 0))
+        lo, hi = nbs[ax]
+        return (u if lo else 0, dims[ax] - (u if hi else 0))
 
     g = create_grid(*dims, pad=cfg.h)
     engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
-                            live_bounds=live, physical_sides=phys)
+                            neighbors=nbs)
     plan = decompose_blocks(g, spec, direction)
     expected = []
     for base, _size in plan.blocks:
@@ -711,8 +695,8 @@ def test_work_table_matches_a_plain_build(mode, direction):
                       else min(max(axis[i + 1] + delta, live_lo), live_hi))
                 row += [lo, hi]
                 if mode == "compressed":
-                    mask |= (lo == live_lo and phys[ax][0]) << 2 * ax
-                    mask |= (hi == live_hi and phys[ax][1]) << 2 * ax + 1
+                    mask |= (lo == live_lo and not nbs[ax][0]) << 2 * ax
+                    mask |= (hi == live_hi and not nbs[ax][1]) << 2 * ax + 1
             rows.append(row + [u, mask])
         expected.append(rows)
     assert engine.work_table(direction).tolist() == expected

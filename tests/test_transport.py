@@ -9,6 +9,7 @@ from stencilpipe.transport import (
     FRAME_HEADER,
     InProcessFabric,
     ProtocolError,
+    TcpEndpoint,
     TransportError,
     create_topology,
     pack_frame,
@@ -227,6 +228,22 @@ def test_tcp_large_payload_integrity():
         for r in range(2)}
     assert res == expect
     for ep in eps:
+        ep.close()
+
+
+def test_tcp_dead_peer_mid_sendrecv_is_transport_error():
+    # a one-rank endpoint dials and listens for nobody; its link to "rank 1"
+    # is one end of a socket pair whose other end is already closed, so the
+    # send fails with BrokenPipeError (an OSError, exit 2 if it escaped)
+    ep = TcpEndpoint(0, [("127.0.0.1", 0)])
+    mine, peer = socket.socketpair()
+    ep._socks[1] = mine
+    peer.close()
+    try:
+        with pytest.raises(TransportError, match="rank 1") as exc:
+            ep.sendrecv(1, bytes(8 << 20), 8 << 20, timeout=10.0)
+        assert isinstance(exc.value.__cause__, OSError)
+    finally:
         ep.close()
 
 
