@@ -13,15 +13,22 @@ diagonally.
 from __future__ import annotations
 
 import hashlib
+import math
+import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import grid
 from .grid import Grid3
 from .pipeline import PipelineConfig, PipelineEngine
-from .transport import ProtocolError, pack_frame, unpack_frame
+from .transport import ProtocolError
+
+# Wire frame of one halo message: axis, side, 2 pad bytes, payload length,
+# cycle index; the payload follows as raw little-endian doubles in send-box
+# storage order.
+FRAME_HEADER = struct.Struct("<BB2xIQ")
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,6 @@ class Subdomain:
     owned: tuple                # (ox, oy, oz)
     has_nb: tuple               # per axis (lo: bool, hi: bool)
     global_origin: tuple        # global coords of local logical (0,0,0)
-    grid: Grid3 | None = None
 
     @property
     def local_dims(self):
@@ -132,7 +138,6 @@ def materialize_subdomain(sub: Subdomain, cfg: PipelineConfig, seed: int = 42,
     grid.fill_field(g, init, value, seed, origin=sub.global_origin,
                     global_dims=sub.global_dims)
     g.capture_boundary_faces()
-    sub.grid = g
     return g
 
 
@@ -148,6 +153,13 @@ class MessageSpec:
     send_box: tuple            # local logical ((xl,xh),(yl,yh),(zl,zh))
     recv_box: tuple
     nbytes: int
+    # header plus payload, rewritten by every exchange of this message
+    frame: bytearray = field(compare=False, repr=False)
+
+    @property
+    def shape(self):
+        """(z, y, x) extents of the send box, which the receive box shares."""
+        return tuple(hi - lo for lo, hi in reversed(self.send_box))
 
 
 def build_halo_plan(sub: Subdomain) -> list:
@@ -179,12 +191,11 @@ def build_halo_plan(sub: Subdomain) -> list:
                 recv_span = (lo + o, lo + o + h)
             send_box = tuple(send_span if a == axis else tang[a] for a in range(3))
             recv_box = tuple(recv_span if a == axis else tang[a] for a in range(3))
-            cells = 1
-            for b in send_box:
-                cells *= b[1] - b[0]
+            nbytes = 8 * math.prod(hi - lo for lo, hi in send_box)
             msgs.append(MessageSpec(axis=axis, side=side, neighbor=nb,
                                     send_box=send_box, recv_box=recv_box,
-                                    nbytes=cells * 8))
+                                    nbytes=nbytes,
+                                    frame=bytearray(FRAME_HEADER.size + nbytes)))
     return msgs
 
 
@@ -195,33 +206,28 @@ def _box_slices(g: Grid3, box):
             slice(xl + off, xh + off))
 
 
-def exchange_multilayer_halos(sub: Subdomain, plan: list, ep,
+def exchange_multilayer_halos(g: Grid3, plan: list, ep,
                               cycle_index: int = 0, timings=None) -> None:
     """Three sequential axis phases, one full-duplex message per neighbored
-    side; afterwards every halo cell (faces, edges, corners) holds its
-    owner's value."""
-    g = sub.grid
+    side; afterwards every halo cell of g (faces, edges, corners) holds its
+    owner's value.  Each message goes out from its plan entry's frame, and
+    the peer's frame must carry the mirror header before any cell changes."""
     t = timings if timings is not None else {}
     for m in plan:
         t0 = time.perf_counter()
-        view = g.data[_box_slices(g, m.send_box)]
-        payload = np.ascontiguousarray(view).astype("<f8", copy=False).tobytes()
-        frame = pack_frame(m.axis, m.side, cycle_index, payload)
+        FRAME_HEADER.pack_into(m.frame, 0, m.axis, m.side, m.nbytes, cycle_index)
+        payload = np.frombuffer(m.frame, "<f8", offset=FRAME_HEADER.size)
+        payload.reshape(m.shape)[...] = g.data[_box_slices(g, m.send_box)]
         t1 = time.perf_counter()
-        incoming = ep.sendrecv(m.neighbor, frame,
-                               len(payload) + 16)
+        incoming = ep.sendrecv(m.neighbor, m.frame, len(m.frame))
         t2 = time.perf_counter()
-        axis, side, cycle, data = unpack_frame(incoming)
-        if axis != m.axis or side != 1 - m.side or cycle != cycle_index:
+        header = FRAME_HEADER.unpack_from(incoming)
+        if header != (m.axis, 1 - m.side, m.nbytes, cycle_index):
             raise ProtocolError(
-                f"rank {sub.rank}: unexpected frame (axis={axis}, side={side}, "
-                f"cycle={cycle}) for message {m.axis}/{m.side}/{cycle_index}")
-        if len(data) != m.nbytes:
-            raise ProtocolError(
-                f"rank {sub.rank}: payload {len(data)} bytes, expected {m.nbytes}")
-        shape = tuple(b[1] - b[0] for b in reversed(m.recv_box))
-        g.data[_box_slices(g, m.recv_box)] = \
-            np.frombuffer(data, dtype="<f8").reshape(shape)
+                f"rank {ep.rank}: unexpected frame (axis, side, length, "
+                f"cycle) = {header} for message {m.axis}/{m.side}/{cycle_index}")
+        g.data[_box_slices(g, m.recv_box)] = np.frombuffer(
+            incoming, "<f8", offset=FRAME_HEADER.size).reshape(m.shape)
         t3 = time.perf_counter()
         t["pack_s"] = t.get("pack_s", 0.0) + (t1 - t0)
         t["transfer_s"] = t.get("transfer_s", 0.0) + (t2 - t1)
@@ -244,9 +250,8 @@ class RankRuntime:
         self.sub = sub
         self.cfg = cfg
         self.ep = ep
-        materialize_subdomain(sub, cfg, seed=seed, init=init, value=value)
-        grids = (sub.grid if cfg.grid_mode == "compressed"
-                 else (sub.grid, sub.grid.copy()))
+        g = materialize_subdomain(sub, cfg, seed=seed, init=init, value=value)
+        grids = g if cfg.grid_mode == "compressed" else (g, g.copy())
         self.engine = PipelineEngine(cfg, grids, neighbors=sub.has_nb)
         self.plan = build_halo_plan(sub)
         self.timings = {"compute_s": 0.0}
@@ -272,9 +277,9 @@ class RankRuntime:
         pass_stats = self.engine.run_passes(1)
         self.timings["compute_s"] += time.perf_counter() - t0
         # only the grid holding the latest update level needs fresh halos
-        self.sub.grid = self.engine.current_grid()
-        exchange_multilayer_halos(self.sub, self.plan, self.ep,
-                                  cycle_index=index, timings=self.timings)
+        exchange_multilayer_halos(self.engine.current_grid(), self.plan,
+                                  self.ep, cycle_index=index,
+                                  timings=self.timings)
         return pass_stats
 
     def owned_view(self):

@@ -13,16 +13,10 @@ from __future__ import annotations
 import selectors
 import socket
 import struct
-import threading
 import time
-from dataclasses import dataclass
 from queue import Empty, SimpleQueue
 
 from .flatfile import flat_lines
-
-# Wire frame for halo payloads: axis, side, 2 pad bytes, payload length,
-# cycle index; payload follows as raw little-endian doubles.
-FRAME_HEADER = struct.Struct("<BB2xIQ")
 
 
 class TransportError(RuntimeError):
@@ -31,38 +25,6 @@ class TransportError(RuntimeError):
 
 class ProtocolError(TransportError):
     pass
-
-
-def pack_frame(axis: int, side: int, cycle_index: int, payload: bytes) -> bytes:
-    return FRAME_HEADER.pack(axis, side, len(payload), cycle_index) + payload
-
-
-def unpack_frame(data: bytes):
-    if len(data) < FRAME_HEADER.size:
-        raise ProtocolError(f"frame shorter than header: {len(data)} bytes")
-    axis, side, length, cycle = FRAME_HEADER.unpack_from(data)
-    payload = data[FRAME_HEADER.size:]
-    if len(payload) != length:
-        raise ProtocolError(
-            f"frame length mismatch: header says {length}, got {len(payload)}")
-    return axis, side, cycle, payload
-
-
-@dataclass
-class Endpoint:
-    """One rank's attachment to the fabric."""
-    rank: int
-    ranks: int
-
-    def sendrecv(self, neighbor: int, outgoing: bytes, expected_len: int,
-                 timeout: float = 60.0) -> bytes:
-        raise NotImplementedError
-
-    def barrier(self, timeout: float = 60.0) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -81,24 +43,24 @@ class InProcessFabric:
         self.ranks = ranks
         self._queues = {(a, b): SimpleQueue()
                         for a in range(ranks) for b in range(ranks) if a != b}
-        self._barrier = threading.Barrier(ranks)
         self.aborted = False
 
     def endpoints(self):
         return [InProcessEndpoint(r, self) for r in range(self.ranks)]
 
     def abort(self) -> None:
-        """Fail every pending and later sendrecv and barrier with
-        TransportError, so that one rank's error ends its peers at once."""
+        """Fail every pending and later sendrecv with TransportError, so
+        that one rank's error ends its peers at once."""
         self.aborted = True
         for q in self._queues.values():
             q.put(_ABORTED)
-        self._barrier.abort()
 
 
-class InProcessEndpoint(Endpoint):
+class InProcessEndpoint:
+    """One rank's attachment to an in-process fabric."""
+
     def __init__(self, rank: int, fabric: InProcessFabric):
-        super().__init__(rank=rank, ranks=fabric.ranks)
+        self.rank, self.ranks = rank, fabric.ranks
         self._fabric = fabric
 
     def sendrecv(self, neighbor, outgoing, expected_len, timeout=60.0):
@@ -106,6 +68,8 @@ class InProcessEndpoint(Endpoint):
             raise TransportError(f"rank {self.rank}: bad neighbor {neighbor}")
         if self._fabric.aborted:
             raise TransportError(f"rank {self.rank}: the fabric was aborted")
+        # a snapshot: the sender rewrites its buffer for its next message
+        # while the peer may not have read this one yet
         self._fabric._queues[(self.rank, neighbor)].put(bytes(outgoing))
         try:
             incoming = self._fabric._queues[(neighbor, self.rank)].get(timeout=timeout)
@@ -120,12 +84,6 @@ class InProcessEndpoint(Endpoint):
                 f"rank {self.rank}: expected {expected_len} bytes from "
                 f"{neighbor}, got {len(incoming)}")
         return incoming
-
-    def barrier(self, timeout=60.0):
-        try:
-            self._fabric._barrier.wait(timeout=timeout)
-        except threading.BrokenBarrierError:
-            raise TransportError(f"rank {self.rank}: barrier broken")
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +103,12 @@ def parse_rankfile(text: str):
     return [entries[r] for r in sorted(entries)]
 
 
-class TcpEndpoint(Endpoint):
+class TcpEndpoint:
     """Full mesh of loopback/LAN sockets.  For every pair (i, j) with i < j,
     i listens and j connects; a one-byte hello identifies the dialing rank."""
 
     def __init__(self, rank: int, addresses, connect_timeout: float = 30.0):
-        super().__init__(rank=rank, ranks=len(addresses))
+        self.rank, self.ranks = rank, len(addresses)
         self._socks = {}
         host, port = addresses[rank]
         lower = list(range(rank))                   # we dial these
@@ -206,7 +164,7 @@ class TcpEndpoint(Endpoint):
             sock = self._socks[neighbor]
         except KeyError:
             raise TransportError(f"rank {self.rank}: no link to {neighbor}")
-        outgoing = memoryview(bytes(outgoing))
+        outgoing = memoryview(outgoing)  # sent from the caller's buffer
         incoming = bytearray(expected_len)
         got = 0
         sent = 0
@@ -247,15 +205,7 @@ class TcpEndpoint(Endpoint):
         finally:
             sel.close()
             sock.setblocking(True)
-        return bytes(incoming)
-
-    def barrier(self, timeout=60.0):
-        # rank 0 collects a token from everyone, then releases everyone
-        if self.rank == 0:
-            for peer in range(1, self.ranks):
-                self.sendrecv(peer, b"B", 1, timeout=timeout)
-        else:
-            self.sendrecv(0, b"B", 1, timeout=timeout)
+        return incoming
 
     def close(self):
         for s in self._socks.values():
@@ -265,13 +215,10 @@ class TcpEndpoint(Endpoint):
                 pass
 
 
-def create_topology(ranks: int):
-    """The in-process fabric: one endpoint per rank, all pairs reachable.
-    TCP ranks each build their own endpoint with :func:`tcp_endpoint`."""
-    return InProcessFabric(ranks).endpoints()
-
-
 def tcp_endpoint(rank: int, addresses, connect_timeout: float = 30.0) -> TcpEndpoint:
+    """Connect this rank to every other, then wait until all ranks have: rank
+    0 collects a token from each peer and so releases them."""
     ep = TcpEndpoint(rank, addresses, connect_timeout)
-    ep.barrier()
+    for peer in range(1, ep.ranks) if rank == 0 else (0,):
+        ep.sendrecv(peer, b"B", 1)
     return ep

@@ -1,3 +1,5 @@
+import socket
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,16 @@ def assert_bitwise(actual: np.ndarray, expected: np.ndarray):
         diff = np.flatnonzero(actual != expected)
         raise AssertionError(
             f"grids differ at {diff.size} cells (first flat index {diff[0]})")
+
+
+def free_ports(count):
+    """Loopback ports that were free a moment ago, all distinct."""
+    socks = []
+    for _ in range(count):
+        s = socket.socket()
+        s.bind(("127.0.0.1", 0))
+        socks.append(s)
+    ports = [s.getsockname()[1] for s in socks]
+    for s in socks:
+        s.close()
+    return ports

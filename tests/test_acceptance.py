@@ -5,7 +5,6 @@ the closed-form model values, stated brackets for the cycle model, and the
 frozen regression anchors for the halo model."""
 
 import os
-import socket
 import subprocess
 import sys
 import time
@@ -36,6 +35,7 @@ from stencilpipe.perfmodel import (
     load_network_model,
     multihalo_advantage,
 )
+from tests.conftest import free_ports
 
 SIZE = 60
 SEED = 42
@@ -93,7 +93,7 @@ def _h_config(h, mode):
                           d_l=1, d_u=3, grid_mode=mode)
 
 
-def test_criterion_2_distributed_oracle(oracle):
+def test_criterion_2_distributed_oracle(oracle, tmp_path):
     """Assembled distributed results equal 2h reference sweeps for every
     required topology and halo width, plus one real TCP loopback run."""
     cases = 0
@@ -111,29 +111,13 @@ def test_criterion_2_distributed_oracle(oracle):
             assert np.array_equal(assembled.interior_view(), expected), (
                 f"mismatch at topo={topo_dims} h={h} mode={mode}")
             cases += 1
-    tcp_cells = _tcp_loopback_check(oracle)
+    tcp_cells = _tcp_loopback_check(oracle, str(tmp_path))
     report(2, f"{cases} in-process topology/halo cases plus a 2-rank TCP "
               f"loopback run ({tcp_cells} cells) bitwise equal to the oracle")
 
 
-def _free_ports(count):
-    socks = []
-    for _ in range(count):
-        s = socket.socket()
-        s.bind(("127.0.0.1", 0))
-        socks.append(s)
-    ports = [s.getsockname()[1] for s in socks]
-    for s in socks:
-        s.close()
-    return ports
-
-
-def _tcp_loopback_check(oracle, tmp_base="/tmp/stencilpipe_tcp_test"):
-    import shutil
-
-    shutil.rmtree(tmp_base, ignore_errors=True)
-    os.makedirs(tmp_base, exist_ok=True)
-    ports = _free_ports(2)
+def _tcp_loopback_check(oracle, tmp_base):
+    ports = free_ports(2)
     rankfile = os.path.join(tmp_base, "ranks.txt")
     with open(rankfile, "w") as f:
         for r, p in enumerate(ports):
@@ -156,7 +140,6 @@ def _tcp_loopback_check(oracle, tmp_base="/tmp/stencilpipe_tcp_test"):
         [left.interior_view(), right.interior_view()], axis=2)
     expected = oracle.after_sweeps(SIZE, SEED, 2 * 2)  # h=2, 2 cycles
     assert np.array_equal(combined, expected), "TCP run mismatch"
-    shutil.rmtree(tmp_base, ignore_errors=True)
     return combined.size
 
 

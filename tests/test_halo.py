@@ -8,6 +8,7 @@ from stencilpipe import BlockSpec, PipelineConfig, grid, pipeline
 from stencilpipe.grid import Grid3, create_grid, fill_field
 from stencilpipe.kernel import reference_sweep
 from stencilpipe.halo import (
+    FRAME_HEADER,
     DistConfig,
     RankRuntime,
     RankTopology,
@@ -20,8 +21,8 @@ from stencilpipe.halo import (
     run_distributed_inprocess,
     run_rank,
 )
-from stencilpipe.transport import ProtocolError, create_topology
-from tests.conftest import assert_bitwise
+from stencilpipe.transport import InProcessFabric, ProtocolError, tcp_endpoint
+from tests.conftest import assert_bitwise, free_ports
 
 
 def _cfg(n=1, t=1, T=1, mode="two_grid", spec=(20, 10, 10), **kw):
@@ -30,7 +31,7 @@ def _cfg(n=1, t=1, T=1, mode="two_grid", spec=(20, 10, 10), **kw):
 
 
 def _run_ranks(subs, fn):
-    eps = create_topology(len(subs))
+    eps = InProcessFabric(len(subs)).endpoints()
     errs, out = [], [None] * len(subs)
 
     def body(r):
@@ -154,7 +155,7 @@ def test_single_layer_exchange_classic():
         g = materialize_subdomain(sub, cfg, init="constant",
                                   value=float(sub.rank + 1))
         plan = build_halo_plan(sub)
-        exchange_multilayer_halos(sub, plan, ep)
+        exchange_multilayer_halos(g, plan, ep)
         return g
 
     grids = _run_ranks(subs, body)
@@ -183,7 +184,7 @@ def test_rank_id_fill_ownership_oracle(topo_dims, h):
         g.interior_view()[ob[2][0]:ob[2][1], ob[1][0]:ob[1][1],
                           ob[0][0]:ob[0][1]] = float(sub.rank)
         plan = build_halo_plan(sub)
-        exchange_multilayer_halos(sub, plan, ep)
+        exchange_multilayer_halos(g, plan, ep)
         return (sub, g)
 
     for sub, g in _run_ranks(subs, body):
@@ -211,12 +212,78 @@ def test_exchange_idempotent():
     def body(sub, ep):
         g = materialize_subdomain(sub, cfg, seed=5)
         plan = build_halo_plan(sub)
-        exchange_multilayer_halos(sub, plan, ep, cycle_index=0)
+        exchange_multilayer_halos(g, plan, ep, cycle_index=0)
         first = g.data.copy()
-        exchange_multilayer_halos(sub, plan, ep, cycle_index=0)
+        exchange_multilayer_halos(g, plan, ep, cycle_index=0)
         return np.array_equal(g.data, first)
 
     assert all(_run_ranks(subs, body))
+
+
+class _ScriptedEndpoint:
+    """Records every frame it is handed and answers each with the next
+    scripted reply, so that one rank's exchange runs without a peer."""
+
+    def __init__(self, rank, replies):
+        self.rank = rank
+        self.replies = list(replies)
+        self.sent = []
+
+    def sendrecv(self, neighbor, outgoing, expected_len, timeout=60.0):
+        self.sent.append((neighbor, bytes(outgoing)))
+        return self.replies.pop(0)
+
+
+def _frame(header, nbytes, fill=-1.0):
+    return FRAME_HEADER.pack(*header) + np.full(nbytes // 8, fill).tobytes()
+
+
+def _box(iv, box):
+    (xl, xh), (yl, yh), (zl, zh) = box
+    return iv[zl:zh, yl:yh, xl:xh]
+
+
+def test_exchange_sends_the_documented_wire_frame():
+    # rank 0 of 2x1x2 sends one x and one z message, each to its high side;
+    # the z message forwards the x halo that the first reply filled with -1
+    sub = decompose_domain((12, 8, 12), RankTopology(2, 1, 2), 2)[0]
+    g = materialize_subdomain(sub, _cfg(spec=(4, 4, 4)), seed=3)
+    plan = build_halo_plan(sub)
+    assert [(m.axis, m.side) for m in plan] == [(0, 1), (2, 1)]
+    cycle = 5
+    ep = _ScriptedEndpoint(0, [_frame((m.axis, 0, m.nbytes, cycle), m.nbytes)
+                               for m in plan])
+    iv = g.interior_view().copy()
+    expected = []
+    for m in plan:
+        payload = _box(iv, m.send_box).astype("<f8").tobytes()
+        # axis u8, side u8, 2 pad bytes, payload length u32, cycle u64
+        header = (bytes([m.axis, m.side, 0, 0])
+                  + len(payload).to_bytes(4, "little")
+                  + cycle.to_bytes(8, "little"))
+        assert header == FRAME_HEADER.pack(m.axis, m.side, m.nbytes, cycle)
+        expected.append((m.neighbor, header + payload))
+        _box(iv, m.recv_box)[...] = -1.0
+    exchange_multilayer_halos(g, plan, ep, cycle_index=cycle)
+    assert FRAME_HEADER.size == 16
+    assert ep.sent == expected
+    assert_bitwise(g.interior_view(), iv)
+
+
+@pytest.mark.parametrize("bad", ["cycle", "side", "length"])
+def test_unexpected_peer_frame_is_rejected_before_any_cell_changes(bad):
+    sub = decompose_domain((12, 8, 8), RankTopology(2, 1, 1), 2)[1]
+    g = materialize_subdomain(sub, _cfg(spec=(4, 4, 4)), seed=3)
+    (m,) = build_halo_plan(sub)
+    assert (m.axis, m.side) == (0, 0)
+    header = {"cycle": (0, 1, m.nbytes, 8), "side": (0, 0, m.nbytes, 7),
+              "length": (0, 1, m.nbytes - 8, 7)}[bad]
+    # the frame has the full expected length: only its header is wrong
+    ep = _ScriptedEndpoint(1, [_frame(header, m.nbytes)])
+    before = g.data.copy()
+    with pytest.raises(ProtocolError, match="rank 1: unexpected frame"):
+        exchange_multilayer_halos(g, [m], ep, cycle_index=7)
+    assert_bitwise(g.data, before)
 
 
 def test_message_count_two_per_axis_regardless_of_h():
@@ -275,6 +342,16 @@ def test_distributed_cycles_match_undecomposed_oracle(topo_dims, nt, T, mode,
                    oracle.after_sweeps(40, 42, cfg.h * 2))
 
 
+def _swept(dims, seed, sweeps):
+    """The whole random-init grid after that many reference sweeps."""
+    a = create_grid(*dims, init="random", seed=seed)
+    b = a.copy()
+    for _ in range(sweeps):
+        reference_sweep(a, b)
+        a, b = b, a
+    return a
+
+
 def _fill_with_ring(real):
     """``fill_field`` that also gives the global Dirichlet ring nonzero
     values, each a function of its cell's global position, so that a whole
@@ -309,16 +386,48 @@ def test_distributed_cycles_match_the_oracle_with_a_nonzero_ring(
                             lambda *args: real(*args))
     dims, seed, cycles = (24, 24, 16), 5, 3
     cfg = _cfg(t=2, T=2, mode=mode, spec=(8, 8, 8))
-    a = create_grid(*dims, init="random", seed=seed)
-    assert all(np.all(f > 0) for f in a.boundary_faces.values())
-    b = a.copy()
-    for _ in range(cycles * cfg.h):
-        reference_sweep(a, b)
-        a, b = b, a
+    expected = _swept(dims, seed, cycles * cfg.h)
+    assert all(np.all(f > 0) for f in expected.boundary_faces.values())
     dist = DistConfig(topo=RankTopology(*topo_dims), cfg=cfg, cycles=cycles,
                       global_dims=dims, seed=seed)
     assembled = assemble_global(run_distributed_inprocess(dist))
-    assert_bitwise(assembled.interior_view(), a.interior_view())
+    assert_bitwise(assembled.interior_view(), expected.interior_view())
+
+
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+def test_tcp_ranks_reusing_their_frames_match_the_oracle(mode):
+    # 2x2x1: every rank sends two messages per cycle, each from the same
+    # frame buffer in every cycle, over real loopback sockets
+    dims, seed, cycles = (24, 24, 16), 3, 3
+    cfg = _cfg(t=2, T=1, mode=mode, spec=(8, 8, 8))
+    dist = DistConfig(topo=RankTopology(2, 2, 1), cfg=cfg, cycles=cycles,
+                      global_dims=dims, seed=seed)
+    addresses = [("127.0.0.1", port) for port in free_ports(4)]
+    eps, out, errors = [None] * 4, [None] * 4, []
+
+    def body(r):
+        try:
+            eps[r] = tcp_endpoint(r, addresses)
+            out[r] = run_rank(dist, r, eps[r])
+        except Exception as exc:  # unblock the peers
+            errors.append(exc)
+            for ep in eps:
+                if ep is not None:
+                    ep.close()
+
+    ts = [threading.Thread(target=body, args=(r,), daemon=True)
+          for r in range(4)]
+    for t in ts:
+        t.start()
+    for t in ts:
+        t.join(timeout=60)
+    for ep in eps:
+        if ep is not None:
+            ep.close()
+    assert not errors and not any(t.is_alive() for t in ts)
+    assert all(rt.timings["messages"] == 2 * cycles for rt in out)
+    assert_bitwise(assemble_global(out).interior_view(),
+                   _swept(dims, seed, cycles * cfg.h).interior_view())
 
 
 def test_per_phase_timings_reported():
@@ -363,7 +472,7 @@ def test_rank_error_ends_its_inprocess_peers(monkeypatch):
 
 def test_config_hash_mismatch_aborts():
     topo = RankTopology(2, 1, 1)
-    eps = create_topology(2)
+    eps = InProcessFabric(2).endpoints()
     cfgs = [_cfg(n=1, t=2, T=1, spec=(10, 10, 10)),
             _cfg(n=1, t=2, T=1, d_u=7, spec=(10, 10, 10))]
     errs = []
@@ -386,7 +495,7 @@ def test_config_hash_mismatch_aborts():
 
 def test_handshake_rejects_ranks_that_differ_only_in_init():
     topo = RankTopology(2, 1, 1)
-    eps = create_topology(2)
+    eps = InProcessFabric(2).endpoints()
     cfg = _cfg(n=1, t=2, T=1, spec=(10, 10, 10))
     errs = []
 
@@ -441,6 +550,6 @@ def test_halo_width_must_match_pipeline_h():
     subs = decompose_domain((20, 20, 20), topo, 4)
     cfg = _cfg(n=1, t=2, T=1, spec=(10, 10, 10))  # h=2, mismatch
     from stencilpipe.halo import RankRuntime
-    eps = create_topology(2)
+    eps = InProcessFabric(2).endpoints()
     with pytest.raises(ValueError):
         RankRuntime(subs[0], cfg, eps[0])

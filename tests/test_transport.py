@@ -6,33 +6,18 @@ import pytest
 
 from stencilpipe.grid import splitmix64_unit
 from stencilpipe.transport import (
-    FRAME_HEADER,
     InProcessFabric,
     ProtocolError,
     TcpEndpoint,
     TransportError,
-    create_topology,
-    pack_frame,
     parse_rankfile,
     tcp_endpoint,
-    unpack_frame,
 )
-
-
-def _free_ports(count):
-    socks, ports = [], []
-    for _ in range(count):
-        s = socket.socket()
-        s.bind(("127.0.0.1", 0))
-        ports.append(s.getsockname()[1])
-        socks.append(s)
-    for s in socks:
-        s.close()
-    return ports
+from tests.conftest import free_ports
 
 
 def _tcp_pair():
-    ports = _free_ports(2)
+    ports = free_ports(2)
     addrs = [("127.0.0.1", ports[0]), ("127.0.0.1", ports[1])]
     eps = [None, None]
 
@@ -47,31 +32,15 @@ def _tcp_pair():
     return eps
 
 
-def test_frame_header_is_sixteen_bytes():
-    assert FRAME_HEADER.size == 16
-
-
-def test_frame_roundtrip():
-    payload = b"\x01\x02" * 10
-    frame = pack_frame(2, 1, 77, payload)
-    assert len(frame) == 16 + len(payload)
-    assert unpack_frame(frame) == (2, 1, 77, payload)
-
-
-def test_frame_length_mismatch_detected():
-    frame = pack_frame(0, 0, 1, b"abcd")
-    with pytest.raises(ProtocolError):
-        unpack_frame(frame[:-1])
-
-
 def test_single_rank_is_trivially_connected():
-    (ep,) = create_topology(1)
-    ep.barrier(timeout=1.0)
-    assert ep.ranks == 1
+    (ep,) = InProcessFabric(1).endpoints()
+    assert (ep.rank, ep.ranks) == (0, 1)
+    with pytest.raises(TransportError, match="bad neighbor"):
+        ep.sendrecv(0, b"x", 1)
 
 
 def test_eight_inprocess_ranks_all_pairs_reachable():
-    eps = create_topology(8)
+    eps = InProcessFabric(8).endpoints()
     assert len(eps) == 8
 
     def ping(ep):
@@ -90,7 +59,7 @@ def test_eight_inprocess_ranks_all_pairs_reachable():
 
 
 def test_inproc_zero_length_payload():
-    eps = create_topology(2)
+    eps = InProcessFabric(2).endpoints()
     out = {}
 
     def go(r):
@@ -105,7 +74,7 @@ def test_inproc_zero_length_payload():
 
 
 def test_inproc_length_mismatch_is_protocol_error():
-    eps = create_topology(2)
+    eps = InProcessFabric(2).endpoints()
     res = {}
 
     def a():
@@ -147,7 +116,7 @@ def test_fabric_abort_fails_pending_and_later_calls():
 
     ts = [threading.Thread(target=wait, daemon=True, args=(call,))
           for call in (lambda: eps[1].sendrecv(0, b"x", 1),
-                       lambda: eps[2].barrier())]
+                       lambda: eps[2].sendrecv(1, b"z", 1))]
     for t in ts:
         t.start()
     fabric.abort()
@@ -257,13 +226,13 @@ def test_rankfile_parsing():
 
 
 def test_tcp_connect_timeout_names_offender():
-    ports = _free_ports(2)
+    ports = free_ports(2)
     addrs = [("127.0.0.1", ports[0]), ("127.0.0.1", ports[1])]
     with pytest.raises(TransportError) as exc:
         tcp_endpoint(1, addrs, connect_timeout=0.3)  # rank 0 never shows up
     assert "0" in str(exc.value)
 
 
-def test_create_topology_rejects_zero_ranks():
+def test_fabric_rejects_zero_ranks():
     with pytest.raises(ValueError):
-        create_topology(0)
+        InProcessFabric(0)
