@@ -12,13 +12,12 @@ from .grid import (
 )
 from .kernel import reference_sweep, spatial_blocked_sweep
 from .pipeline import (
-    EffectiveDistances,
     PipelineConfig,
     PipelineDeadlock,
     PipelineEngine,
     RunStats,
-    SyncCounters,
     ThreadStats,
+    effective_distances,
     estimate_max_distance,
     run_pipelined,
 )

@@ -79,7 +79,8 @@ class RunConfig:
 
 
 def parse_span(text: str):
-    """Sweep grammar: 'lo:hi:step' (inclusive, step optional) or 'a,b,c'."""
+    """Sweep grammar: 'lo:hi:step' (inclusive, step optional) or 'a,b,c'.
+    A span that yields no value is an error, not an empty sweep."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) == 2:
@@ -90,8 +91,12 @@ def parse_span(text: str):
             raise ValueError(f"bad range {text!r}")
         if step < 1:
             raise ValueError(f"bad range step in {text!r}")
-        return list(range(lo, hi + 1, step))
-    return [int(p) for p in text.split(",") if p != ""]
+        values = list(range(lo, hi + 1, step))
+    else:
+        values = [int(p) for p in text.split(",") if p != ""]
+    if not values:
+        raise ValueError(f"span {text!r} holds no values")
+    return values
 
 
 def _config_from_args(args) -> RunConfig:

@@ -76,9 +76,9 @@ class Grid3:
                              f"expected storage shape {expected}")
         self.data = data
         # Dirichlet face values in logical coordinates, captured once the ring
-        # is filled (see create_grid); needed to re-materialize the ring at
-        # shifted positions during compressed sweeps.
-        self.boundary_faces = {}
+        # is filled (capture_boundary_faces); needed to re-materialize the
+        # ring at shifted positions during compressed sweeps.
+        self.faces = ()
 
     @property
     def origin(self) -> int:
@@ -101,24 +101,24 @@ class Grid3:
         return self.data[o:o + self.nz, o:o + self.ny, o:o + self.nx]
 
     def capture_boundary_faces(self):
-        """Record the six Dirichlet face layers (interior-extent only; ring
-        edges and corners are never read by the 7-point stencil)."""
+        """Record the six Dirichlet face layers as ``faces``, C-contiguous
+        (z, y, x) arrays without the face's own axis, at index
+        ``2*axis + side`` (the work table's side bit).  Interior extent only:
+        ring edges and corners are never read by the 7-point stencil."""
         o = self.origin - self.alignment
-        nx, ny, nz = self.nx, self.ny, self.nz
-        d = self.data
-        self.boundary_faces = {
-            ("x", 0): d[o:o + nz, o:o + ny, o - 1].copy(),
-            ("x", 1): d[o:o + nz, o:o + ny, o + nx].copy(),
-            ("y", 0): d[o:o + nz, o - 1, o:o + nx].copy(),
-            ("y", 1): d[o:o + nz, o + ny, o:o + nx].copy(),
-            ("z", 0): d[o - 1, o:o + ny, o:o + nx].copy(),
-            ("z", 1): d[o + nz, o:o + ny, o:o + nx].copy(),
-        }
+        interior = [slice(o, o + n) for n in (self.nz, self.ny, self.nx)]
+        faces = []
+        for axis, n in enumerate(self.shape):
+            for at in (o - 1, o + n):
+                idx = list(interior)
+                idx[2 - axis] = at
+                faces.append(self.data[tuple(idx)].copy())
+        self.faces = tuple(faces)
 
     def copy(self) -> "Grid3":
         g = Grid3(self.nx, self.ny, self.nz, self.pad,
                   data=self.data.copy(), alignment=self.alignment)
-        g.boundary_faces = {k: v.copy() for k, v in self.boundary_faces.items()}
+        g.faces = tuple(f.copy() for f in self.faces)
         return g
 
     def checksum(self) -> str:

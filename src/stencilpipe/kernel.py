@@ -227,28 +227,24 @@ def _apply_window_numpy(src: np.ndarray, dst: np.ndarray, window,
     dst[zl + do:zh + do, yl + do:yh + do, xl + do:xh + do] = buf
 
 
-def write_ring_strips(dst: np.ndarray, faces: dict, window, dst_off: int,
-                      sides, dims) -> None:
+def write_ring_strips(dst: np.ndarray, faces, window, dst_off: int,
+                      sides: int, dims) -> None:
     """Re-materialize Dirichlet values next to a window in the destination
-    frame.  ``sides`` lists (axis, side) pairs where the window touches a
-    physical domain face; the strip spans the window's extent in the other two
-    axes.  Needed only when the write frame is displaced (compressed mode):
-    the shifted ring position must hold boundary values before the next update
-    level reads them."""
-    (xl, xh), (yl, yh), (zl, zh) = window
-    do = dst_off
-    nx, ny, nz = dims
-    for axis, side in sides:
-        vals = faces[(axis, side)]
-        if axis == "x":
-            p = (-1 if side == 0 else nx) + do
-            dst[zl + do:zh + do, yl + do:yh + do, p] = vals[zl:zh, yl:yh]
-        elif axis == "y":
-            p = (-1 if side == 0 else ny) + do
-            dst[zl + do:zh + do, p, xl + do:xh + do] = vals[zl:zh, xl:xh]
-        else:
-            p = (-1 if side == 0 else nz) + do
-            dst[p, yl + do:yh + do, xl + do:xh + do] = vals[yl:yh, xl:xh]
+    frame.  ``sides`` is a bit mask (bit 2*axis + side, as the work table's)
+    of the physical domain faces the window touches; ``faces`` holds the face
+    values at the same index (``Grid3.faces``).  Each strip spans the window's
+    extent in the other two axes.  Needed only when the write frame is
+    displaced (compressed mode): the shifted ring position must hold boundary
+    values before the next update level reads them."""
+    span = [slice(lo, hi) for lo, hi in window[::-1]]  # (z, y, x)
+    at = [slice(lo + dst_off, hi + dst_off) for lo, hi in window[::-1]]
+    for bit in range(6):
+        if sides >> bit & 1:
+            axis, side = divmod(bit, 2)
+            idx = list(at)
+            idx[2 - axis] = (dims[axis] if side else -1) + dst_off
+            strip = faces[bit][tuple(span[:2 - axis] + span[3 - axis:])]
+            dst[tuple(idx)] = strip
 
 
 def _copy_ring(a: Grid3, b: Grid3) -> None:

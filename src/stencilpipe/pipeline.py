@@ -52,9 +52,6 @@ _STATS = ("blocks", "windows", "cells", "spins", "pred_wait_ns",
  _VIOLATIONS, _SUCC_MAX) = range(len(_STATS))
 _CTL_ABORT, _CTL_COUNT = 0, _SLOT  # then the barrier sense at 2 * _SLOT
 _DONE, _DEADLOCK, _ABORTED = 0, 1, 2
-_SIDES = [(name, side) for name in "xyz" for side in (0, 1)]  # bit 2*ax+side
-_SIDE_LISTS = [[s for bit, s in enumerate(_SIDES) if mask >> bit & 1]
-               for mask in range(1 << len(_SIDES))]
 
 
 class PipelineDeadlock(RuntimeError):
@@ -110,45 +107,16 @@ class PipelineConfig:
         return self.n * self.t * self.T
 
 
-class SyncCounters:
-    """Per-thread monotone block counters, one 64-byte slot each.
-
-    Only thread i writes c_i (single-writer); everyone may read.  The
-    compiled driver loads them with acquire and stores them with release
-    semantics.
-    """
-
-    def __init__(self, count: int):
-        self._slots = np.zeros(count * _SLOT, dtype=np.int64)
-
-    def bump(self, i: int, amount: int = 1) -> None:
-        self._slots[i * _SLOT] += amount
-
-    def reset(self) -> None:
-        self._slots[:] = 0
-
-    def snapshot(self):
-        return self._slots[::_SLOT].tolist()
-
-
-@dataclass(frozen=True)
-class EffectiveDistances:
-    """Per-thread (d_l, d_u) after team-delay adjustment: d_t is added to d_l
-    on each team's front thread and to d_u on its rear thread; the overall
-    front/rear threads have no predecessor/successor constraint at all."""
-    d_l: tuple
-    d_u: tuple
-
-    @classmethod
-    def from_config(cls, cfg: PipelineConfig) -> "EffectiveDistances":
-        nt = cfg.threads
-        dl, du = [], []
-        for g in range(nt):
-            team_front = (g % cfg.t == 0)
-            team_rear = (g % cfg.t == cfg.t - 1)
-            dl.append(cfg.d_l + (cfg.d_t if team_front and g != 0 else 0))
-            du.append(cfg.d_u + (cfg.d_t if team_rear and g != nt - 1 else 0))
-        return cls(d_l=tuple(dl), d_u=tuple(du))
+def effective_distances(cfg: PipelineConfig):
+    """Per-thread (d_l, d_u) int64 arrays, as the compiled driver reads
+    them, after team-delay adjustment: d_t is added to d_l on each team's
+    front thread and to d_u on its rear thread; the overall front/rear
+    threads have no predecessor/successor constraint at all."""
+    g = np.arange(cfg.threads)
+    team_front = (g % cfg.t == 0) & (g != 0)
+    team_rear = (g % cfg.t == cfg.t - 1) & (g != cfg.threads - 1)
+    return (np.where(team_front, cfg.d_l + cfg.d_t, cfg.d_l).astype(np.int64),
+            np.where(team_rear, cfg.d_u + cfg.d_t, cfg.d_u).astype(np.int64))
 
 
 def estimate_max_distance(cache_bytes: float, t: int, spec: BlockSpec) -> int:
@@ -189,14 +157,12 @@ class ThreadStats:
 @dataclass
 class RunStats:
     """Outcome of a pipelined run; one CSV row per run.  ``threads`` holds a
-    ThreadStats per pipeline position, summed over the passes;
-    ``counters_final`` holds the counters at the end of the last pass."""
+    ThreadStats per pipeline position, summed over the passes."""
     wall_seconds: float = 0.0
     mlups: float = 0.0
     updates_total: int = 0
     passes: int = 0
     threads: list = field(default_factory=list)
-    counters_final: list = field(default_factory=list)
     result: Grid3 | None = None
 
     @property
@@ -204,12 +170,8 @@ class RunStats:
         return sum(t.blocks for t in self.threads)
 
     @property
-    def per_thread_spins(self) -> list:
-        return [t.spins for t in self.threads]
-
-    @property
     def spin_iterations_total(self) -> int:
-        return sum(self.per_thread_spins)
+        return sum(t.spins for t in self.threads)
 
     @property
     def pred_gap_min(self) -> int | None:
@@ -275,18 +237,19 @@ class PipelineEngine:
         if len(self.neighbors) != 3:
             raise ValueError(f"neighbors needs one (lo, hi) pair per axis, "
                              f"got {neighbors!r}")
-        # bit 2*axis + side set where that side carries the Dirichlet ring
+        # bit 2*axis + side set where that side carries a Dirichlet ring that
+        # shifted writes must re-materialize (compressed mode only)
         self.ring = sum(1 << 2 * ax + side
                         for ax, pair in enumerate(self.neighbors)
-                        for side, nb in enumerate(pair) if not nb)
+                        for side, nb in enumerate(pair)
+                        if not nb and cfg.grid_mode == "compressed")
         self._tables = {}
-        self.levels_done = 0
         self.passes_done = 0
 
     def current_grid(self) -> Grid3:
         if self.cfg.grid_mode == "compressed":
             return self.grids[0]
-        return self.grids[self.levels_done % 2]
+        return self.grids[self.cfg.h * self.passes_done % 2]
 
     def work_table(self, direction: int) -> np.ndarray:
         """The schedule of a pass in ``direction``, the one both executors
@@ -307,7 +270,6 @@ class PipelineEngine:
         bases = plan.bases
         idx = self._block_index[::direction]
         table = np.empty((plan.total_blocks, cfg.h, _COLS), dtype=np.int64)
-        ring = self.ring if cfg.grid_mode == "compressed" else 0
         for u in range(1, cfg.h + 1):
             delta = -u if direction == 1 else u
             mask = np.zeros(plan.total_blocks, dtype=np.int64)
@@ -322,7 +284,7 @@ class PipelineEngine:
                 mask |= (lo == live_lo).astype(np.int64) << 2 * ax
                 mask |= (hi == live_hi).astype(np.int64) << 2 * ax + 1
             table[:, u - 1, 6] = u
-            table[:, u - 1, 7] = mask & ring
+            table[:, u - 1, 7] = mask & self.ring
         self._tables[direction] = table
         return table
 
@@ -350,17 +312,17 @@ class PipelineEngine:
             run.walk()
         else:
             run.run(range(self.cfg.threads))
-        self.levels_done += self.cfg.h * count
         self.passes_done += count
         if self.cfg.grid_mode == "compressed":
             self.grids[0].alignment = run.alignment_after
-        return RunStats(passes=count, threads=run.thread_stats(),
-                        counters_final=run.counters.snapshot())
+        return RunStats(passes=count, threads=run.thread_stats())
 
 
 class _Run:
     """``count`` passes in flight: their work tables and frames and the
-    state the threads share (counters, control words, stats rows).
+    arrays the threads share (counters, one 64-byte slot per position; the
+    effective distances; control words; stats rows), in the layout the
+    compiled driver reads.
 
     Pass q of the run is the engine's pass ``first + q``; it runs forward
     when that is even and backward when odd.  Level u of a pass reads
@@ -384,23 +346,22 @@ class _Run:
         self.engine, self.count = engine, count
         self.first = engine.passes_done
         self.nt = nt = cfg.threads
-        self.counters = SyncCounters(nt)
-        self.dist = EffectiveDistances.from_config(cfg)
+        self.counters = np.zeros(nt * _SLOT, dtype=np.int64)
+        self.d_l, self.d_u = effective_distances(cfg)
         self.ctl = np.zeros(3 * _SLOT, dtype=np.int64)
         self.ctl[_CTL_COUNT] = nt
         self.stats = np.zeros((nt, len(_STATS)), dtype=np.int64)
         g0 = engine.grids[0]
-        self.faces = g0.boundary_faces
+        self.faces, self.ring = g0.faces, engine.ring
         if cfg.grid_mode == "compressed":
             self.arrays = (g0.data, g0.data)
             self.parity, self.base, self.shifting = 0, g0.origin - g0.alignment, 1
-            self.ring = engine.ring
             self.alignment_after = g0.alignment + (
                 count % 2) * cfg.h * self.direction(0)
         else:
             self.arrays = (g0.data, engine.grids[1].data)
-            self.parity, self.base, self.shifting = engine.levels_done % 2, g0.origin, 0
-            self.ring = 0
+            self.parity = cfg.h * engine.passes_done % 2
+            self.base, self.shifting = g0.origin, 0
         # (forward, backward) tables; None for a direction the run never takes
         used = {self.direction(q) for q in range(min(count, 2))}
         self.tables = [engine.work_table(d) if d in used else None
@@ -456,13 +417,17 @@ class _Run:
                 for n, size in zip(dims, src.shape[::-1])):
             raise ValueError(f"the frames of the run, offsets {first} to "
                              f"{last}, leave the arrays of shape {src.shape}")
-        nx, ny, nz = dims
-        shapes = {"x": (nz, ny), "y": (nz, nx), "z": (ny, nx)}
-        for name, side in _SIDE_LISTS[self.ring]:
-            shape = np.shape(self.faces[(name, side)])
-            if shape != shapes[name]:
-                raise ValueError(f"boundary face {(name, side)} has shape "
-                                 f"{shape}, expected {shapes[name]}")
+        # the driver reads the faces of the ring's sides by raw pointer
+        zyx = dims[::-1]
+        for bit in (b for b in range(6) if self.ring >> b & 1):
+            face = self.faces[bit] if bit < len(self.faces) else None
+            shape = zyx[:2 - bit // 2] + zyx[3 - bit // 2:]
+            if not (isinstance(face, np.ndarray) and face.shape == shape
+                    and face.dtype == np.float64 and face.flags.c_contiguous):
+                raise ValueError(
+                    f"boundary face {bit} (bit 2*axis + side) must be a "
+                    f"C-contiguous float64 array of shape {shape}, as "
+                    "Grid3.capture_boundary_faces makes it")
 
     def _jitter_delays(self):
         """Sleep in seconds per pass, thread and block, drawn from one
@@ -484,12 +449,6 @@ class _Run:
         """The compiled driver's arguments."""
         cfg, (nx, ny, nz) = self.cfg, self.engine.dims
         src, dst = self.arrays
-        faces = [np.ascontiguousarray(self.faces[key], dtype=np.float64)
-                 if self.ring >> bit & 1 else None
-                 for bit, key in enumerate(_SIDES)]
-        d_l = np.array(self.dist.d_l, dtype=np.int64)
-        d_u = np.array(self.dist.d_u, dtype=np.int64)
-        self._keep = (faces, d_l, d_u)  # referenced while the driver runs
         return kernel.RunSpec(
             rows=(ctypes.c_void_p * 2)(
                 *(None if t is None else t.ctypes.data for t in self.tables)),
@@ -500,10 +459,11 @@ class _Run:
             sz=src.strides[0] // src.itemsize, base_off=self.base,
             shifting=self.shifting,
             face=(ctypes.c_void_p * 6)(
-                *(None if f is None else f.ctypes.data for f in faces)),
+                *(self.faces[bit].ctypes.data if self.ring >> bit & 1 else None
+                  for bit in range(6))),
             ring=self.ring, nx=nx, ny=ny, nz=nz,
-            counters=self.counters._slots.ctypes.data,
-            ctl=self.ctl.ctypes.data, d_l=d_l.ctypes.data, d_u=d_u.ctypes.data,
+            counters=self.counters.ctypes.data, ctl=self.ctl.ctypes.data,
+            d_l=self.d_l.ctypes.data, d_u=self.d_u.ctypes.data,
             barrier=cfg.sync_mode == "barrier", watchdog_s=cfg.watchdog_s)
 
     def run(self, positions) -> None:
@@ -541,7 +501,7 @@ class _Run:
                            (_ABORTED, "run aborted")):
             if code in codes.values():
                 raise PipelineDeadlock(
-                    f"{what}; counters = {self.counters.snapshot()}")
+                    f"{what}; counters = {self.counters[::_SLOT].tolist()}")
 
     def abort(self) -> None:
         """Stop every thread of the run at its next wait."""
@@ -561,29 +521,23 @@ class _Run:
         by block, and within a block position by position through its rows
         in level order.  Windows depend only on block, level and direction,
         so this t=1, T=h order of the same table gives the driver's result
-        bit for bit.  Each position's counter is bumped per block, wind-down
-        included, so that ``counters_final`` reads as the driver's."""
-        T, c = self.cfg.T, self.counters
-        relaxed = self.cfg.sync_mode == "relaxed"
-        last_bump = [d + 1 if relaxed else 1 for d in self.dist.d_u]
+        bit for bit."""
+        T = self.cfg.T
         st = [[0] * len(_STATS) for _ in range(self.nt)]
         for own in st:
             own[_GAP_MIN] = own[_SUCC_MAX] = -1
         for q in range(self.count):
             frame = table, _parity, base, _shift = self.frame(q)
-            c.reset()
             if self.ring:
                 dims = self.engine.dims
                 write_ring_strips(self.arrays[0], self.faces,
                                   tuple((0, n) for n in dims), base,
-                                  _SIDE_LISTS[self.ring], dims)
-            last = len(table) - 1
-            for k, rows in enumerate(table.tolist()):
+                                  self.ring, dims)
+            for rows in table.tolist():
                 for g, own in enumerate(st):
                     for row in rows[g * T:(g + 1) * T]:
                         self._walk_row(row, frame, own)
                     own[_BLOCKS] += 1
-                    c.bump(g, last_bump[g] if k == last else 1)
         self.stats[:] = st
 
     def _walk_row(self, row, frame, st):
@@ -599,8 +553,8 @@ class _Run:
         st[_WINDOWS] += 1
         st[_CELLS] += (xh - xl) * (yh - yl) * (zh - zl)
         if sides:
-            write_ring_strips(dst, self.faces, window, dst_off,
-                              _SIDE_LISTS[sides], self.engine.dims)
+            write_ring_strips(dst, self.faces, window, dst_off, sides,
+                              self.engine.dims)
 
 
 def run_pipelined(grids, cfg: PipelineConfig, total_passes: int) -> RunStats:

@@ -171,14 +171,21 @@ class TcpEndpoint:
         deadline = time.monotonic() + timeout
         sock.setblocking(False)
         sel = selectors.DefaultSelector()
+        registered = 0
         try:
-            sel.register(sock, selectors.EVENT_READ | selectors.EVENT_WRITE)
             # interleave writes and reads on one socket so both sides can call
             # sendrecv simultaneously with arbitrarily large payloads
             while sent < len(outgoing) or got < expected_len:
                 if time.monotonic() > deadline:
                     raise TransportError(
                         f"rank {self.rank}: sendrecv with {neighbor} timed out")
+                # only the directions still pending: a socket that can always
+                # be written would end every select at once
+                pending = ((selectors.EVENT_WRITE if sent < len(outgoing) else 0)
+                           | (selectors.EVENT_READ if got < expected_len else 0))
+                if pending != registered:
+                    (sel.modify if registered else sel.register)(sock, pending)
+                    registered = pending
                 events = 0
                 for _key, ev in sel.select(timeout=1.0):
                     events = ev

@@ -32,6 +32,20 @@ def test_parse_span_grammar():
     assert parse_span("2,8,16") == [2, 8, 16]
     with pytest.raises(ValueError):
         parse_span("1:10:0")
+    for empty in ("4:1", "8:1:2", ",", ""):
+        with pytest.raises(ValueError, match="no values"):
+            parse_span(empty)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--grid", "12", "--block", "12,6,6", "--sweep-t", "4:1"],
+    ["sweep", "--grid", "12", "--block", "12,6,6", "--sweep-t", ","],
+    ["model", "--op", "bound", "--machine", "istanbul", "--t-range", "8:1"]])
+def test_empty_span_is_config_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "config error" in err and "no values" in err
+    assert out == ""
 
 
 def test_config_hash_stable_and_sensitive():

@@ -125,13 +125,13 @@ def test_one_field_for_whole_and_rank_grids(init):
                                              o[1]:o[1] + m[1],
                                              o[0]:o[0] + m[0]])
         # the ring on the sides without a neighbour is the global ring
-        for ax, name in enumerate("xyz"):
+        for ax in range(3):
             for side in (0, 1):
                 if not sub.has_nb[ax][side]:
                     face = tuple(slice(o[a], o[a] + m[a])
                                  for a in (2, 1, 0) if a != ax)
-                    assert_bitwise(g.boundary_faces[(name, side)],
-                                   whole.boundary_faces[(name, side)][face])
+                    assert_bitwise(g.faces[2 * ax + side],
+                                   whole.faces[2 * ax + side][face])
     # a grid reaching past the global interior on both sides of every axis:
     # the global ring and beyond hold the rule's background value, the rest
     # equals the whole grid's interior
@@ -387,7 +387,7 @@ def test_distributed_cycles_match_the_oracle_with_a_nonzero_ring(
     dims, seed, cycles = (24, 24, 16), 5, 3
     cfg = _cfg(t=2, T=2, mode=mode, spec=(8, 8, 8))
     expected = _swept(dims, seed, cycles * cfg.h)
-    assert all(np.all(f > 0) for f in expected.boundary_faces.values())
+    assert all(np.all(f > 0) for f in expected.faces)
     dist = DistConfig(topo=RankTopology(*topo_dims), cfg=cfg, cycles=cycles,
                       global_dims=dims, seed=seed)
     assembled = assemble_global(run_distributed_inprocess(dist))

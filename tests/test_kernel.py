@@ -1,3 +1,4 @@
+import itertools
 import shutil
 import sys
 import threading
@@ -7,6 +8,7 @@ import pytest
 
 from stencilpipe import (
     BlockSpec,
+    Grid3,
     PipelineConfig,
     create_grid,
     reference_sweep,
@@ -280,6 +282,42 @@ def test_apply_window_rejects_unsafe_arrays(case):
         a, b, so, do = big[1:, 1:, 1:], big[:-1, :-1, :-1], 1, 2
     with pytest.raises(ValueError):
         kernel.apply_window(a, b, ((0, 4), (0, 4), (0, 4)), so, do)
+
+
+def _ring_layer(g, axis, side, extent):
+    """Logical cells (x, y, z) of the ring layer on one side of ``axis``,
+    spanning ``extent`` ((lo, hi) per axis) on the other two axes."""
+    ranges = [range(lo, hi) for lo, hi in extent]
+    ranges[axis] = [(-1, g.shape[axis])[side]]
+    return itertools.product(*ranges)
+
+
+@pytest.mark.parametrize("bit", range(6))
+def test_faces_and_ring_strips_in_bit_order(bit):
+    # a non-cubic, padded and shifted grid whose cells all differ, so that a
+    # mix-up of axes, sides or storage order shows here
+    g = Grid3(5, 4, 3, pad=2, alignment=1)
+    g.data[...] = np.arange(g.data.size).reshape(g.data.shape)
+    g.capture_boundary_faces()
+    axis, side = divmod(bit, 2)
+    face = g.faces[bit]
+    assert len(g.faces) == 6
+    assert face.dtype == np.float64 and face.flags.c_contiguous
+    others = [a for a in (2, 1, 0) if a != axis]  # (z, y, x) minus axis
+    assert face.shape == tuple(g.shape[a] for a in others)
+    for cell in _ring_layer(g, axis, side, [(0, n) for n in g.shape]):
+        assert face[tuple(cell[a] for a in others)] == g.data[g.index(*cell)]
+    # one side's strip next to an off-origin window, nothing else
+    window = ((1, 4), (2, 4), (1, 2))
+    dst = np.full_like(g.data, -1.0)
+    kernel.write_ring_strips(dst, g.faces, window, g.origin - g.alignment,
+                             1 << bit, g.shape)
+    expected = np.full_like(g.data, -1.0)
+    for cell in _ring_layer(g, axis, side, window):
+        expected[g.index(*cell)] = g.data[g.index(*cell)]
+    assert (expected != -1.0).sum() == np.prod(
+        [hi - lo for a, (lo, hi) in enumerate(window) if a != axis])
+    assert_bitwise(dst, expected)
 
 
 @pytest.fixture

@@ -10,11 +10,12 @@ import pytest
 from stencilpipe import kernel, pipeline
 from stencilpipe import (
     BlockSpec,
-    EffectiveDistances,
+    Grid3,
     PipelineConfig,
     PipelineDeadlock,
     PipelineEngine,
     create_grid,
+    effective_distances,
     estimate_max_distance,
     run_pipelined,
 )
@@ -51,10 +52,11 @@ def _needs_driver():
 
 def test_team_delay_lands_on_front_and_rear_threads():
     cfg = _cfg(n=2, t=3, T=1, d_l=1, d_u=2, d_t=5)
-    d = EffectiveDistances.from_config(cfg)
+    d_l, d_u = effective_distances(cfg)
     # threads 0..5; team fronts: 0, 3; team rears: 2, 5
-    assert d.d_l == (1, 1, 1, 6, 1, 1)  # overall front exempt
-    assert d.d_u == (2, 2, 7, 2, 2, 2)  # overall rear exempt
+    assert d_l.tolist() == [1, 1, 1, 6, 1, 1]  # overall front exempt
+    assert d_u.tolist() == [2, 2, 7, 2, 2, 2]  # overall rear exempt
+    assert d_l.dtype == d_u.dtype == np.int64  # as the compiled driver reads
 
 
 def test_config_invariants_validated():
@@ -186,22 +188,12 @@ def test_instrumented_gaps_respect_distances():
     assert st.succ_gap_max is not None and st.succ_gap_max <= cfg.d_u + cfg.d_t + 1
 
 
-def test_counter_windown_final_values():
-    cfg = _cfg(spec=BlockSpec(12, 6, 6), n=1, t=3, T=1, d_l=1, d_u=2)
-    g0 = create_grid(12, 12, 12, init="random", seed=2)
-    a, b = g0.copy(), g0.copy()
-    st = PipelineEngine(cfg, (a, b)).run_passes(1)
-    dist = EffectiveDistances.from_config(cfg)
-    total = 4  # 12^3 with (12,6,6) blocks
-    assert st.counters_final == [total + dist.d_u[i] for i in range(3)]
-
-
 def test_spin_counts_are_reported():
     cfg = _cfg(spec=BlockSpec(16, 4, 4), n=1, t=4, T=1, grid_mode="compressed")
     g = create_grid(16, 16, 16, pad=cfg.h, init="random", seed=1)
     st = run_pipelined(g, cfg, 2)
-    assert len(st.per_thread_spins) == 4
-    assert st.spin_iterations_total == sum(st.per_thread_spins)
+    assert len(st.threads) == 4
+    assert st.spin_iterations_total == sum(t.spins for t in st.threads)
     assert st.mlups > 0 and st.wall_seconds > 0
 
 
@@ -299,7 +291,6 @@ def test_driver_and_walker_stats_agree(sync, monkeypatch):
         assert (t.spins, t.pred_wait_s, t.succ_wait_s) == (0, 0.0, 0.0)
         assert t.pred_gap_min is None and t.succ_gap_max is None
     assert driven.block_updates == walked.block_updates == 2 * cfg.threads * 16
-    assert driven.counters_final == walked.counters_final
     for d, w in zip(driven.threads, walked.threads):
         assert (d.blocks, d.windows, d.cells) == (w.blocks, w.windows, w.cells)
 
@@ -501,10 +492,6 @@ def test_multi_pass_run_equals_reference(mode, passes, sync, walk, request,
                    oracle.after_sweeps(16, 44, cfg.h * passes))
     assert st.passes == passes and st.pred_violations == 0
     assert st.block_updates == passes * cfg.threads * 16
-    # counters_final: the counters at the end of the last pass
-    dist = EffectiveDistances.from_config(cfg)
-    assert st.counters_final == [16 + (dist.d_u[g] if sync == "relaxed" else 0)
-                                 for g in range(cfg.threads)]
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
@@ -618,10 +605,9 @@ def _faces_reference(g0, levels):
     a, b = g0.copy(), g0.copy()
     whole = tuple((0, n) for n in g0.shape)
     off = a.origin - a.alignment
-    sides = [(name, side) for name in "xyz" for side in (0, 1)]
     out = [a.interior_view().copy()]
     for _ in range(levels):
-        kernel.write_ring_strips(a.data, g0.boundary_faces, whole, off, sides,
+        kernel.write_ring_strips(a.data, g0.faces, whole, off, 0b111111,
                                  g0.shape)
         kernel._apply_window_numpy(a.data, b.data, whole, off, off)
         a, b = b, a
@@ -660,6 +646,42 @@ def test_compressed_ring_restored_at_each_pass_start(walk, request):
         keep = iv[owned].copy()  # the neighbours' halo exchange
         iv[...] = want
         iv[owned] = keep
+    assert g.alignment == 0
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+@pytest.mark.parametrize("case", ["never_captured", "strided", "float32",
+                                  "wrong_shape"])
+def test_compressed_run_rejects_unusable_faces(case, walk, request,
+                                               monkeypatch):
+    # the driver reads the faces by raw pointer: each face the run uses must
+    # be a C-contiguous float64 array of the face's shape, checked before
+    # any thread starts or any cell is written
+    if walk:
+        request.getfixturevalue("walker_calls")
+    cfg = _cfg(t=2, grid_mode="compressed")
+    g = Grid3(12, 12, 12, pad=cfg.h)
+    g.data[...] = 1.0
+    if case != "never_captured":
+        g.capture_boundary_faces()
+        bad = {"strided": np.ones((12, 24))[:, ::2],
+               "float32": np.ones((12, 12), dtype=np.float32),
+               "wrong_shape": np.ones((12, 11))}[case]
+        g.faces = g.faces[:3] + (bad,) + g.faces[4:]
+    started = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self))
+    with pytest.raises(ValueError, match="boundary face [03]"):
+        run_pipelined(g, cfg, 2)
+    assert not started and np.all(g.data == 1.0)
+
+
+def test_a_side_with_a_neighbour_needs_no_face():
+    cfg = _cfg(t=2, grid_mode="compressed")
+    g = create_grid(12, 12, 12, pad=cfg.h)
+    g.faces = g.faces[:3] + (None,) + g.faces[4:]  # bit 3: y high
+    PipelineEngine(cfg, g, neighbors=((False, False), (False, True),
+                                      (False, False))).run_passes(2)
     assert g.alignment == 0
 
 

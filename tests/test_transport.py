@@ -1,6 +1,8 @@
 import hashlib
+import selectors
 import socket
 import threading
+import time
 
 import pytest
 
@@ -214,6 +216,40 @@ def test_tcp_dead_peer_mid_sendrecv_is_transport_error():
         assert isinstance(exc.value.__cause__, OSError)
     finally:
         ep.close()
+
+
+def test_tcp_sendrecv_waits_for_a_late_reply_without_spinning(monkeypatch):
+    # the peer replies 0.3 s after the message is out; from then on the
+    # socket is always writable, so a sendrecv still asking for writes would
+    # return from every select at once (thousands of rounds)
+    selects = []
+
+    class Counting(selectors.DefaultSelector):
+        def select(self, timeout=None):
+            selects.append(timeout)
+            return super().select(timeout)
+
+    monkeypatch.setattr(selectors, "DefaultSelector", Counting)
+    ep = TcpEndpoint(0, [("127.0.0.1", 0)])
+    mine, peer = socket.socketpair()
+    ep._socks[1] = mine
+    message = bytes(range(64))
+
+    def reply():
+        got = peer.recv(len(message), socket.MSG_WAITALL)
+        time.sleep(0.3)
+        peer.sendall(got[::-1])
+
+    replier = threading.Thread(target=reply)
+    replier.start()
+    try:
+        assert ep.sendrecv(1, message, len(message), timeout=10.0) \
+            == message[::-1]
+    finally:
+        replier.join()
+        peer.close()
+        ep.close()
+    assert 0 < len(selects) < 50
 
 
 def test_rankfile_parsing():
