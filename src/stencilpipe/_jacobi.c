@@ -13,6 +13,10 @@
  * that reads it has already been updated.  A row's stores land in another
  * row than any it reads, so x always ascends.
  *
+ * The run driver runs a thread's T levels of a block as a wavefront over
+ * chunks of z planes (run_block), so that each level reads the planes the
+ * level before it has just written while they are still in cache.
+ *
  * The window loop is compiled twice from one body: for baseline x86-64 (SSE2)
  * and, with GCC or clang on x86-64, for AVX2.  The copy is chosen once, when
  * the library loads, from CPUID; apply_window and the run driver both call
@@ -140,6 +144,7 @@ struct run_spec {
 struct frame {                  /* one pass of the run */
     const int64_t *rows;
     int64_t parity, base, shift;
+    int64_t dir;                /* +1 forward (ascending z), -1 backward */
 };
 
 int64_t run_spec_size(void) { return (int64_t)sizeof(struct run_spec); }
@@ -272,21 +277,97 @@ static void ring_strips(const struct run_spec *p, double *dst, const int64_t *r,
     }
 }
 
-static void run_row(const struct run_spec *p, const struct frame *f,
-                    const int64_t *r, int64_t *stats)
+static int empty(const int64_t *r)
 {
-    if (r[XL] >= r[XH] || r[YL] >= r[YH] || r[ZL] >= r[ZH])
-        return;  /* the window slid out of this block's share of the level */
+    return r[XL] >= r[XH] || r[YL] >= r[YH] || r[ZL] >= r[ZH];
+}
+
+static void count_row(const int64_t *r, int64_t *stats)
+{
+    stats[ST_WINDOWS]++;
+    stats[ST_CELLS] += (r[XH] - r[XL]) * (r[YH] - r[YL]) * (r[ZH] - r[ZL]);
+}
+
+/* Planes za..zb-1 of row r's window, then the ring strips next to them.  A
+ * z-face strip waits for the plane next to its face: written earlier, the
+ * low one of a backward pass would overwrite the plane 0 of level u-1 that
+ * this level has yet to read. */
+static void run_planes(const struct run_spec *p, const struct frame *f,
+                       const int64_t *r, int64_t za, int64_t zb)
+{
     const int64_t u = r[LEVEL];
     const ptrdiff_t so = f->base - f->shift * (u - 1);
     const ptrdiff_t o = f->base - f->shift * u;
     double *dst = p->grid[(f->parity + u) & 1];
     jacobi_window(p->grid[(f->parity + u - 1) & 1], dst, p->sy, p->sz, so, o,
-                  r[XL], r[XH], r[YL], r[YH], r[ZL], r[ZH], o > so);
-    stats[ST_WINDOWS]++;
-    stats[ST_CELLS] += (r[XH] - r[XL]) * (r[YH] - r[YL]) * (r[ZH] - r[ZL]);
-    if (r[SIDES])
-        ring_strips(p, dst, r, o);
+                  r[XL], r[XH], r[YL], r[YH], za, zb, o > so);
+    const int64_t strips[NCOL] = {
+        r[XL], r[XH], r[YL], r[YH], za, zb, u,
+        r[SIDES] & ~(za > r[ZL] ? 16 : 0) & ~(zb < r[ZH] ? 32 : 0)};
+    if (strips[SIDES])
+        ring_strips(p, dst, strips, o);
+}
+
+/* The one row of a block when T is 1. */
+static void run_row(const struct run_spec *p, const struct frame *f,
+                    const int64_t *r, int64_t *stats)
+{
+    if (empty(r))
+        return;  /* the window slid out of this block's share of the level */
+    run_planes(p, f, r, r[ZL], r[ZH]);
+    count_row(r, stats);
+}
+
+/* Fewest z planes per chunk: enough that a chunk's x*y window holds at least
+ * this many cells, so that short planes do not cost a window call each. */
+enum { CHUNK_CELLS = 8192 };
+
+/* A block's T rows as a wavefront over chunks of z planes, so that a level
+ * reads the planes the level before it has just written while they are still
+ * in cache.  Each step runs one chunk per level in level order, level i
+ * trailing level i-1 by one plane in the pass's direction.  Windows slide
+ * one cell per level against the traversal, so every plane that level i
+ * reads is then final; in two-grid mode level i overwrites level i-2's
+ * planes only once level i-1 has read them.  Level i's chunk ends at plane
+ * lead - dir*i; lead starts at the first of the levels' starts + dir*i in
+ * the pass's direction and advances one chunk per step, sized by the first
+ * non-empty row's x*y window. */
+static void run_block(const struct run_spec *p, const struct frame *f,
+                      const int64_t *rows, int64_t *stats)
+{
+    const int64_t T = p->T, dir = f->dir;
+    int64_t next[T];            /* each level's first plane not yet run */
+    int64_t lead = 0, area = 0, left = 0;
+    for (int64_t i = 0; i < T; i++) {
+        const int64_t *r = rows + i * NCOL;
+        if (empty(r)) {
+            next[i] = dir > 0 ? r[ZH] : r[ZL];  /* at its end: nothing to run */
+            continue;
+        }
+        next[i] = dir > 0 ? r[ZL] : r[ZH];
+        count_row(r, stats);
+        if (!left || dir * next[i] + i < dir * lead)
+            lead = next[i] + dir * i;
+        if (!left)
+            area = (r[XH] - r[XL]) * (r[YH] - r[YL]);
+        left++;
+    }
+    const int64_t chunk = (CHUNK_CELLS + area - 1) / (area ? area : 1);
+    while (left > 0) {
+        lead += dir * chunk;
+        for (int64_t i = 0; i < T; i++) {
+            const int64_t *r = rows + i * NCOL;
+            const int64_t end = dir > 0 ? r[ZH] : r[ZL];
+            int64_t to = lead - dir * i;
+            if (dir * (to - end) > 0)
+                to = end;
+            if (dir * (to - next[i]) <= 0)
+                continue;
+            run_planes(p, f, r, dir > 0 ? next[i] : to, dir > 0 ? to : next[i]);
+            next[i] = to;
+            left -= to == end;
+        }
+    }
 }
 
 static void pause_s(double seconds)
@@ -296,8 +377,10 @@ static void pause_s(double seconds)
     nanosleep(&ts, NULL);
 }
 
-/* Thread g's part of one pass.  delays (NULL for none) holds a sleep in
- * seconds per block. */
+/* Thread g's part of one pass: block by block, its T rows of each, one
+ * whole row when T is 1 and a wavefront of chunks (run_block) otherwise.
+ * The counter moves once per finished block either way.  delays (NULL for
+ * none) holds a sleep in seconds per block. */
 static int run_pass(const struct run_spec *p, const struct frame *f, int64_t g,
                     const double *delays, int64_t *stats, int64_t *sense)
 {
@@ -327,9 +410,11 @@ static int run_pass(const struct run_spec *p, const struct frame *f, int64_t g,
         }
         if (delays && delays[k] > 0.0)
             pause_s(delays[k]);
-        const int64_t *row = f->rows + (k * p->h + g * p->T) * NCOL;
-        for (int64_t i = 0; i < p->T; i++)
-            run_row(p, f, row + i * NCOL, stats);
+        const int64_t *rows = f->rows + (k * p->h + g * p->T) * NCOL;
+        if (p->T == 1)
+            run_row(p, f, rows, stats);
+        else
+            run_block(p, f, rows, stats);
         stats[ST_BLOCKS]++;
         if (p->barrier) {
             store(own, *own + 1);
@@ -361,14 +446,15 @@ int pipeline_worker(const struct run_spec *p, int64_t g, const double *delays,
 {
     int64_t sense = 0;
     int rc = DONE;
-    struct frame f = {NULL, p->parity, p->base_off, 0};
+    struct frame f = {NULL, p->parity, p->base_off, 0, 1};
     stats[ST_PRED_GAP_MIN] = stats[ST_SUCC_GAP_MAX] = -1;
     for (int64_t q = 0; q < p->passes && rc == DONE; q++) {
         const int back = (int)((p->first + q) & 1);
         if (q > 0 && (rc = barrier_wait(p, g, &sense, stats, 1)))
             break;
         f.rows = p->rows[back];
-        f.shift = p->shifting * (back ? -1 : 1);
+        f.dir = back ? -1 : 1;
+        f.shift = p->shifting * f.dir;
         rc = run_pass(p, &f, g,
                       delays ? delays + (q * p->nt + g) * p->nblocks : NULL,
                       stats, &sense);

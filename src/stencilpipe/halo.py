@@ -207,11 +207,14 @@ def _box_slices(g: Grid3, box):
 
 
 def exchange_multilayer_halos(g: Grid3, plan: list, ep,
-                              cycle_index: int = 0, timings=None) -> None:
+                              cycle_index: int = 0, timings=None,
+                              timeout: float = 60.0) -> None:
     """Three sequential axis phases, one full-duplex message per neighbored
     side; afterwards every halo cell of g (faces, edges, corners) holds its
     owner's value.  Each message goes out from its plan entry's frame, and
-    the peer's frame must carry the mirror header before any cell changes."""
+    the peer's frame must carry the mirror header before any cell changes.
+    A message not answered within ``timeout`` seconds raises
+    TransportError."""
     t = timings if timings is not None else {}
     for m in plan:
         t0 = time.perf_counter()
@@ -219,7 +222,8 @@ def exchange_multilayer_halos(g: Grid3, plan: list, ep,
         payload = np.frombuffer(m.frame, "<f8", offset=FRAME_HEADER.size)
         payload.reshape(m.shape)[...] = g.data[_box_slices(g, m.send_box)]
         t1 = time.perf_counter()
-        incoming = ep.sendrecv(m.neighbor, m.frame, len(m.frame))
+        incoming = ep.sendrecv(m.neighbor, m.frame, len(m.frame),
+                               timeout=timeout)
         t2 = time.perf_counter()
         header = FRAME_HEADER.unpack_from(incoming)
         if header != (m.axis, 1 - m.side, m.nbytes, cycle_index):
@@ -263,7 +267,8 @@ class RankRuntime:
             if m.neighbor in seen:
                 continue
             seen.add(m.neighbor)
-            theirs = self.ep.sendrecv(m.neighbor, digest, len(digest))
+            theirs = self.ep.sendrecv(m.neighbor, digest, len(digest),
+                                      timeout=self.cfg.watchdog_s)
             if theirs != digest:
                 raise ProtocolError(
                     f"rank {self.sub.rank}: config hash mismatch with rank "
@@ -279,7 +284,8 @@ class RankRuntime:
         # only the grid holding the latest update level needs fresh halos
         exchange_multilayer_halos(self.engine.current_grid(), self.plan,
                                   self.ep, cycle_index=index,
-                                  timings=self.timings)
+                                  timings=self.timings,
+                                  timeout=self.cfg.watchdog_s)
         return pass_stats
 
     def owned_view(self):

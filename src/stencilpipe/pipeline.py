@@ -19,12 +19,17 @@ The schedule of a pass is one int64 table per direction
 of a run in one call into the compiled driver (``pipeline_worker`` in
 ``_jacobi.c``) with the interpreter lock released; a pass begins once every
 thread has finished the one before; ``ready()`` in ``_jacobi.c`` is the one
-statement of the sync conditions.  When the numpy kernel is in use, or when
-``apply_window`` or ``write_ring_strips`` of this module no longer is the
-kernel's own function (wrapped for tracing or in a test), the calling thread
-walks the same table instead, so that every call reaches the wrapper: block
-by block, and within a block level by level.  That is the t=1, T=h schedule
-of the same work, bitwise equal to the driver's, with nothing to wait for.
+statement of the sync conditions.  With T >= 2 the driver runs a thread's T
+rows of a block as a wavefront over chunks of z planes, each level one plane
+behind the one before, so that a level's input is still in cache; the sync
+conditions, still counted in whole blocks, do not change.
+
+When the numpy kernel is in use, or when ``apply_window`` or
+``write_ring_strips`` of this module no longer is the kernel's own function
+(wrapped for tracing or in a test), the calling thread walks the same table
+instead, so that every call reaches the wrapper: block by block, and within
+a block level by level, each row whole.  That is the t=1, T=h schedule of
+the same work, bitwise equal to the driver's, with nothing to wait for.
 """
 
 from __future__ import annotations

@@ -176,7 +176,8 @@ class TcpEndpoint:
             # interleave writes and reads on one socket so both sides can call
             # sendrecv simultaneously with arbitrarily large payloads
             while sent < len(outgoing) or got < expected_len:
-                if time.monotonic() > deadline:
+                left = deadline - time.monotonic()
+                if left <= 0:
                     raise TransportError(
                         f"rank {self.rank}: sendrecv with {neighbor} timed out")
                 # only the directions still pending: a socket that can always
@@ -187,7 +188,7 @@ class TcpEndpoint:
                     (sel.modify if registered else sel.register)(sock, pending)
                     registered = pending
                 events = 0
-                for _key, ev in sel.select(timeout=1.0):
+                for _key, ev in sel.select(timeout=left):
                     events = ev
                 if events & selectors.EVENT_WRITE and sent < len(outgoing):
                     try:

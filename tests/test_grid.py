@@ -154,3 +154,23 @@ def test_alignment_shifts_the_logical_origin():
     # the shifted view starts three layers lower in storage
     g.data[shifted] = 9.0
     assert g.interior_view()[0, 0, 0] == 9.0
+
+
+@pytest.mark.parametrize("dims,pad", [((4, 4, 4), 0), ((24, 16, 8), 3),
+                                      ((96, 96, 96), 0), ((200, 40, 40), 2)])
+def test_copy_never_lies_a_whole_page_from_its_source(dims, pad):
+    # arrays a multiple of 2 MiB apart share their cache sets; a copy made
+    # while its source is alive must be placed off every page multiple
+    g = create_grid(*dims, pad=pad, init="random", seed=4)
+    g.alignment = pad
+    pair = [g]
+    for _ in range(3):  # each copy is the next one's source
+        pair.append(pair[-1].copy())
+        src, dst = pair[-2], pair[-1]
+        assert (dst.data.ctypes.data - src.data.ctypes.data) % 4096 != 0
+        assert dst.data.dtype == np.float64 and dst.data.flags.c_contiguous
+        assert dst.data.flags.writeable and dst.data.shape == src.data.shape
+        assert not np.may_share_memory(dst.data, src.data)
+        assert np.array_equal(dst.data, src.data)
+        assert dst.alignment == pad and dst.pad == pad
+        assert all(np.array_equal(a, b) for a, b in zip(dst.faces, src.faces))

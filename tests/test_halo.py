@@ -1,5 +1,6 @@
 import itertools
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from stencilpipe.halo import (
     run_distributed_inprocess,
     run_rank,
 )
-from stencilpipe.transport import InProcessFabric, ProtocolError, tcp_endpoint
+from stencilpipe.transport import (InProcessFabric, ProtocolError,
+                                   TransportError, tcp_endpoint)
 from tests.conftest import assert_bitwise, free_ports
 
 
@@ -395,6 +397,25 @@ def test_distributed_cycles_match_the_oracle_with_a_nonzero_ring(
 
 
 @pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+@pytest.mark.parametrize("topo_dims,spec", [((2, 1, 1), (52, 96, 7)),
+                                            ((1, 1, 2), (96, 96, 7))])
+def test_distributed_wavefront_matches_the_oracle(topo_dims, spec, mode,
+                                                  monkeypatch):
+    # rank windows of about 50x96 and 96x96 cells: chunks of two planes and
+    # one plane, shorter than the blocks, so that a thread's T=2 levels run
+    # as a wavefront while their live ranges shrink toward the neighbour;
+    # split along z, the wavefront runs across the shrinking axis itself
+    monkeypatch.setattr(grid, "fill_field", _fill_with_ring(fill_field))
+    dims, seed, cycles = (96, 96, 40), 6, 2
+    cfg = _cfg(t=2, T=2, mode=mode, spec=spec)
+    dist = DistConfig(topo=RankTopology(*topo_dims), cfg=cfg, cycles=cycles,
+                      global_dims=dims, seed=seed)
+    assembled = assemble_global(run_distributed_inprocess(dist))
+    assert_bitwise(assembled.interior_view(),
+                   _swept(dims, seed, cycles * cfg.h).interior_view())
+
+
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
 def test_tcp_ranks_reusing_their_frames_match_the_oracle(mode):
     # 2x2x1: every rank sends two messages per cycle, each from the same
     # frame buffer in every cycle, over real loopback sockets
@@ -468,6 +489,51 @@ def test_rank_error_ends_its_inprocess_peers(monkeypatch):
     th.join(timeout=5.0)
     assert not th.is_alive()
     assert len(errors) == 1 and str(errors[0]) == "injected rank fault"
+
+
+def _endpoint_pair(transport):
+    if transport == "inprocess":
+        return InProcessFabric(2).endpoints()
+    addresses = [("127.0.0.1", port) for port in free_ports(2)]
+    eps = [None, None]
+
+    def connect(r):
+        eps[r] = tcp_endpoint(r, addresses)
+
+    ts = [threading.Thread(target=connect, args=(r,)) for r in range(2)]
+    for t in ts:
+        t.start()
+    for t in ts:
+        t.join()
+    return eps
+
+
+@pytest.mark.parametrize("silent_from", ["handshake", "first_halo"])
+@pytest.mark.parametrize("transport", ["inprocess", "tcp"])
+def test_a_silent_peer_ends_the_run_at_its_watchdog(transport, silent_from):
+    # the peer stays alive and connected but stops answering, either at the
+    # config hash or after it; the run's 0.5 s watchdog, not the transport's
+    # 60 s default, bounds the wait
+    cfg = _cfg(t=1, T=1, spec=(10, 10, 10), watchdog_s=0.5)
+    dist = DistConfig(topo=RankTopology(2, 1, 1), cfg=cfg, cycles=2,
+                      global_dims=(20, 20, 20))
+    eps = _endpoint_pair(transport)
+    try:
+        if silent_from == "first_halo":
+            sub = decompose_domain(dist.global_dims, dist.topo, cfg.h)[1]
+            peer = RankRuntime(sub, cfg, eps[1])
+            answer = threading.Thread(target=peer.check_config_hash,
+                                      args=(bytes.fromhex(dist.digest()),))
+            answer.start()
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match="timed out"):
+            run_rank(dist, 0, eps[0])
+        assert time.monotonic() - t0 < 2.0
+        if silent_from == "first_halo":
+            answer.join()
+    finally:
+        for ep in eps:
+            getattr(ep, "close", lambda: None)()
 
 
 def test_config_hash_mismatch_aborts():

@@ -252,6 +252,22 @@ def test_tcp_sendrecv_waits_for_a_late_reply_without_spinning(monkeypatch):
     assert 0 < len(selects) < 50
 
 
+def test_tcp_sendrecv_ends_at_its_deadline():
+    # a live peer that never answers: the wait ends at the timeout, not at
+    # the end of a whole one-second select round after it
+    ep = TcpEndpoint(0, [("127.0.0.1", 0)])
+    mine, peer = socket.socketpair()
+    ep._socks[1] = mine
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match="timed out"):
+            ep.sendrecv(1, b"ping", 4, timeout=0.1)
+        assert time.monotonic() - t0 < 0.8
+    finally:
+        peer.close()
+        ep.close()
+
+
 def test_rankfile_parsing():
     entries = parse_rankfile("# comment\n0 127.0.0.1 4000\n1 127.0.0.1 4001\n")
     assert entries == [("127.0.0.1", 4000), ("127.0.0.1", 4001)]
