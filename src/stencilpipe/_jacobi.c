@@ -308,18 +308,9 @@ static void run_planes(const struct run_spec *p, const struct frame *f,
         ring_strips(p, dst, strips, o);
 }
 
-/* The one row of a block when T is 1. */
-static void run_row(const struct run_spec *p, const struct frame *f,
-                    const int64_t *r, int64_t *stats)
-{
-    if (empty(r))
-        return;  /* the window slid out of this block's share of the level */
-    run_planes(p, f, r, r[ZL], r[ZH]);
-    count_row(r, stats);
-}
-
 /* Fewest z planes per chunk: enough that a chunk's x*y window holds at least
- * this many cells, so that short planes do not cost a window call each. */
+ * this many cells, so that a row of small planes stays one window call (a
+ * T=1 row of 4 planes of 96x4 cells gets 22-plane chunks). */
 enum { CHUNK_CELLS = 8192 };
 
 /* A block's T rows as a wavefront over chunks of z planes, so that a level
@@ -377,10 +368,9 @@ static void pause_s(double seconds)
     nanosleep(&ts, NULL);
 }
 
-/* Thread g's part of one pass: block by block, its T rows of each, one
- * whole row when T is 1 and a wavefront of chunks (run_block) otherwise.
- * The counter moves once per finished block either way.  delays (NULL for
- * none) holds a sleep in seconds per block. */
+/* Thread g's part of one pass: block by block, its T rows of each as a
+ * wavefront of chunks (run_block).  The counter moves once per finished
+ * block.  delays (NULL for none) holds a sleep in seconds per block. */
 static int run_pass(const struct run_spec *p, const struct frame *f, int64_t g,
                     const double *delays, int64_t *stats, int64_t *sense)
 {
@@ -411,10 +401,7 @@ static int run_pass(const struct run_spec *p, const struct frame *f, int64_t g,
         if (delays && delays[k] > 0.0)
             pause_s(delays[k]);
         const int64_t *rows = f->rows + (k * p->h + g * p->T) * NCOL;
-        if (p->T == 1)
-            run_row(p, f, rows, stats);
-        else
-            run_block(p, f, rows, stats);
+        run_block(p, f, rows, stats);
         stats[ST_BLOCKS]++;
         if (p->barrier) {
             store(own, *own + 1);

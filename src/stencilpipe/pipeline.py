@@ -19,8 +19,8 @@ The schedule of a pass is one int64 table per direction
 of a run in one call into the compiled driver (``pipeline_worker`` in
 ``_jacobi.c``) with the interpreter lock released; a pass begins once every
 thread has finished the one before; ``ready()`` in ``_jacobi.c`` is the one
-statement of the sync conditions.  With T >= 2 the driver runs a thread's T
-rows of a block as a wavefront over chunks of z planes, each level one plane
+statement of the sync conditions.  The driver runs a thread's T rows of a
+block as a wavefront over chunks of z planes, each level one plane
 behind the one before, so that a level's input is still in cache; the sync
 conditions, still counted in whole blocks, do not change.
 
@@ -70,6 +70,13 @@ class PipelineConfig:
     n teams of t threads, T updates per thread per block; h = n*t*T updates
     per pass.  d_l/d_u bound the distance (in blocks) between consecutive
     pipeline positions, d_t adds extra distance between teams.
+
+    watchdog_s is two limits.  Within a pass it is a no-progress budget: a
+    waiting thread gives up once no counter it reads has moved for that long.
+    On a distributed rank it also bounds each wait for a neighbour's message
+    (the config-hash handshake and every halo exchange), from the moment the
+    rank sends its own: a neighbour still busy with its pass or setup for
+    longer than that ends the run with a TransportError.
     """
     spec: BlockSpec
     n: int = 1
