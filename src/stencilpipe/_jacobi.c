@@ -114,6 +114,7 @@ enum { ST_BLOCKS, ST_WINDOWS, ST_CELLS, ST_SPINS, ST_PRED_WAIT_NS,
 enum { SLOT = 8 };                    /* int64 per counter: one cache line */
 enum { CTL_ABORT = 0, CTL_COUNT = SLOT, CTL_SENSE = 2 * SLOT };
 enum { DONE = 0, DEADLOCK = 1, ABORTED = 2 };
+enum { ALL_SIDES = 63 };              /* ring with no neighbour on any side */
 enum { PRED, SUCC, BARRIER };
 
 /* Pass q of a run is pass first+q of the engine: even ones run forward with
@@ -132,7 +133,7 @@ struct run_spec {
     int64_t base_off;           /* frame offset of the first pass's level 0 */
     int64_t shifting;           /* 1: frames shift by the direction per level */
     const double *face[6];      /* x0 x1 y0 y1 z0 z1, C-contiguous */
-    int64_t ring;               /* sides restored in full before each pass */
+    int64_t ring;               /* Dirichlet sides (no neighbour there) */
     int64_t nx, ny, nz;
     int64_t *counters;          /* counter i at counters[i*SLOT] */
     int64_t *ctl;               /* abort word, barrier count, barrier sense */
@@ -370,19 +371,28 @@ static void pause_s(double seconds)
 
 /* Thread g's part of one pass: block by block, its T rows of each as a
  * wavefront of chunks (run_block).  The counter moves once per finished
- * block.  delays (NULL for none) holds a sleep in seconds per block. */
+ * block.  delays (NULL for none) holds a sleep in seconds per block.
+ *
+ * restore is the mask of ring sides the front thread rewrites in full from
+ * the faces at this pass's read frame, before any thread reads it: the whole
+ * ring on a run's first pass, since nothing says what the grid's ring holds
+ * between runs; on a later pass the whole ring only when some side borders a
+ * neighbour, else 0.  With no neighbour, every level's live range is the
+ * whole interior, so the last level's windows tile each face and their
+ * mid-pass strips have already written every face cell that this pass's
+ * first level reads (the stencil reads no edge or corner).  With one, live
+ * ranges shrink toward it, and the last level's strips miss the bands of
+ * the ring next to it. */
 static int run_pass(const struct run_spec *p, const struct frame *f, int64_t g,
-                    const double *delays, int64_t *stats, int64_t *sense)
+                    int64_t restore, const double *delays, int64_t *stats,
+                    int64_t *sense)
 {
     int64_t *own = &p->counters[g * SLOT];
     const int64_t last = p->nblocks - 1;
     int64_t gap, seen;
     int rc = DONE;
-    if (g == 0 && p->ring) {
-        /* mid-pass strips span only the update windows, which may be
-         * narrower than the first level's region: restore the whole ring at
-         * this pass's read frame before any thread reads it */
-        const int64_t all[NCOL] = {0, p->nx, 0, p->ny, 0, p->nz, 0, p->ring};
+    if (g == 0 && restore) {
+        const int64_t all[NCOL] = {0, p->nx, 0, p->ny, 0, p->nz, 0, restore};
         ring_strips(p, p->grid[0], all, f->base);
     }
     /* lockstep: in round r thread g works on block r-g */
@@ -442,7 +452,7 @@ int pipeline_worker(const struct run_spec *p, int64_t g, const double *delays,
         f.rows = p->rows[back];
         f.dir = back ? -1 : 1;
         f.shift = p->shifting * f.dir;
-        rc = run_pass(p, &f, g,
+        rc = run_pass(p, &f, g, q == 0 || p->ring != ALL_SIDES ? p->ring : 0,
                       delays ? delays + (q * p->nt + g) * p->nblocks : NULL,
                       stats, &sense);
         f.parity += p->h;

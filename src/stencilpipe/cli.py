@@ -288,7 +288,7 @@ def cmd_dist(args) -> int:
     rc = _config_from_args(args)
     px, py, pz = (int(v) for v in args.topo.split(","))
     topo = RankTopology(px, py, pz)
-    cfg = rc.pipeline_config()
+    cfg = rc.pipeline_config(watchdog_s=args.watchdog)
     dims = (rc.nx, rc.ny, rc.nz)
     if args.scaling == "weak":  # the grid flags give each rank's share
         dims = tuple(d * p for d, p in zip(dims, topo.dims))
@@ -359,7 +359,13 @@ def _add_compute_flags(p):
     p.add_argument("--mode", choices=("two_grid", "compressed"))
     p.add_argument("--passes", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--init", choices=("random", "constant", "impulse"))
+    p.add_argument("--init",
+                   choices=("random", "constant", "impulse", "random_ring"))
+
+
+def _add_watchdog_flag(p):
+    p.add_argument("--watchdog", type=float, default=30.0,
+                   help="seconds without progress before a run fails")
 
 
 def _add_output_flags(p):
@@ -379,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="compare against the reference sweep oracle")
     p.add_argument("--out", help="write final grid snapshot here")
-    p.add_argument("--watchdog", type=float, default=30.0)
+    _add_watchdog_flag(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("sweep", help="cartesian parameter sweep")
@@ -432,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write per-rank owned-region snapshots here")
     p.add_argument("--verify", action="store_true",
                    help="in-process only: assemble and compare to the oracle")
+    _add_watchdog_flag(p)
     p.set_defaults(fn=cmd_dist)
     return ap
 

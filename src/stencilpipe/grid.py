@@ -157,16 +157,36 @@ def fill_field(g: Grid3, init="constant", value=0.0, seed=0, origin=(0, 0, 0),
       "impulse"   -- all zero except a 1.0 at the global interior center cell
       "random"    -- global interior cells from the seeded deterministic
                      generator at their global linear index, all else zero
+      "random_ring" -- "random", and each global Dirichlet ring cell (x, y,
+                     z) set to 1 + ((7x + 13y + 29z) mod 17) / 16, so that
+                     the ring differs from the zero pad below it
     """
-    if init not in ("constant", "impulse", "random"):
+    if init not in ("constant", "impulse", "random", "random_ring"):
         raise ValueError(f"unknown init rule {init!r}")
     nx, ny, nz = global_dims or g.shape
     g.data[...] = value if init == "constant" else 0.0
+    if init == "random_ring":
+        # per (z, y, x) axis of g's interior and its own ring: the global
+        # coordinate of each index, and the indices within [-1, n]
+        o = g.origin - g.alignment
+        box = g.data[o - 1:o + g.nz + 1, o - 1:o + g.ny + 1, o - 1:o + g.nx + 1]
+        coords = [np.arange(-1, m + 1) + c
+                  for m, c in zip((g.nz, g.ny, g.nx), origin[::-1])]
+        inside = [slice(max(-1 - c[0], 0), max(n + 1 - c[0], 0))
+                  for c, n in zip(coords, (nz, ny, nx))]
+        for axis, n in enumerate((nz, ny, nx)):
+            for at in (-1, n):  # a plane of the global ring, if in the box
+                i = at - coords[axis][0]
+                if 0 <= i < box.shape[axis]:
+                    idx = inside.copy()
+                    idx[axis] = slice(i, i + 1)
+                    z, y, x = np.ix_(*(c[s] for c, s in zip(coords, idx)))
+                    box[tuple(idx)] = 1.0 + (29 * z + 13 * y + 7 * x) % 17 / 16
     if init == "impulse":
         c = tuple(n // 2 - o for n, o in zip((nx, ny, nz), origin))
         if all(0 <= i < n for i, n in zip(c, g.shape)):
             g.data[g.index(*c)] = 1.0
-    elif init == "random":
+    elif init in ("random", "random_ring"):
         ox, oy, oz = origin
         x0, x1 = max(ox, 0), min(ox + g.nx, nx)
         y0, y1 = max(oy, 0), min(oy + g.ny, ny)

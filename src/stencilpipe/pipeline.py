@@ -57,6 +57,7 @@ _STATS = ("blocks", "windows", "cells", "spins", "pred_wait_ns",
  _VIOLATIONS, _SUCC_MAX) = range(len(_STATS))
 _CTL_ABORT, _CTL_COUNT = 0, _SLOT  # then the barrier sense at 2 * _SLOT
 _DONE, _DEADLOCK, _ABORTED = 0, 1, 2
+_ALL_SIDES = 0b111111  # a compressed ring with no neighbour on any side
 
 
 class PipelineDeadlock(RuntimeError):
@@ -346,12 +347,15 @@ class _Run:
 
     A pass begins with its counters reset, once every position has finished
     the one before.  In compressed mode the front position then restores the
-    whole Dirichlet ring at the pass's read frame before its first block:
-    mid-pass strips span only the update windows, which may be narrower than
-    the first level's region.  ``drive(g)`` runs position g's passes in the
-    compiled driver with the interpreter lock released; ``walk()`` runs every
-    position's passes in the calling thread through the module-level
-    ``apply_window`` and ``write_ring_strips``."""
+    whole Dirichlet ring at the pass's read frame before its first block, on
+    the run's first pass and, when some side borders a neighbour, on every
+    pass: mid-pass strips span only the update windows, which next to a
+    neighbour are narrower than the first level's region.  With no
+    neighbour the last level's windows tile every face, so their strips
+    leave the next pass's ring written.  ``drive(g)`` runs position
+    g's passes in the compiled driver with the interpreter lock released;
+    ``walk()`` runs every position's passes in the calling thread through
+    the module-level ``apply_window`` and ``write_ring_strips``."""
 
     def __init__(self, engine: PipelineEngine, count: int):
         cfg = self.cfg = engine.cfg
@@ -540,11 +544,13 @@ class _Run:
             own[_GAP_MIN] = own[_SUCC_MAX] = -1
         for q in range(self.count):
             frame = table, _parity, base, _shift = self.frame(q)
-            if self.ring:
+            # the ring sides pipeline_worker has run_pass restore
+            restore = self.ring if q == 0 or self.ring != _ALL_SIDES else 0
+            if restore:
                 dims = self.engine.dims
                 write_ring_strips(self.arrays[0], self.faces,
                                   tuple((0, n) for n in dims), base,
-                                  self.ring, dims)
+                                  restore, dims)
             for rows in table.tolist():
                 for g, own in enumerate(st):
                     for row in rows[g * T:(g + 1) * T]:

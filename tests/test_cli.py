@@ -13,7 +13,8 @@ from stencilpipe.cli import (RunConfig, _config_from_args, build_parser, main,
 from stencilpipe.halo import run_digest
 from stencilpipe.perfmodel import ModelFormatError, load_network_model
 from stencilpipe.pipeline import PipelineDeadlock
-from stencilpipe.transport import TransportError, parse_rankfile
+from stencilpipe.transport import (TransportError, parse_rankfile,
+                                   tcp_endpoint)
 
 
 def run_cli(argv, capsys):
@@ -231,6 +232,23 @@ def test_dist_impulse_init_verifies(capsys):
     assert [r["verified"] for r in rows_of(out)] == ["bitwise match"] * 4
 
 
+def test_solve_and_dist_verify_with_a_nonzero_ring(capsys):
+    # a ring unlike the zero pad below it: a compressed pass that read the
+    # pad where it should read the ring would fail the oracle
+    code, out, err = run_cli(["solve", "--grid", "24", "--t", "2",
+                              "--block", "24,8,8", "--mode", "compressed",
+                              "--passes", "4", "--init", "random_ring",
+                              "--verify"], capsys)
+    assert code == 0, err
+    assert rows_of(out)[0]["verified"] == "bitwise match"
+    code, out, err = run_cli(["dist", "--topo", "2,2,1", "--grid", "24",
+                              "--t", "2", "--block", "12,8,8", "--mode",
+                              "compressed", "--cycles", "3", "--init",
+                              "random_ring", "--verify"], capsys)
+    assert code == 0, err
+    assert [r["verified"] for r in rows_of(out)] == ["bitwise match"] * 4
+
+
 def test_dist_rejects_mismatched_topology(capsys):
     code, _, err = run_cli(["dist", "--topo", "2,1,1", "--grid", "25",
                             "--t", "2", "--block", "12,8,8"], capsys)
@@ -313,6 +331,50 @@ def test_watchdog_must_be_finite_and_positive(budget, monkeypatch, capsys):
                             "--watchdog", budget], capsys)
     assert code == 2
     assert err.startswith("config error:") and "watchdog" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
+def test_dist_watchdog_must_be_finite_and_positive(budget, monkeypatch,
+                                                   capsys):
+    def no_run(*_a, **_k):
+        raise AssertionError("a run started despite the bad watchdog")
+
+    monkeypatch.setattr(cli, "run_distributed_inprocess", no_run)
+    code, _, err = run_cli(["dist", "--topo", "2,1,1", "--grid", "12",
+                            "--block", "6,6,6", "--watchdog", budget], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and "watchdog" in err
+
+
+def test_dist_watchdog_bounds_a_tcp_rank_wait(tmp_path, capsys):
+    # the peer connects and then stays silent: rank 0 gives up at its 0.5 s
+    # watchdog, not the 30 s default, and exits with a transport error
+    addresses = [("127.0.0.1", p) for p in _free_ports(2)]
+    rankfile = tmp_path / "ranks.txt"
+    rankfile.write_text("".join(f"{r} {host} {port}\n"
+                                for r, (host, port) in enumerate(addresses)))
+    codes, peer = [], []
+    done = threading.Event()
+
+    def rank0():
+        codes.append(main(["dist", "--topo", "2,1,1", "--grid", "12",
+                           "--block", "6,6,6", "--ranks", "2", "--rank", "0",
+                           "--rankfile", str(rankfile), "--watchdog", "0.5"]))
+
+    def silent_rank1():
+        peer.append(tcp_endpoint(1, addresses))
+        done.wait(timeout=30)
+        peer[0].close()
+
+    ts = [threading.Thread(target=f, daemon=True)
+          for f in (rank0, silent_rank1)]
+    for t in ts:
+        t.start()
+    ts[0].join(timeout=20)
+    done.set()
+    ts[1].join(timeout=20)
+    assert codes == [3] and not any(t.is_alive() for t in ts)
+    assert "timed out" in capsys.readouterr().err
 
 
 def _deadlock(*_a, **_k):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from stencilpipe import BlockSpec, PipelineConfig, grid, pipeline
+from stencilpipe import BlockSpec, PipelineConfig, pipeline
 from stencilpipe.grid import Grid3, create_grid, fill_field
 from stencilpipe.kernel import reference_sweep
 from stencilpipe.halo import (
@@ -114,7 +114,8 @@ def test_indivisible_axis_rejected():
         decompose_domain((61, 60, 60), RankTopology(2, 1, 1), 2)
 
 
-@pytest.mark.parametrize("init", ["constant", "impulse", "random"])
+@pytest.mark.parametrize("init", ["constant", "impulse", "random",
+                                  "random_ring"])
 def test_one_field_for_whole_and_rank_grids(init):
     whole = create_grid(12, 10, 8, init=init, value=2.5, seed=7)
     wv = whole.interior_view()
@@ -135,11 +136,15 @@ def test_one_field_for_whole_and_rank_grids(init):
                     assert_bitwise(g.faces[2 * ax + side],
                                    whole.faces[2 * ax + side][face])
     # a grid reaching past the global interior on both sides of every axis:
-    # the global ring and beyond hold the rule's background value, the rest
-    # equals the whole grid's interior
+    # beyond the global ring lies the rule's background value, the global
+    # ring holds it too unless the rule sets the ring, and the rest equals
+    # the whole grid's interior
     g = Grid3(16, 13, 12)
     fill_field(g, init, 2.5, 7, origin=(-2, -1, -3), global_dims=(12, 10, 8))
     padded = np.full((12, 13, 16), 2.5 if init == "constant" else 0.0)
+    if init == "random_ring":
+        padded[2:12, 0:12, 1:15] = whole.data  # interior and ring
+        assert np.all(whole.data[1:-1, 1:-1, 0] > 0)
     padded[3:11, 1:11, 2:14] = wv
     assert_bitwise(g.interior_view(), padded)
 
@@ -344,34 +349,14 @@ def test_distributed_cycles_match_undecomposed_oracle(topo_dims, nt, T, mode,
                    oracle.after_sweeps(40, 42, cfg.h * 2))
 
 
-def _swept(dims, seed, sweeps):
-    """The whole random-init grid after that many reference sweeps."""
-    a = create_grid(*dims, init="random", seed=seed)
+def _swept(dims, seed, sweeps, init="random"):
+    """The whole grid after that many reference sweeps."""
+    a = create_grid(*dims, init=init, seed=seed)
     b = a.copy()
     for _ in range(sweeps):
         reference_sweep(a, b)
         a, b = b, a
     return a
-
-
-def _fill_with_ring(real):
-    """``fill_field`` that also gives the global Dirichlet ring nonzero
-    values, each a function of its cell's global position, so that a whole
-    grid and every rank's share of it hold the same ring."""
-    def fill(g, init="constant", value=0.0, seed=0, origin=(0, 0, 0),
-             global_dims=None):
-        real(g, init, value, seed, origin, global_dims)
-        nx, ny, nz = global_dims or g.shape
-        gx = np.arange(-1, g.nx + 1) + origin[0]
-        gy = (np.arange(-1, g.ny + 1) + origin[1])[:, None]
-        gz = (np.arange(-1, g.nz + 1) + origin[2])[:, None, None]
-        ring = ((gx == -1) | (gx == nx) | (gy == -1) | (gy == ny)
-                | (gz == -1) | (gz == nz))
-        o = g.origin - g.alignment
-        box = g.data[o - 1:o + g.nz + 1, o - 1:o + g.ny + 1, o - 1:o + g.nx + 1]
-        box[...] = np.where(ring, 1.0 + (7 * gx + 13 * gy + 29 * gz) % 17 / 16,
-                            box)
-    return fill
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
@@ -381,17 +366,16 @@ def test_distributed_cycles_match_the_oracle_with_a_nonzero_ring(
         topo_dims, mode, walk, monkeypatch):
     # with a zero ring, a rank that misses the ring restore at a pass start
     # (compressed mode) reads the zero pad, which equals the ring by accident
-    monkeypatch.setattr(grid, "fill_field", _fill_with_ring(fill_field))
     if walk:  # a wrapped kernel name sends every pass through the walker
         real = pipeline.apply_window
         monkeypatch.setattr(pipeline, "apply_window",
                             lambda *args: real(*args))
     dims, seed, cycles = (24, 24, 16), 5, 3
     cfg = _cfg(t=2, T=2, mode=mode, spec=(8, 8, 8))
-    expected = _swept(dims, seed, cycles * cfg.h)
+    expected = _swept(dims, seed, cycles * cfg.h, "random_ring")
     assert all(np.all(f > 0) for f in expected.faces)
     dist = DistConfig(topo=RankTopology(*topo_dims), cfg=cfg, cycles=cycles,
-                      global_dims=dims, seed=seed)
+                      global_dims=dims, seed=seed, init="random_ring")
     assembled = assemble_global(run_distributed_inprocess(dist))
     assert_bitwise(assembled.interior_view(), expected.interior_view())
 
@@ -399,20 +383,19 @@ def test_distributed_cycles_match_the_oracle_with_a_nonzero_ring(
 @pytest.mark.parametrize("mode", ["two_grid", "compressed"])
 @pytest.mark.parametrize("topo_dims,spec", [((2, 1, 1), (52, 96, 7)),
                                             ((1, 1, 2), (96, 96, 7))])
-def test_distributed_wavefront_matches_the_oracle(topo_dims, spec, mode,
-                                                  monkeypatch):
+def test_distributed_wavefront_matches_the_oracle(topo_dims, spec, mode):
     # rank windows of about 50x96 and 96x96 cells: chunks of two planes and
     # one plane, shorter than the blocks, so that a thread's T=2 levels run
     # as a wavefront while their live ranges shrink toward the neighbour;
     # split along z, the wavefront runs across the shrinking axis itself
-    monkeypatch.setattr(grid, "fill_field", _fill_with_ring(fill_field))
     dims, seed, cycles = (96, 96, 40), 6, 2
     cfg = _cfg(t=2, T=2, mode=mode, spec=spec)
     dist = DistConfig(topo=RankTopology(*topo_dims), cfg=cfg, cycles=cycles,
-                      global_dims=dims, seed=seed)
+                      global_dims=dims, seed=seed, init="random_ring")
     assembled = assemble_global(run_distributed_inprocess(dist))
     assert_bitwise(assembled.interior_view(),
-                   _swept(dims, seed, cycles * cfg.h).interior_view())
+                   _swept(dims, seed, cycles * cfg.h,
+                          "random_ring").interior_view())
 
 
 @pytest.mark.parametrize("mode", ["two_grid", "compressed"])

@@ -615,6 +615,26 @@ def _faces_reference(g0, levels):
     return out
 
 
+def _ringed_pair(dims, pad):
+    """A grid with a nonzero Dirichlet ring unlike the zero pad below it, and
+    its copy with that pad, faces captured on both."""
+    g0 = create_grid(*dims)
+    g0.data[...] = np.random.default_rng(21).random(g0.data.shape) + 1.0
+    g0.capture_boundary_faces()
+    g = create_grid(*dims, pad=pad)
+    o, (nx, ny, nz) = g.origin, dims
+    g.data[o - 1:o + nz + 1, o - 1:o + ny + 1, o - 1:o + nx + 1] = g0.data
+    g.capture_boundary_faces()
+    return g0, g
+
+
+def _ring_now(g):
+    """The faces of g's ring at its current alignment."""
+    view = Grid3(*g.shape, pad=g.pad, data=g.data, alignment=g.alignment)
+    view.capture_boundary_faces()
+    return view.faces
+
+
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
 def test_compressed_ring_restored_at_each_pass_start(walk, request):
     # a rank with neighbours on the high x and low y sides: live ranges
@@ -626,14 +646,7 @@ def test_compressed_ring_restored_at_each_pass_start(walk, request):
         request.getfixturevalue("walker_calls")
     cfg = _cfg(spec=BlockSpec(8, 4, 4), t=2, T=2, grid_mode="compressed")
     h, (nx, ny, nz) = cfg.h, (16, 12, 10)
-    g0 = create_grid(nx, ny, nz)
-    g0.data[...] = np.random.default_rng(21).random(g0.data.shape) + 1.0
-    g0.capture_boundary_faces()
-    g = create_grid(nx, ny, nz, pad=h)
-    o = g.origin
-    g.data[o - 1:o + nz + 1, o - 1:o + ny + 1, o - 1:o + nx + 1] = g0.data
-    g.capture_boundary_faces()
-
+    g0, g = _ringed_pair((nx, ny, nz), h)
     engine = PipelineEngine(cfg, g, neighbors=((False, True), (True, False),
                                                (False, False)))
     owned = (slice(None), slice(h, ny), slice(0, nx - h))  # (z, y, x)
@@ -647,6 +660,59 @@ def test_compressed_ring_restored_at_each_pass_start(walk, request):
         iv[...] = want
         iv[owned] = keep
     assert g.alignment == 0
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+def test_compressed_run_without_neighbours_keeps_its_ring(walk, request):
+    # with no neighbour, only a run's first pass restores the whole ring: a
+    # later pass reads the ring that the strips of the last level before it
+    # wrote.  Check both: one call of 5 passes against the oracle, and the
+    # ring at the grid's frame after each single pass
+    if walk:
+        request.getfixturevalue("walker_calls")
+    cfg = _cfg(spec=BlockSpec(8, 4, 4), t=2, T=2, grid_mode="compressed")
+    dims, passes = (16, 12, 10), 5
+    g0, g = _ringed_pair(dims, cfg.h)
+    expected = _faces_reference(g0, passes * cfg.h)
+    PipelineEngine(cfg, g).run_passes(passes)
+    assert g.alignment == cfg.h
+    assert_bitwise(g.interior_view(), expected[-1])
+    for face, want in zip(_ring_now(g), g.faces):
+        assert_bitwise(face, want)
+
+    _, g = _ringed_pair(dims, cfg.h)
+    engine = PipelineEngine(cfg, g)
+    for q in range(1, passes + 1):
+        engine.run_passes(1)
+        assert_bitwise(g.interior_view(), expected[q * cfg.h])
+        for face, want in zip(_ring_now(g), g.faces):
+            assert_bitwise(face, want)
+
+
+@pytest.mark.parametrize("neighbors,restores", [
+    (((False, False),) * 3, 1),
+    (((False, False), (False, True), (False, False)), 4)],
+    ids=["no_neighbour", "one_neighbour"])
+def test_whole_ring_restores_per_run(neighbors, restores, walker_calls,
+                                     monkeypatch):
+    # a 4-pass run rewrites the whole ring before its first pass, and before
+    # every later one only when some side borders a neighbour
+    calls = []
+    real = pipeline.write_ring_strips
+
+    def counting(dst, faces, window, dst_off, sides, dims):
+        calls.append((window, sides))
+        real(dst, faces, window, dst_off, sides, dims)
+
+    monkeypatch.setattr(pipeline, "write_ring_strips", counting)
+    cfg = _cfg(spec=BlockSpec(8, 4, 4), t=2, T=2, grid_mode="compressed")
+    g = create_grid(16, 12, 10, pad=cfg.h, init="random_ring", seed=8)
+    engine = PipelineEngine(cfg, g, neighbors=neighbors)
+    engine.run_passes(4)
+    whole = tuple((0, n) for n in g.shape)
+    assert [sides for window, sides in calls if window == whole] == \
+        [engine.ring] * restores
+    assert walker_calls and g.alignment == 0
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
