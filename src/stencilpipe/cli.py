@@ -9,7 +9,8 @@ names; explicit flags override file values.  Every emitted row carries the
 config hash so results can be reproduced from their inputs.
 
 Exit codes: 0 ok, 1 verification failure, 2 configuration error,
-3 transport error, 4 run error (the pipeline watchdog fired).
+3 transport error, 4 run error (the pipeline watchdog fired), 5 internal
+error (any other exception).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
 EXIT_RUN = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass
@@ -456,6 +458,14 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a grid too large for this host
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
+    except Exception as exc:  # a bug: one line and its own code, since 1
+        # means that --verify found a mismatch
+        text = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {text}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

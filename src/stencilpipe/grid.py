@@ -224,7 +224,14 @@ class BlockSpec:
 
 
 def _axis_bases(n: int, b: int):
-    return list(range(0, n, b))
+    """Block bases of one axis (1 <= b <= n): every multiple of ``b`` below
+    ``n``, except that a last remainder shorter than half of ``b`` joins the
+    block before it.  No block is then shorter than b / 2 or as long as
+    1.5 b; the first base always stays, since n - 0 >= b."""
+    bases = list(range(0, n, b))
+    if 2 * (n - bases[-1]) < b:
+        bases.pop()
+    return bases
 
 
 @dataclass
@@ -233,8 +240,10 @@ class BlockPlan:
 
     ``blocks`` lists (base, size) pairs, x fastest / z outermost for
     direction +1, exactly reversed for -1.  ``bases`` holds the per-axis base
-    coordinates; the pipelined sweep derives its per-update window boundaries
-    from them.
+    coordinates, multiples of the spec's edge lengths; each block runs to the
+    next base or to the end of its axis, so the last block on an axis may be
+    shorter or (up to 1.5x) longer than the spec.  The pipelined sweep
+    derives its per-update window boundaries from the bases.
     """
     bases: tuple  # (x_bases, y_bases, z_bases)
     blocks: list = field(default_factory=list)
@@ -245,21 +254,23 @@ class BlockPlan:
 
 
 def decompose_blocks(grid: Grid3, spec: BlockSpec, direction: int = 1) -> BlockPlan:
-    """Tile the interior with blocks; last block per axis may be truncated."""
+    """Tile the interior with blocks of the spec's edge lengths.  On each
+    axis the last block takes what is left: a remainder r with 2*r >= b
+    stays a short block of r cells, a shorter one joins the block before it
+    (b + r cells)."""
     spec.validate(grid)
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
-    xb = _axis_bases(grid.nx, spec.bx)
-    yb = _axis_bases(grid.ny, spec.by)
-    zb = _axis_bases(grid.nz, spec.bz)
-    xs = [(x, min(spec.bx, grid.nx - x)) for x in xb]
-    ys = [(y, min(spec.by, grid.ny - y)) for y in yb]
-    zs = [(z, min(spec.bz, grid.nz - z)) for z in zb]
+    bases = tuple(_axis_bases(n, b)
+                  for n, b in zip(grid.shape, (spec.bx, spec.by, spec.bz)))
+    # (base, size) per block of each axis: a block runs to the next base
+    xs, ys, zs = ([(lo, hi - lo) for lo, hi in zip(axis, axis[1:] + [n])]
+                  for axis, n in zip(bases, grid.shape))
     blocks = [((x, y, z), (sx, sy, sz))
               for z, sz in zs for y, sy in ys for x, sx in xs]
     if direction == -1:
         blocks.reverse()
-    return BlockPlan(bases=(xb, yb, zb), blocks=blocks)
+    return BlockPlan(bases=bases, blocks=blocks)
 
 
 def write_snapshot(grid: Grid3, path):

@@ -134,7 +134,10 @@ def effective_distances(cfg: PipelineConfig):
 
 def estimate_max_distance(cache_bytes: float, t: int, spec: BlockSpec) -> int:
     """Upper bound on the thread distance: cache size divided by t times the
-    size of one block (8-byte cells)."""
+    size of one block (8-byte cells) of the spec.  The last block on an
+    axis may be up to 1.5x the spec there (a short remainder joins it,
+    :func:`grid.decompose_blocks`), so a block at a grid's far corner may
+    hold up to 1.5**3 = 3.375x the volume this bound assumes."""
     volume = spec.bx * spec.by * spec.bz
     if volume <= 0:
         raise ValueError("block volume must be positive")

@@ -166,6 +166,7 @@ class TcpEndpoint:
             raise TransportError(f"rank {self.rank}: no link to {neighbor}")
         outgoing = memoryview(outgoing)  # sent from the caller's buffer
         incoming = bytearray(expected_len)
+        into = memoryview(incoming)  # reads land in place, no chunk copy
         got = 0
         sent = 0
         deadline = time.monotonic() + timeout
@@ -197,15 +198,14 @@ class TcpEndpoint:
                         pass
                 if events & selectors.EVENT_READ and got < expected_len:
                     try:
-                        chunk = sock.recv(min(1 << 20, expected_len - got))
+                        n = sock.recv_into(into[got:got + (1 << 20)])
                     except BlockingIOError:
-                        chunk = None
-                    if chunk == b"":
+                        n = None
+                    if n == 0:
                         raise TransportError(
                             f"rank {self.rank}: rank {neighbor} closed the link")
-                    if chunk:
-                        incoming[got:got + len(chunk)] = chunk
-                        got += len(chunk)
+                    if n:
+                        got += n
         except OSError as exc:  # a dead peer: BrokenPipeError, reset, ...
             raise TransportError(
                 f"rank {self.rank}: link to rank {neighbor} failed: {exc}"

@@ -396,6 +396,27 @@ def test_pipeline_deadlock_exits_run_error(argv, target, monkeypatch, capsys):
                    "counters = [3, 1]\n")
 
 
+def _raises(exc):
+    def run(*_a, **_k):
+        raise exc
+    return run
+
+
+@pytest.mark.parametrize("exc,code,err", [
+    (MemoryError("Unable to allocate 7.11 PiB for an array"), 2,
+     "config error: Unable to allocate 7.11 PiB for an array\n"),
+    (MemoryError(), 2, "config error: out of memory\n"),
+    (KeyError("faces"), 5, "internal error: KeyError: 'faces'\n"),
+    (RuntimeError("two\nlines"), 5, "internal error: RuntimeError: two lines\n"),
+], ids=["memory", "memory_bare", "key", "multiline"])
+def test_unexpected_errors_exit_with_their_own_code(exc, code, err,
+                                                    monkeypatch, capsys):
+    # never 1, which means that --verify found a mismatch; no traceback
+    monkeypatch.setattr(cli, "run_pipelined", _raises(exc))
+    assert run_cli(["solve", "--grid", "12", "--block", "12,6,6"],
+                   capsys) == (code, "", err)
+
+
 def _free_ports(count):
     socks = [socket.socket() for _ in range(count)]
     for s in socks:

@@ -125,6 +125,44 @@ def test_tiling_property(dims, spec):
     assert np.all(cover == 1)
 
 
+def _axis_sizes(plan, axis):
+    """(base, size) of each block along one axis, in order."""
+    return sorted({(b[axis], s[axis]) for b, s in plan.blocks})
+
+
+@pytest.mark.parametrize("n,b,sizes", [
+    (10, 4, [4, 4, 2]),   # 2*r == b: the short block stays
+    (12, 5, [5, 7]),      # 2*r == b - 1: it joins the block before it
+    (7, 5, [7]),          # ... even when that leaves one block
+    (8, 8, [8]),          # one block: unchanged
+    (12, 4, [4, 4, 4]),   # r == 0: nothing to join
+])
+def test_short_last_block_rule_at_its_boundary(n, b, sizes):
+    g = create_grid(n, 3, 3)
+    plan = decompose_blocks(g, BlockSpec(b, 3, 3), 1)
+    bases = [sum(sizes[:i]) for i in range(len(sizes))]
+    assert plan.bases[0] == bases
+    assert _axis_sizes(plan, 0) == list(zip(bases, sizes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(1, 40)] * 3),
+    spec=st.tuples(*[st.integers(1, 40)] * 3),
+)
+def test_no_block_shorter_than_half_its_spec(dims, spec):
+    # and none as long as 1.5x the spec; every base is a multiple of the
+    # spec (the engine's block index)
+    spec = tuple(min(s, d) for s, d in zip(spec, dims))
+    plan = decompose_blocks(create_grid(*dims), BlockSpec(*spec), 1)
+    for axis, b in enumerate(spec):
+        blocks = _axis_sizes(plan, axis)
+        assert [base for base, _ in blocks] == plan.bases[axis]
+        assert all(base == i * b for i, (base, _) in enumerate(blocks))
+        for _, size in blocks:
+            assert b <= 2 * size < 3 * b
+
+
 def test_index_map_x_neighbors_are_contiguous():
     g = create_grid(5, 4, 3)
     flat = g.data.ravel()

@@ -381,6 +381,24 @@ def test_distributed_cycles_match_the_oracle_with_a_nonzero_ring(
 
 
 @pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+def test_rank_sliver_joins_the_block_before_it(mode):
+    # a rank's local x extent is its 20 owned cells plus h=4 halo layers:
+    # blocks of 20 would leave a 4-cell sliver, which joins the first block
+    dims, seed, cycles = (40, 40, 40), 9, 2
+    cfg = _cfg(t=1, T=4, mode=mode, spec=(20, 10, 10))
+    dist = DistConfig(topo=RankTopology(2, 1, 1), cfg=cfg, cycles=cycles,
+                      global_dims=dims, seed=seed, init="random_ring")
+    runtimes = run_distributed_inprocess(dist)
+    for rt in runtimes:
+        assert rt.sub.local_dims[0] == 24
+        assert rt.engine.plan.bases[0] == [0]
+        assert {size[0] for _, size in rt.engine.plan.blocks} == {24}
+    assert_bitwise(assemble_global(runtimes).interior_view(),
+                   _swept(dims, seed, cycles * cfg.h,
+                          "random_ring").interior_view())
+
+
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
 @pytest.mark.parametrize("topo_dims,spec", [((2, 1, 1), (52, 96, 7)),
                                             ((1, 1, 2), (96, 96, 7))])
 def test_distributed_wavefront_matches_the_oracle(topo_dims, spec, mode):

@@ -124,11 +124,15 @@ def test_blocked_sweep_60_cubed_bitwise():
     assert_bitwise(b2.interior_view(), b1.interior_view())
 
 
-def test_blocked_sweep_truncated_edge_blocks_bitwise():
+@pytest.mark.parametrize("spec", [(7, 3, 3), (5, 4, 4)],
+                         ids=["merged_last", "short_last"])
+def test_blocked_sweep_truncated_edge_blocks_bitwise(spec):
+    # 7 cells in blocks of 3 end in a 4-cell block (the 1-cell remainder
+    # joins the block before it), in blocks of 4 in a short 3-cell one
     g = create_grid(7, 7, 7, init="random", seed=4)
     b1, b2 = g.copy(), g.copy()
     reference_sweep(g, b1)
-    spatial_blocked_sweep(g, b2, BlockSpec(7, 3, 3))
+    spatial_blocked_sweep(g, b2, BlockSpec(*spec))
     assert_bitwise(b2.interior_view(), b1.interior_view())
 
 

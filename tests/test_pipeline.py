@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import sys
 import threading
 import time
@@ -17,6 +18,7 @@ from stencilpipe import (
     create_grid,
     effective_distances,
     estimate_max_distance,
+    reference_sweep,
     run_pipelined,
 )
 from stencilpipe.grid import decompose_blocks
@@ -754,8 +756,9 @@ def test_a_side_with_a_neighbour_needs_no_face():
 @pytest.mark.parametrize("mode", ["two_grid", "compressed"])
 @pytest.mark.parametrize("direction", [1, -1])
 def test_work_table_matches_a_plain_build(mode, direction):
-    # truncated last blocks on every axis, live ranges shrinking on the low
-    # x and high z sides as on a rank with neighbours there
+    # short last blocks on x and y, a last block of 4 (3 + 1) on z, live
+    # ranges shrinking on the low x and high z sides as on a rank with
+    # neighbours there
     dims, spec = (13, 10, 7), BlockSpec(5, 4, 3)
     cfg = _cfg(spec=spec, t=2, T=2, grid_mode=mode)
     nbs = ((True, False), (False, False), (False, True))
@@ -788,3 +791,52 @@ def test_work_table_matches_a_plain_build(mode, direction):
             rows.append(row + [u, mask])
         expected.append(rows)
     assert engine.work_table(direction).tolist() == expected
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+def test_merged_last_blocks_equal_reference(mode, walk, request):
+    # every axis ends in a block longer than its spec: 10 + 3, 8 + 1, 6 + 1
+    if walk:
+        request.getfixturevalue("walker_calls")
+    dims, seed, passes = (23, 17, 13), 8, 2
+    cfg = _cfg(spec=BlockSpec(10, 8, 6), t=2, T=2, grid_mode=mode)
+    g = create_grid(*dims, pad=cfg.h if mode == "compressed" else 0,
+                    init="random_ring", seed=seed)
+    expected = create_grid(*dims, init="random_ring", seed=seed)
+    scratch = expected.copy()
+    for _ in range(cfg.h * passes):
+        reference_sweep(expected, scratch)
+        expected, scratch = scratch, expected
+    st = run_pipelined(g if mode == "compressed" else (g, g.copy()), cfg,
+                       passes)
+    assert decompose_blocks(g, cfg.spec).bases == ([0, 10], [0, 8], [0, 6])
+    assert_bitwise(st.result.interior_view(), expected.interior_view())
+
+
+def _shape_only(dims, pad):
+    """A grid of the given dims whose storage is one shared zero: enough to
+    build an engine and its work tables, with no memory behind it."""
+    shape = tuple(n + 2 + pad for n in dims[::-1])
+    return Grid3(*dims, pad=pad, data=np.broadcast_to(np.float64(0), shape))
+
+
+@pytest.mark.parametrize("dims,spec,mode,t,T,digests", [
+    # the pipe_stream and pipe_fine benchmark shapes
+    ((200, 200, 200), (200, 40, 40), "two_grid", 2, 2,
+     ("dfb60d368cb8aea4eaa80318c19629cfdbf9f249c0577e10b71fad2467772b5a",
+      "7c8afc835d5cef43d9dc5d1b91c28813a98bfe286506540e2ab886792f48acdd")),
+    ((96, 96, 96), (96, 4, 4), "compressed", 2, 1,
+     ("877b0c13c53225febe8bb4d065eecde3b2378717e879c6eaeb31f815da950bde",
+      "208d4a6b4f9763473e9315e0288709053c5e86c9dfcbed8457bb257fb81a6fca")),
+], ids=["pipe_stream", "pipe_fine"])
+def test_exactly_dividing_work_tables_are_unchanged(dims, spec, mode, t, T,
+                                                    digests):
+    # SHA-256 of each direction's table as built before short last blocks
+    # joined their neighbours: a spec that divides every axis has no short
+    # block, so its tables must not move by a byte
+    cfg = _cfg(spec=BlockSpec(*spec), t=t, T=T, grid_mode=mode)
+    g = _shape_only(dims, cfg.h if mode == "compressed" else 0)
+    engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g))
+    assert tuple(hashlib.sha256(engine.work_table(d).astype("<i8").tobytes())
+                 .hexdigest() for d in (1, -1)) == digests

@@ -202,19 +202,68 @@ def test_tcp_large_payload_integrity():
         ep.close()
 
 
+def _socketpair_endpoint():
+    """A one-rank endpoint whose link to "rank 1" is one end of a socket
+    pair; the other end is returned as the peer."""
+    ep = TcpEndpoint(0, [("127.0.0.1", 0)])
+    mine, peer = socket.socketpair()
+    ep._socks[1] = mine
+    return ep, peer
+
+
 def test_tcp_dead_peer_mid_sendrecv_is_transport_error():
     # a one-rank endpoint dials and listens for nobody; its link to "rank 1"
     # is one end of a socket pair whose other end is already closed, so the
     # send fails with BrokenPipeError (an OSError, exit 2 if it escaped)
-    ep = TcpEndpoint(0, [("127.0.0.1", 0)])
-    mine, peer = socket.socketpair()
-    ep._socks[1] = mine
+    ep, peer = _socketpair_endpoint()
     peer.close()
     try:
         with pytest.raises(TransportError, match="rank 1") as exc:
             ep.sendrecv(1, bytes(8 << 20), 8 << 20, timeout=10.0)
         assert isinstance(exc.value.__cause__, OSError)
     finally:
+        ep.close()
+
+
+def test_tcp_large_message_over_many_reads_lands_bitwise():
+    # 3 MiB sent in 64 KiB pieces with pauses between them: sendrecv reads
+    # it into its buffer over many reads, each at its running offset
+    payload = splitmix64_unit(0, 3 << 17, seed=12).tobytes()
+    ep, peer = _socketpair_endpoint()
+
+    def reply():
+        for at in range(0, len(payload), 1 << 16):
+            peer.sendall(payload[at:at + (1 << 16)])
+            if at % (1 << 20) == 0:
+                time.sleep(0.01)
+
+    replier = threading.Thread(target=reply)
+    replier.start()
+    try:
+        got = ep.sendrecv(1, b"", len(payload), timeout=10.0)
+    finally:
+        replier.join()
+        peer.close()
+        ep.close()
+    assert isinstance(got, bytearray) and got == payload
+
+
+def test_tcp_peer_closing_mid_message_is_transport_error():
+    # half of a 2 MiB message, then the peer closes: the read of 0 bytes
+    # that follows ends the call with a TransportError, not a short buffer
+    ep, peer = _socketpair_endpoint()
+
+    def half_then_close():
+        peer.sendall(bytes(1 << 20))
+        peer.close()
+
+    sender = threading.Thread(target=half_then_close)
+    sender.start()
+    try:
+        with pytest.raises(TransportError, match="rank 1 closed the link"):
+            ep.sendrecv(1, b"", 2 << 20, timeout=10.0)
+    finally:
+        sender.join()
         ep.close()
 
 
@@ -230,9 +279,7 @@ def test_tcp_sendrecv_waits_for_a_late_reply_without_spinning(monkeypatch):
             return super().select(timeout)
 
     monkeypatch.setattr(selectors, "DefaultSelector", Counting)
-    ep = TcpEndpoint(0, [("127.0.0.1", 0)])
-    mine, peer = socket.socketpair()
-    ep._socks[1] = mine
+    ep, peer = _socketpair_endpoint()
     message = bytes(range(64))
 
     def reply():
@@ -255,9 +302,7 @@ def test_tcp_sendrecv_waits_for_a_late_reply_without_spinning(monkeypatch):
 def test_tcp_sendrecv_ends_at_its_deadline():
     # a live peer that never answers: the wait ends at the timeout, not at
     # the end of a whole one-second select round after it
-    ep = TcpEndpoint(0, [("127.0.0.1", 0)])
-    mine, peer = socket.socketpair()
-    ep._socks[1] = mine
+    ep, peer = _socketpair_endpoint()
     try:
         t0 = time.monotonic()
         with pytest.raises(TransportError, match="timed out"):
