@@ -238,8 +238,8 @@ def _axis_bases(n: int, b: int):
 class BlockPlan:
     """Ordered tiling of the interior.
 
-    ``blocks`` lists (base, size) pairs, x fastest / z outermost for
-    direction +1, exactly reversed for -1.  ``bases`` holds the per-axis base
+    ``blocks`` lists (base, size) pairs, x fastest / z outermost (a backward
+    pass visits them in reverse).  ``bases`` holds the per-axis base
     coordinates, multiples of the spec's edge lengths; each block runs to the
     next base or to the end of its axis, so the last block on an axis may be
     shorter or (up to 1.5x) longer than the spec.  The pipelined sweep
@@ -253,14 +253,12 @@ class BlockPlan:
         return len(self.blocks)
 
 
-def decompose_blocks(grid: Grid3, spec: BlockSpec, direction: int = 1) -> BlockPlan:
+def decompose_blocks(grid: Grid3, spec: BlockSpec) -> BlockPlan:
     """Tile the interior with blocks of the spec's edge lengths.  On each
     axis the last block takes what is left: a remainder r with 2*r >= b
     stays a short block of r cells, a shorter one joins the block before it
     (b + r cells)."""
     spec.validate(grid)
-    if direction not in (1, -1):
-        raise ValueError(f"direction must be +1 or -1, got {direction}")
     bases = tuple(_axis_bases(n, b)
                   for n, b in zip(grid.shape, (spec.bx, spec.by, spec.bz)))
     # (base, size) per block of each axis: a block runs to the next base
@@ -268,8 +266,6 @@ def decompose_blocks(grid: Grid3, spec: BlockSpec, direction: int = 1) -> BlockP
                   for axis, n in zip(bases, grid.shape))
     blocks = [((x, y, z), (sx, sy, sz))
               for z, sz in zs for y, sy in ys for x, sx in xs]
-    if direction == -1:
-        blocks.reverse()
     return BlockPlan(bases=bases, blocks=blocks)
 
 

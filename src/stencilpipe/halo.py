@@ -214,7 +214,10 @@ def exchange_multilayer_halos(g: Grid3, plan: list, ep,
     owner's value.  Each message goes out from its plan entry's frame, and
     the peer's frame must carry the mirror header before any cell changes.
     A message not answered within ``timeout`` seconds raises
-    TransportError."""
+    TransportError.  ``timings`` sums pack, transfer and unpack seconds;
+    transfer runs from the send until the peer's whole frame has arrived,
+    so it includes the time the peer still spends computing before it
+    sends, not only the wire."""
     t = timings if timings is not None else {}
     for m in plan:
         t0 = time.perf_counter()
@@ -298,8 +301,8 @@ def run_digest(cfg: PipelineConfig, global_dims, passes, seed, init,
     """SHA-256 hex of everything that decides a run's output: the global
     dims (for weak scaling, the per-rank dims times the topology, so strong
     and weak runs of one domain match), the rank topology, the pass or
-    cycle count, the seed and init rule, and the pipeline shape.  Watchdog
-    and jitter change timing only and are left out."""
+    cycle count, the seed and init rule, and the pipeline shape.  The
+    watchdog changes timing only and is left out."""
     b = cfg.spec
     text = "\n".join([
         f"dims={tuple(int(d) for d in global_dims)}",
@@ -342,10 +345,11 @@ def run_rank(dist: DistConfig, rank: int, ep) -> RankRuntime:
 
 
 def run_distributed_inprocess(dist: DistConfig):
-    """All ranks as threads over the in-process transport; returns the list
-    of per-rank runtimes (stats in .timings, data via .owned_view()).  The
-    first rank to fail aborts the fabric, which ends its peers' waits, and
-    its error is the one raised."""
+    """All ranks as threads, linked by an in-process fabric's socket pairs;
+    returns the list of per-rank runtimes (stats in .timings, data via
+    .owned_view()).  The first rank to fail aborts the fabric, which ends
+    its peers' waits, and its error is the one raised.  Every link is
+    closed once the ranks have joined."""
     import threading
     from .transport import InProcessFabric
 
@@ -367,6 +371,8 @@ def run_distributed_inprocess(dist: DistConfig):
         th.start()
     for th in threads:
         th.join()
+    for ep in eps:
+        ep.close()
     if errors:
         raise errors[0][1]
     return out

@@ -282,7 +282,7 @@ def spatial_blocked_sweep(a: Grid3, b: Grid3, spec: BlockSpec) -> None:
     reference_sweep."""
     if a.shape != b.shape:
         raise ValueError(f"grid shapes differ: {a.shape} vs {b.shape}")
-    plan = decompose_blocks(a, spec, 1)
+    plan = decompose_blocks(a, spec)
     off = a.origin - a.alignment
     for (bx, by, bz), (sx, sy, sz) in plan.blocks:
         window = ((bx, bx + sx), (by, by + sy), (bz, bz + sz))

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -89,9 +88,6 @@ class PipelineConfig:
     sync_mode: str = "relaxed"      # "relaxed" | "barrier"
     grid_mode: str = "two_grid"     # "two_grid" | "compressed"
     watchdog_s: float = 30.0
-    jitter_prob: float = 0.0        # per block-update probability of a delay
-    jitter_max_s: float = 0.0
-    jitter_seed: int = 0
 
     def __post_init__(self):
         if min(self.n, self.t, self.T) < 1:
@@ -244,7 +240,7 @@ class PipelineEngine:
                 raise ValueError("compressed mode uses a single grid")
         g = self.grids[0]
         self.dims = g.shape
-        self.plan = decompose_blocks(g, cfg.spec, 1)  # backward: reversed
+        self.plan = decompose_blocks(g, cfg.spec)  # backward: reversed
         # each block's index along each axis, in forward traversal order
         self._block_index = np.array(
             [base for base, _size in self.plan.blocks],
@@ -392,7 +388,7 @@ class _Run:
                        or apply_window is not kernel.apply_window
                        or write_ring_strips is not kernel.write_ring_strips)
         if not self.walker:
-            self.delays = self._jitter_delays()
+            self.delays = self._delays()
             self.spec = self._driver_spec()
 
     def direction(self, q: int) -> int:
@@ -448,21 +444,11 @@ class _Run:
                     f"C-contiguous float64 array of shape {shape}, as "
                     "Grid3.capture_boundary_faces makes it")
 
-    def _jitter_delays(self):
-        """Sleep in seconds per pass, thread and block, drawn from one
-        random.Random per engine pass and thread; None without jitter."""
-        cfg = self.cfg
-        if cfg.jitter_prob <= 0.0:
-            return None
-        delays = np.zeros((self.count, self.nt, self.nblocks))
-        for q, per_pass in enumerate(delays):
-            for g, row in enumerate(per_pass):
-                rng = random.Random(cfg.jitter_seed * 1_000_003
-                                    + (self.first + q) * 8191 + g)
-                for k in range(len(row)):
-                    if rng.random() < cfg.jitter_prob:
-                        row[k] = rng.random() * cfg.jitter_max_s
-        return delays
+    def _delays(self):
+        """Seconds the compiled driver sleeps before each block update, per
+        pass, thread and block, or None for no sleeps: a seam for tests that
+        perturb the threads' timing."""
+        return None
 
     def _driver_spec(self) -> kernel.RunSpec:
         """The compiled driver's arguments."""
@@ -586,9 +572,6 @@ def run_pipelined(grids, cfg: PipelineConfig, total_passes: int) -> RunStats:
     if cfg.grid_mode == "compressed":
         if total_passes % 2 != 0:
             raise ValueError("compressed mode needs an even number of passes")
-        if engine.grids[0].pad < cfg.h:
-            raise ValueError(
-                f"compressed mode needs pad >= h ({engine.grids[0].pad} < {cfg.h})")
     t0 = time.perf_counter()
     stats = engine.run_passes(total_passes)
     stats.wall_seconds = time.perf_counter() - t0

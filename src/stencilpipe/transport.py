@@ -1,11 +1,12 @@
-"""Rank-to-rank messaging with two interchangeable backends.
+"""Rank-to-rank messaging over stream sockets.
 
-The only data-plane primitive is sendrecv: a full-duplex exchange with one
-neighbor that never deadlocks when both ends call it pairwise.  The
-in-process backend (queues) serves tests and single-host multi-rank runs from
-threads; the TCP backend serves real multi-process runs, launched with
+The only data-plane primitive is ``TcpEndpoint.sendrecv``: a full-duplex
+exchange with one neighbor that never deadlocks when both ends call it
+pairwise.  Ranks of one process (threads) are linked by socket pairs
+(:class:`InProcessFabric`); separate processes by TCP, launched with
 ``--rank R --ranks N --rankfile FILE`` where FILE lists ``rank host port``
-lines.  Messages between a fixed pair arrive in send order and are bit-exact.
+lines (:func:`tcp_endpoint`).  Messages between a fixed pair arrive in send
+order and are bit-exact.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import selectors
 import socket
 import struct
 import time
-from queue import Empty, SimpleQueue
 
 from .flatfile import flat_lines
 
@@ -26,69 +26,6 @@ class TransportError(RuntimeError):
 class ProtocolError(TransportError):
     pass
 
-
-# ---------------------------------------------------------------------------
-# in-process backend
-# ---------------------------------------------------------------------------
-
-_ABORTED = object()  # queued by InProcessFabric.abort in place of a message
-
-
-class InProcessFabric:
-    """All-pairs queues for ranks living in one process (as threads)."""
-
-    def __init__(self, ranks: int):
-        if ranks < 1:
-            raise ValueError("ranks must be >= 1")
-        self.ranks = ranks
-        self._queues = {(a, b): SimpleQueue()
-                        for a in range(ranks) for b in range(ranks) if a != b}
-        self.aborted = False
-
-    def endpoints(self):
-        return [InProcessEndpoint(r, self) for r in range(self.ranks)]
-
-    def abort(self) -> None:
-        """Fail every pending and later sendrecv with TransportError, so
-        that one rank's error ends its peers at once."""
-        self.aborted = True
-        for q in self._queues.values():
-            q.put(_ABORTED)
-
-
-class InProcessEndpoint:
-    """One rank's attachment to an in-process fabric."""
-
-    def __init__(self, rank: int, fabric: InProcessFabric):
-        self.rank, self.ranks = rank, fabric.ranks
-        self._fabric = fabric
-
-    def sendrecv(self, neighbor, outgoing, expected_len, timeout=60.0):
-        if not 0 <= neighbor < self.ranks or neighbor == self.rank:
-            raise TransportError(f"rank {self.rank}: bad neighbor {neighbor}")
-        if self._fabric.aborted:
-            raise TransportError(f"rank {self.rank}: the fabric was aborted")
-        # a snapshot: the sender rewrites its buffer for its next message
-        # while the peer may not have read this one yet
-        self._fabric._queues[(self.rank, neighbor)].put(bytes(outgoing))
-        try:
-            incoming = self._fabric._queues[(neighbor, self.rank)].get(timeout=timeout)
-        except Empty:
-            raise TransportError(
-                f"rank {self.rank}: timed out waiting for rank {neighbor}")
-        if incoming is _ABORTED:
-            raise TransportError(f"rank {self.rank}: the fabric was aborted "
-                                 f"while waiting for rank {neighbor}")
-        if len(incoming) != expected_len:
-            raise ProtocolError(
-                f"rank {self.rank}: expected {expected_len} bytes from "
-                f"{neighbor}, got {len(incoming)}")
-        return incoming
-
-
-# ---------------------------------------------------------------------------
-# TCP backend
-# ---------------------------------------------------------------------------
 
 def parse_rankfile(text: str):
     """rank host port per line; ranks must be dense 0..R-1."""
@@ -104,60 +41,13 @@ def parse_rankfile(text: str):
 
 
 class TcpEndpoint:
-    """Full mesh of loopback/LAN sockets.  For every pair (i, j) with i < j,
-    i listens and j connects; a one-byte hello identifies the dialing rank."""
+    """One rank's links to its peers: ``links`` maps each peer rank to a
+    connected stream socket (TCP, or one end of a socket pair).  Every
+    message between two ranks goes through :meth:`sendrecv`."""
 
-    def __init__(self, rank: int, addresses, connect_timeout: float = 30.0):
-        self.rank, self.ranks = rank, len(addresses)
-        self._socks = {}
-        host, port = addresses[rank]
-        lower = list(range(rank))                   # we dial these
-        higher = list(range(rank + 1, self.ranks))  # these dial us
-        listener = None
-        if higher:
-            listener = socket.create_server((host, port), backlog=len(higher))
-            listener.settimeout(connect_timeout)
-        # dial every lower-ranked peer
-        for peer in lower:
-            deadline = time.monotonic() + connect_timeout
-            last_err = None
-            while time.monotonic() < deadline:
-                try:
-                    s = socket.create_connection(addresses[peer], timeout=2.0)
-                    break
-                except OSError as exc:
-                    last_err = exc
-                    time.sleep(0.05)
-            else:
-                raise TransportError(
-                    f"rank {rank}: cannot reach rank {peer} at "
-                    f"{addresses[peer]}: {last_err}")
-            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            s.sendall(struct.pack("<I", rank))
-            self._socks[peer] = s
-        # accept every higher-ranked peer
-        for _ in higher:
-            try:
-                s, _addr = listener.accept()
-            except socket.timeout:
-                missing = [p for p in higher if p not in self._socks]
-                raise TransportError(
-                    f"rank {rank}: startup timeout waiting for ranks {missing}")
-            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            peer = struct.unpack("<I", self._recv_exact(s, 4))[0]
-            self._socks[peer] = s
-        if listener is not None:
-            listener.close()
-
-    @staticmethod
-    def _recv_exact(sock, count):
-        buf = bytearray()
-        while len(buf) < count:
-            chunk = sock.recv(count - len(buf))
-            if not chunk:
-                raise TransportError("connection closed mid-message")
-            buf.extend(chunk)
-        return bytes(buf)
+    def __init__(self, rank: int, links):
+        self.rank, self.ranks = rank, len(links) + 1
+        self._socks = dict(links)
 
     def sendrecv(self, neighbor, outgoing, expected_len, timeout=60.0):
         try:
@@ -170,10 +60,10 @@ class TcpEndpoint:
         got = 0
         sent = 0
         deadline = time.monotonic() + timeout
-        sock.setblocking(False)
         sel = selectors.DefaultSelector()
         registered = 0
         try:
+            sock.setblocking(False)
             # interleave writes and reads on one socket so both sides can call
             # sendrecv simultaneously with arbitrarily large payloads
             while sent < len(outgoing) or got < expected_len:
@@ -206,13 +96,18 @@ class TcpEndpoint:
                             f"rank {self.rank}: rank {neighbor} closed the link")
                     if n:
                         got += n
-        except OSError as exc:  # a dead peer: BrokenPipeError, reset, ...
+        except (OSError, ValueError) as exc:
+            # a dead peer (BrokenPipeError, reset, ...) or a link closed
+            # here (EBADF; selectors reject its fd with ValueError)
             raise TransportError(
                 f"rank {self.rank}: link to rank {neighbor} failed: {exc}"
             ) from exc
         finally:
             sel.close()
-            sock.setblocking(True)
+            try:
+                sock.setblocking(True)
+            except OSError:  # closed: nothing left to restore
+                pass
         return incoming
 
     def close(self):
@@ -223,10 +118,109 @@ class TcpEndpoint:
                 pass
 
 
+def _recv_exact(sock, count):
+    buf = bytearray()
+    while len(buf) < count:
+        chunk = sock.recv(count - len(buf))
+        if not chunk:
+            raise TransportError("connection closed mid-message")
+        buf.extend(chunk)
+    return bytes(buf)
+
+
+def _connect_mesh(rank: int, addresses, connect_timeout: float) -> dict:
+    """TCP links from this rank to every other, as ``{peer: socket}``.  For
+    every pair (i, j) with i < j, i listens and j dials; a 4-byte hello
+    names the dialing rank.  On any error every socket made here is closed
+    before the error propagates."""
+    lower = list(range(rank))                        # we dial these
+    higher = list(range(rank + 1, len(addresses)))   # these dial us
+    links, opened, listener = {}, [], None
+    try:
+        if higher:
+            listener = socket.create_server(addresses[rank],
+                                            backlog=len(higher))
+            listener.settimeout(connect_timeout)
+        # dial every lower-ranked peer
+        for peer in lower:
+            deadline = time.monotonic() + connect_timeout
+            last_err = None
+            while time.monotonic() < deadline:
+                try:
+                    s = socket.create_connection(addresses[peer], timeout=2.0)
+                    break
+                except OSError as exc:
+                    last_err = exc
+                    time.sleep(0.05)
+            else:
+                raise TransportError(
+                    f"rank {rank}: cannot reach rank {peer} at "
+                    f"{addresses[peer]}: {last_err}")
+            opened.append(s)
+            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            s.sendall(struct.pack("<I", rank))
+            links[peer] = s
+        # accept every higher-ranked peer
+        for _ in higher:
+            try:
+                s, _addr = listener.accept()
+            except socket.timeout:
+                missing = [p for p in higher if p not in links]
+                raise TransportError(
+                    f"rank {rank}: startup timeout waiting for ranks {missing}")
+            opened.append(s)
+            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            peer = struct.unpack("<I", _recv_exact(s, 4))[0]
+            links[peer] = s
+    except BaseException:
+        for s in opened:
+            s.close()
+        raise
+    finally:
+        if listener is not None:
+            listener.close()
+    return links
+
+
 def tcp_endpoint(rank: int, addresses, connect_timeout: float = 30.0) -> TcpEndpoint:
     """Connect this rank to every other, then wait until all ranks have: rank
     0 collects a token from each peer and so releases them."""
-    ep = TcpEndpoint(rank, addresses, connect_timeout)
-    for peer in range(1, ep.ranks) if rank == 0 else (0,):
-        ep.sendrecv(peer, b"B", 1)
+    ep = TcpEndpoint(rank, _connect_mesh(rank, addresses, connect_timeout))
+    try:
+        for peer in range(1, ep.ranks) if rank == 0 else (0,):
+            ep.sendrecv(peer, b"B", 1)
+    except BaseException:
+        ep.close()
+        raise
     return ep
+
+
+class InProcessFabric:
+    """Ranks living in one process (as threads), each pair linked by a
+    socket pair: their endpoints are TcpEndpoints, so in-process and TCP
+    runs exchange halos through the same sendrecv."""
+
+    def __init__(self, ranks: int):
+        if ranks < 1:
+            raise ValueError("ranks must be >= 1")
+        self.ranks = ranks
+        links = [{} for _ in range(ranks)]
+        for a in range(ranks):
+            for b in range(a + 1, ranks):
+                links[a][b], links[b][a] = socket.socketpair()
+        self._endpoints = [TcpEndpoint(r, links[r]) for r in range(ranks)]
+
+    def endpoints(self):
+        return list(self._endpoints)
+
+    def abort(self) -> None:
+        """Shut every link down (without closing it, so no thread's socket
+        goes away under it): pending and later sendrecv calls see the end of
+        the stream or a broken pipe and raise TransportError, so one rank's
+        error ends its peers at once."""
+        for ep in self._endpoints:
+            for s in ep._socks.values():
+                try:
+                    s.shutdown(socket.SHUT_RDWR)
+                except OSError:  # already closed or shut down
+                    pass

@@ -1,9 +1,10 @@
+import random
 import socket
 
 import numpy as np
 import pytest
 
-from stencilpipe import create_grid, reference_sweep
+from stencilpipe import create_grid, pipeline, reference_sweep
 
 
 class OracleCache:
@@ -53,3 +54,22 @@ def free_ports(count):
     for s in socks:
         s.close()
     return ports
+
+
+def install_jitter(monkeypatch, prob, max_s, seed=0):
+    """Seeded random sleeps in the compiled driver: before each block
+    update a thread sleeps up to ``max_s`` seconds with probability
+    ``prob``, drawn from one random.Random per engine pass and thread."""
+
+    def delays(run):
+        out = np.zeros((run.count, run.nt, run.nblocks))
+        for q, per_pass in enumerate(out):
+            for g, row in enumerate(per_pass):
+                rng = random.Random(seed * 1_000_003
+                                    + (run.first + q) * 8191 + g)
+                for k in range(len(row)):
+                    if rng.random() < prob:
+                        row[k] = rng.random() * max_s
+        return out
+
+    monkeypatch.setattr(pipeline._Run, "_delays", delays)

@@ -35,7 +35,7 @@ from stencilpipe.perfmodel import (
     load_network_model,
     multihalo_advantage,
 )
-from tests.conftest import free_ports
+from tests.conftest import free_ports, install_jitter
 
 SIZE = 60
 SEED = 42
@@ -143,16 +143,15 @@ def _tcp_loopback_check(oracle, tmp_base):
     return combined.size
 
 
-def test_criterion_3_synchronization_safety():
+def test_criterion_3_synchronization_safety(monkeypatch):
     """Zero violations of the predecessor-distance condition over at least
     1e5 instrumented block updates under injected timing jitter."""
     if kernel.BACKEND != "c":
         pytest.skip("no compiled driver: the walker runs in one thread and "
                     "never waits")
+    install_jitter(monkeypatch, 0.01, 0.0002, seed=2024)
     cfg = PipelineConfig(spec=BlockSpec(6, 6, 6), n=2, t=4, T=1,
-                         d_l=1, d_u=3, d_t=1, grid_mode="two_grid",
-                         jitter_prob=0.01, jitter_max_s=0.0002,
-                         jitter_seed=2024)
+                         d_l=1, d_u=3, d_t=1, grid_mode="two_grid")
     g = create_grid(48, 48, 48, init="random", seed=SEED)
     passes = 26  # 512 blocks x 8 threads x 26 passes > 1e5 block updates
     stats = run_pipelined((g, g.copy()), cfg, passes)

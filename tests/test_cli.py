@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import socket
 import sys
 import threading
 
@@ -15,6 +14,7 @@ from stencilpipe.perfmodel import ModelFormatError, load_network_model
 from stencilpipe.pipeline import PipelineDeadlock
 from stencilpipe.transport import (TransportError, parse_rankfile,
                                    tcp_endpoint)
+from tests.conftest import free_ports
 
 
 def run_cli(argv, capsys):
@@ -349,7 +349,7 @@ def test_dist_watchdog_must_be_finite_and_positive(budget, monkeypatch,
 def test_dist_watchdog_bounds_a_tcp_rank_wait(tmp_path, capsys):
     # the peer connects and then stays silent: rank 0 gives up at its 0.5 s
     # watchdog, not the 30 s default, and exits with a transport error
-    addresses = [("127.0.0.1", p) for p in _free_ports(2)]
+    addresses = [("127.0.0.1", p) for p in free_ports(2)]
     rankfile = tmp_path / "ranks.txt"
     rankfile.write_text("".join(f"{r} {host} {port}\n"
                                 for r, (host, port) in enumerate(addresses)))
@@ -417,20 +417,10 @@ def test_unexpected_errors_exit_with_their_own_code(exc, code, err,
                    capsys) == (code, "", err)
 
 
-def _free_ports(count):
-    socks = [socket.socket() for _ in range(count)]
-    for s in socks:
-        s.bind(("127.0.0.1", 0))
-    ports = [s.getsockname()[1] for s in socks]
-    for s in socks:
-        s.close()
-    return ports
-
-
 def test_tcp_handshake_mismatch_exits_transport_error(tmp_path, capsys):
     rankfile = tmp_path / "ranks.txt"
     rankfile.write_text("".join(f"{r} 127.0.0.1 {p}\n"
-                                for r, p in enumerate(_free_ports(2))))
+                                for r, p in enumerate(free_ports(2))))
     codes = [None, None]
 
     def rank(r):

@@ -81,7 +81,7 @@ def test_splitmix_values_in_unit_interval():
 
 def test_decompose_hand_enumerated():
     g = create_grid(6, 6, 6)
-    plan = decompose_blocks(g, BlockSpec(6, 3, 3), 1)
+    plan = decompose_blocks(g, BlockSpec(6, 3, 3))
     bases = [b for b, _ in plan.blocks]
     assert bases == [(0, 0, 0), (0, 3, 0), (0, 0, 3), (0, 3, 3)]
     assert all(size == (6, 3, 3) for _, size in plan.blocks)
@@ -89,23 +89,16 @@ def test_decompose_hand_enumerated():
 
 def test_whole_domain_is_one_block():
     g = create_grid(6, 6, 6)
-    plan = decompose_blocks(g, BlockSpec(6, 6, 6), 1)
+    plan = decompose_blocks(g, BlockSpec(6, 6, 6))
     assert plan.total_blocks == 1
-
-
-def test_backward_order_is_exact_reverse():
-    g = create_grid(6, 6, 6)
-    fwd = decompose_blocks(g, BlockSpec(6, 3, 3), 1)
-    bwd = decompose_blocks(g, BlockSpec(6, 3, 3), -1)
-    assert bwd.blocks == list(reversed(fwd.blocks))
 
 
 def test_block_larger_than_interior_rejected():
     g = create_grid(6, 6, 6)
     with pytest.raises(ValueError):
-        decompose_blocks(g, BlockSpec(7, 3, 3), 1)
+        decompose_blocks(g, BlockSpec(7, 3, 3))
     with pytest.raises(ValueError):
-        decompose_blocks(g, BlockSpec(6, 0, 3), 1)
+        decompose_blocks(g, BlockSpec(6, 0, 3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,7 +111,7 @@ def test_tiling_property(dims, spec):
     nx, ny, nz = dims
     bx, by, bz = (min(s, d) for s, d in zip(spec, dims))
     g = create_grid(nx, ny, nz)
-    plan = decompose_blocks(g, BlockSpec(bx, by, bz), 1)
+    plan = decompose_blocks(g, BlockSpec(bx, by, bz))
     cover = np.zeros((nz, ny, nx), dtype=np.int32)
     for (x, y, z), (sx, sy, sz) in plan.blocks:
         cover[z:z + sz, y:y + sy, x:x + sx] += 1
@@ -139,7 +132,7 @@ def _axis_sizes(plan, axis):
 ])
 def test_short_last_block_rule_at_its_boundary(n, b, sizes):
     g = create_grid(n, 3, 3)
-    plan = decompose_blocks(g, BlockSpec(b, 3, 3), 1)
+    plan = decompose_blocks(g, BlockSpec(b, 3, 3))
     bases = [sum(sizes[:i]) for i in range(len(sizes))]
     assert plan.bases[0] == bases
     assert _axis_sizes(plan, 0) == list(zip(bases, sizes))
@@ -154,7 +147,7 @@ def test_no_block_shorter_than_half_its_spec(dims, spec):
     # and none as long as 1.5x the spec; every base is a multiple of the
     # spec (the engine's block index)
     spec = tuple(min(s, d) for s, d in zip(spec, dims))
-    plan = decompose_blocks(create_grid(*dims), BlockSpec(*spec), 1)
+    plan = decompose_blocks(create_grid(*dims), BlockSpec(*spec))
     for axis, b in enumerate(spec):
         blocks = _axis_sizes(plan, axis)
         assert [base for base, _ in blocks] == plan.bases[axis]

@@ -47,6 +47,8 @@ def _run_ranks(subs, fn):
         t.start()
     for t in ts:
         t.join()
+    for ep in eps:
+        ep.close()
     if errs:
         raise errs[0]
     return out
@@ -534,7 +536,7 @@ def test_a_silent_peer_ends_the_run_at_its_watchdog(transport, silent_from):
             answer.join()
     finally:
         for ep in eps:
-            getattr(ep, "close", lambda: None)()
+            ep.close()
 
 
 def test_config_hash_mismatch_aborts():
@@ -557,6 +559,8 @@ def test_config_hash_mismatch_aborts():
         t.start()
     for t in ts:
         t.join(timeout=30)
+    for ep in eps:
+        ep.close()
     assert any("config hash" in e for e in errs)
 
 
@@ -580,6 +584,8 @@ def test_handshake_rejects_ranks_that_differ_only_in_init():
         t.start()
     for t in ts:
         t.join(timeout=30)
+    for ep in eps:
+        ep.close()
     assert len(errs) == 2
     assert all(isinstance(e, ProtocolError) and "config hash" in str(e)
                for e in errs)
@@ -606,8 +612,7 @@ def test_run_digest_covers_every_output_input(change):
 
 def test_run_digest_ignores_timing_only_settings():
     base = run_digest(_cfg(spec=(8, 8, 8)), **_DIGEST_BASE)
-    timing = _cfg(spec=(8, 8, 8), watchdog_s=5.0, jitter_prob=0.5,
-                  jitter_max_s=0.001, jitter_seed=9)
+    timing = _cfg(spec=(8, 8, 8), watchdog_s=5.0)
     assert run_digest(timing, **_DIGEST_BASE) == base
     assert len(base) == 64 and set(base) <= set("0123456789abcdef")
 
@@ -620,3 +625,5 @@ def test_halo_width_must_match_pipeline_h():
     eps = InProcessFabric(2).endpoints()
     with pytest.raises(ValueError):
         RankRuntime(subs[0], cfg, eps[0])
+    for ep in eps:
+        ep.close()

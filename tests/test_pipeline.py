@@ -22,7 +22,7 @@ from stencilpipe import (
     run_pipelined,
 )
 from stencilpipe.grid import decompose_blocks
-from tests.conftest import assert_bitwise
+from tests.conftest import assert_bitwise, install_jitter
 
 
 def _cfg(**kw):
@@ -174,11 +174,11 @@ def test_compressed_needs_pad_at_least_h():
 # safety instrumentation and counter traces
 # ---------------------------------------------------------------------------
 
-def test_instrumented_gaps_respect_distances():
+def test_instrumented_gaps_respect_distances(monkeypatch):
     _needs_driver()
+    install_jitter(monkeypatch, 0.05, 0.0005, seed=99)
     cfg = _cfg(spec=BlockSpec(16, 4, 4), n=2, t=2, T=1, d_l=1, d_u=2,
-               grid_mode="compressed", jitter_prob=0.05, jitter_max_s=0.0005,
-               jitter_seed=99)
+               grid_mode="compressed")
     g = create_grid(16, 16, 16, pad=cfg.h)
     g.interior_view()[...] = create_grid(16, 16, 16, init="random",
                                          seed=3).interior_view()
@@ -262,8 +262,7 @@ def walker_calls(monkeypatch):
 
 def _jittered_run(sync):
     cfg = _cfg(spec=BlockSpec(16, 4, 4), n=2, t=2, T=1, d_l=1, d_u=2, d_t=1,
-               sync_mode=sync, grid_mode="compressed", jitter_prob=0.05,
-               jitter_max_s=0.0005, jitter_seed=99)
+               sync_mode=sync, grid_mode="compressed")
     g = create_grid(16, 16, 16, pad=cfg.h, init="random", seed=3)
     return cfg, run_pipelined(g, cfg, 2)
 
@@ -272,6 +271,7 @@ def _jittered_run(sync):
 def test_driver_and_walker_stats_agree(sync, monkeypatch):
     _needs_driver()
     monkeypatch.setattr(pipeline._Run, "walk", None)  # the first run must not walk
+    install_jitter(monkeypatch, 0.05, 0.0005, seed=99)
     cfg, driven = _jittered_run(sync)
     monkeypatch.undo()
     calls = []
@@ -485,7 +485,7 @@ def test_multi_pass_run_equals_reference(mode, passes, sync, walk, request,
                                          monkeypatch, oracle):
     if walk:
         request.getfixturevalue("walker_calls")
-    monkeypatch.setattr(pipeline._Run, "_jitter_delays", _tail_delays)
+    monkeypatch.setattr(pipeline._Run, "_delays", _tail_delays)
     cfg = _cfg(spec=BlockSpec(16, 4, 4), t=3, T=1, d_l=1, d_u=2,
                sync_mode=sync, grid_mode=mode)
     g0 = create_grid(16, 16, 16, init="random", seed=44)
@@ -517,10 +517,10 @@ def test_one_thread_per_position_per_run(t, walk, request, monkeypatch):
     assert len(started) == (t if t > 1 and not walker else 0)
 
 
-def test_abort_in_the_second_pass_stops_every_thread():
+def test_abort_in_the_second_pass_stops_every_thread(monkeypatch):
     _needs_driver()
-    cfg = _cfg(spec=BlockSpec(16, 4, 4), t=2, watchdog_s=60.0,
-               jitter_prob=1.0, jitter_max_s=0.004)
+    install_jitter(monkeypatch, 1.0, 0.004)
+    cfg = _cfg(spec=BlockSpec(16, 4, 4), t=2, watchdog_s=60.0)
     g = create_grid(16, 16, 16, init="random", seed=5)
     run = pipeline._Run(PipelineEngine(cfg, (g, g.copy())), 4)
     errors = []
@@ -770,9 +770,9 @@ def test_work_table_matches_a_plain_build(mode, direction):
     g = create_grid(*dims, pad=cfg.h)
     engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
                             neighbors=nbs)
-    plan = decompose_blocks(g, spec, direction)
+    plan = decompose_blocks(g, spec)
     expected = []
-    for base, _size in plan.blocks:
+    for base, _size in plan.blocks[::direction]:
         rows = []
         for u in range(1, cfg.h + 1):
             delta = -u if direction == 1 else u

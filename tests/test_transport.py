@@ -1,15 +1,19 @@
+import gc
 import hashlib
 import selectors
 import socket
+import struct
 import threading
 import time
+import warnings
 
 import pytest
 
+from stencilpipe import BlockSpec, PipelineConfig
 from stencilpipe.grid import splitmix64_unit
+from stencilpipe.halo import DistConfig, RankTopology, run_distributed_inprocess
 from stencilpipe.transport import (
     InProcessFabric,
-    ProtocolError,
     TcpEndpoint,
     TransportError,
     parse_rankfile,
@@ -34,11 +38,28 @@ def _tcp_pair():
     return eps
 
 
+def _close(eps):
+    for ep in eps:
+        ep.close()
+
+
 def test_single_rank_is_trivially_connected():
     (ep,) = InProcessFabric(1).endpoints()
     assert (ep.rank, ep.ranks) == (0, 1)
-    with pytest.raises(TransportError, match="bad neighbor"):
+    with pytest.raises(TransportError, match="no link to 0"):
         ep.sendrecv(0, b"x", 1)
+
+
+def test_fabric_endpoints_are_tcp_endpoints_over_socket_pairs():
+    eps = InProcessFabric(3).endpoints()
+    try:
+        assert all(type(ep) is TcpEndpoint for ep in eps)
+        assert [(ep.rank, ep.ranks) for ep in eps] == [(0, 3), (1, 3), (2, 3)]
+        assert sorted(eps[1]._socks) == [0, 2]
+        assert all(s.family == socket.AF_UNIX and s.type == socket.SOCK_STREAM
+                   for ep in eps for s in ep._socks.values())
+    finally:
+        _close(eps)
 
 
 def test_eight_inprocess_ranks_all_pairs_reachable():
@@ -58,6 +79,7 @@ def test_eight_inprocess_ranks_all_pairs_reachable():
         t.start()
     for t in threads:
         t.join()
+    _close(eps)
 
 
 def test_inproc_zero_length_payload():
@@ -72,36 +94,20 @@ def test_inproc_zero_length_payload():
         t.start()
     for t in ts:
         t.join()
+    _close(eps)
     assert out == {0: b"", 1: b""}
 
 
-def test_inproc_length_mismatch_is_protocol_error():
-    eps = InProcessFabric(2).endpoints()
-    res = {}
-
-    def a():
-        try:
-            eps[0].sendrecv(1, b"12345", 3)
-        except ProtocolError as exc:
-            res["err"] = exc
-
-    def b():
-        eps[1].sendrecv(0, b"12345", 5)
-
-    ts = [threading.Thread(target=a), threading.Thread(target=b)]
-    for t in ts:
-        t.start()
-    for t in ts:
-        t.join()
-    assert "err" in res
-
-
 def test_inproc_ordering_between_fixed_pair():
-    fabric = InProcessFabric(2)
-    a, b = fabric.endpoints()
-    for i in range(50):
-        fabric._queues[(0, 1)].put(bytes([i]))
-    got = [fabric._queues[(0, 1)].get() for _ in range(50)]
+    # 50 one-byte messages queue up on the link before rank 1 reads any;
+    # they arrive one per call, in send order
+    a, b = InProcessFabric(2).endpoints()
+    try:
+        for i in range(50):
+            assert a.sendrecv(1, bytes([i]), 0) == b""
+        got = [bytes(b.sendrecv(0, b"", 1, timeout=5.0)) for _ in range(50)]
+    finally:
+        _close((a, b))
     assert got == [bytes([i]) for i in range(50)]
 
 
@@ -125,10 +131,31 @@ def test_fabric_abort_fails_pending_and_later_calls():
     for t in ts:
         t.join(timeout=5.0)
     assert not any(t.is_alive() for t in ts)
-    assert len(errors) == 2
-    assert any("aborted" in e for e in errors)
-    with pytest.raises(TransportError, match="aborted"):
-        eps[0].sendrecv(2, b"y", 1)
+    # a call still waiting reads the end of the stream, one not yet sent
+    # meets a broken pipe
+    assert [e.split(": ")[0] for e in sorted(errors)] == ["rank 1", "rank 2"]
+    try:
+        with pytest.raises(TransportError, match="rank 0: .*rank 2"):
+            eps[0].sendrecv(2, b"y", 1)
+    finally:
+        _close(eps)
+
+
+def test_inprocess_run_closes_every_link(monkeypatch):
+    made = []
+    real = socket.socketpair
+
+    def recording(*args, **kwargs):
+        pair = real(*args, **kwargs)
+        made.extend(pair)
+        return pair
+
+    monkeypatch.setattr(socket, "socketpair", recording)
+    dist = DistConfig(topo=RankTopology(2, 2, 1),
+                      cfg=PipelineConfig(spec=BlockSpec(6, 6, 6)), cycles=1,
+                      global_dims=(12, 12, 12))
+    assert len(run_distributed_inprocess(dist)) == 4
+    assert len(made) == 2 * 6 and all(s.fileno() == -1 for s in made)
 
 
 def test_tcp_echo_roundtrip_on_loopback():
@@ -203,18 +230,15 @@ def test_tcp_large_payload_integrity():
 
 
 def _socketpair_endpoint():
-    """A one-rank endpoint whose link to "rank 1" is one end of a socket
-    pair; the other end is returned as the peer."""
-    ep = TcpEndpoint(0, [("127.0.0.1", 0)])
+    """A rank-0 endpoint whose link to rank 1 is one end of a socket pair;
+    the other end is returned as the peer."""
     mine, peer = socket.socketpair()
-    ep._socks[1] = mine
-    return ep, peer
+    return TcpEndpoint(0, {1: mine}), peer
 
 
 def test_tcp_dead_peer_mid_sendrecv_is_transport_error():
-    # a one-rank endpoint dials and listens for nobody; its link to "rank 1"
-    # is one end of a socket pair whose other end is already closed, so the
-    # send fails with BrokenPipeError (an OSError, exit 2 if it escaped)
+    # the other end of the link is already closed, so the send fails with
+    # BrokenPipeError (an OSError, exit 2 if it escaped)
     ep, peer = _socketpair_endpoint()
     peer.close()
     try:
@@ -223,6 +247,18 @@ def test_tcp_dead_peer_mid_sendrecv_is_transport_error():
         assert isinstance(exc.value.__cause__, OSError)
     finally:
         ep.close()
+
+
+def test_sendrecv_on_a_link_closed_here_is_transport_error():
+    # as after a failed rank's endpoints are closed under its peers: the
+    # call fails as a transport error (exit 3), not as an OSError (exit 2)
+    ep, peer = _socketpair_endpoint()
+    ep.close()
+    try:
+        with pytest.raises(TransportError, match="link to rank 1 failed"):
+            ep.sendrecv(1, b"x", 1, timeout=1.0)
+    finally:
+        peer.close()
 
 
 def test_tcp_large_message_over_many_reads_lands_bitwise():
@@ -328,6 +364,40 @@ def test_tcp_connect_timeout_names_offender():
     with pytest.raises(TransportError) as exc:
         tcp_endpoint(1, addrs, connect_timeout=0.3)  # rank 0 never shows up
     assert "0" in str(exc.value)
+
+
+def _resource_warnings(call):
+    """ResourceWarnings (unclosed sockets) left once ``call`` has raised
+    TransportError and its frames are collected."""
+    gc.collect()  # other tests' garbage warns before the count starts
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TransportError):
+            call()
+        gc.collect()
+    return [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)]
+
+
+def test_tcp_startup_timeout_closes_the_listener():
+    # rank 0 of 2 listens and nobody dials it
+    addrs = [("127.0.0.1", p) for p in free_ports(2)]
+    assert _resource_warnings(
+        lambda: tcp_endpoint(0, addrs, connect_timeout=0.2)) == []
+
+
+def test_tcp_failed_dial_closes_the_links_already_made():
+    # rank 2 of 3 reaches rank 0 (a bare listener whose backlog takes the
+    # connection and hello), then finds no rank 1
+    ports = free_ports(3)
+    addrs = [("127.0.0.1", p) for p in ports]
+    with socket.create_server(addrs[0]) as rank0:
+        assert _resource_warnings(
+            lambda: tcp_endpoint(2, addrs, connect_timeout=0.3)) == []
+        conn, _ = rank0.accept()
+        conn.settimeout(5.0)
+        with conn:  # the dialled link was closed: its hello, then EOF
+            assert conn.recv(8, socket.MSG_WAITALL) == struct.pack("<I", 2)
 
 
 def test_fabric_rejects_zero_ranks():
