@@ -13,9 +13,11 @@
  * that reads it has already been updated.  A row's stores land in another
  * row than any it reads, so x always ascends.
  *
- * The run driver runs a thread's T levels of a block as a wavefront over
- * chunks of z planes (run_block), so that each level reads the planes the
- * level before it has just written while they are still in cache.
+ * The run driver reads each pass of a run from its pass plan (struct frame,
+ * built by pipeline._Run) and runs a thread's T levels of a block as a
+ * wavefront over chunks of z planes (run_block), so that each level reads
+ * the planes the level before it has just written while they are still in
+ * cache.
  *
  * The window loop is compiled twice from one body: for baseline x86-64 (SSE2)
  * and, with GCC or clang on x86-64, for AVX2.  The copy is chosen once, when
@@ -102,11 +104,12 @@ int jacobi_window_isa(int isa, WINDOW_PARAMS)
 
 /* The run driver.  pipeline.py builds one work table per direction, a row
  * per (block, level) holding the window, the level u and a bit mask of the
- * Dirichlet ring sides (bit 2*axis + side) the window touches.  Thread g
- * walks the rows of its levels g*T+1 .. (g+1)*T block by block, for every
- * pass of the run, and enforces the relaxed conditions of ready() on the
- * shared counters, or a staggered lockstep on a sense-reversing barrier.
- * Every field is 8 bytes wide; kernel.RunSpec mirrors this layout. */
+ * Dirichlet ring sides (bit 2*axis + side) the window touches, and one pass
+ * plan per run, a row per pass (struct frame).  Thread g walks the rows of
+ * its levels g*T+1 .. (g+1)*T block by block, for every pass of the plan,
+ * and enforces the relaxed conditions of ready() on the shared counters, or
+ * a staggered lockstep on a sense-reversing barrier.  Every field is 8 bytes
+ * wide; kernel.RunSpec mirrors this layout. */
 enum { XL, XH, YL, YH, ZL, ZH, LEVEL, SIDES, NCOL };
 enum { ST_BLOCKS, ST_WINDOWS, ST_CELLS, ST_SPINS, ST_PRED_WAIT_NS,
        ST_SUCC_WAIT_NS, ST_PRED_GAP_MIN, ST_PRED_VIOLATIONS, ST_SUCC_GAP_MAX,
@@ -114,38 +117,31 @@ enum { ST_BLOCKS, ST_WINDOWS, ST_CELLS, ST_SPINS, ST_PRED_WAIT_NS,
 enum { SLOT = 8 };                    /* int64 per counter: one cache line */
 enum { CTL_ABORT = 0, CTL_COUNT = SLOT, CTL_SENSE = 2 * SLOT };
 enum { DONE = 0, DEADLOCK = 1, ABORTED = 2 };
-enum { ALL_SIDES = 63 };              /* ring with no neighbour on any side */
 enum { PRED, SUCC, BARRIER };
 
-/* Pass q of a run is pass first+q of the engine: even ones run forward with
- * rows[0], odd ones backward with rows[1].  Level u of a pass reads
- * grid[(parity+u-1)&1] at frame offset base-shift*(u-1) and writes
- * grid[(parity+u)&1] at base-shift*u; shift is 0 (two grids) or the
- * direction (one array, compressed), and each pass starts where the last one
- * ended: parity grows by h, base moves by -shift*h. */
+/* One row of the run's pass plan, as pipeline._Run builds it.  The pass runs
+ * in direction dir (+1 forward, ascending z, with rows[0]; -1 backward with
+ * rows[1]).  Level u reads grid[(parity+u-1)&1] at frame offset
+ * base-shift*(u-1) and writes grid[(parity+u)&1] at base-shift*u.  Before
+ * any thread reads, the front thread rewrites the ring sides in restore
+ * (bit 2*axis + side) in full from the faces at offset base. */
+struct frame {
+    int64_t dir, parity, base, shift, restore;
+};
+
 struct run_spec {
     const int64_t *rows[2];     /* nblocks x h rows of NCOL, or NULL if unused */
-    int64_t nblocks, h, T, nt;
-    int64_t passes, first;
+    int64_t nblocks, h, T, nt, passes;
+    const struct frame *plan;   /* one row per pass */
     double *grid[2];
-    int64_t parity;             /* of the first pass */
     int64_t sy, sz;
-    int64_t base_off;           /* frame offset of the first pass's level 0 */
-    int64_t shifting;           /* 1: frames shift by the direction per level */
-    const double *face[6];      /* x0 x1 y0 y1 z0 z1, C-contiguous */
-    int64_t ring;               /* Dirichlet sides (no neighbour there) */
+    const double *face[6];      /* x0 x1 y0 y1 z0 z1, C-contiguous, or NULL */
     int64_t nx, ny, nz;
     int64_t *counters;          /* counter i at counters[i*SLOT] */
     int64_t *ctl;               /* abort word, barrier count, barrier sense */
     const int64_t *d_l, *d_u;   /* effective distances per thread */
     int64_t barrier;            /* 0 relaxed, 1 barrier lockstep */
     double watchdog_s;
-};
-
-struct frame {                  /* one pass of the run */
-    const int64_t *rows;
-    int64_t parity, base, shift;
-    int64_t dir;                /* +1 forward (ascending z), -1 backward */
 };
 
 int64_t run_spec_size(void) { return (int64_t)sizeof(struct run_spec); }
@@ -248,33 +244,22 @@ static int barrier_wait(const struct run_spec *p, int64_t g, int64_t *sense,
 }
 
 /* Dirichlet values next to a window at the destination frame, as
- * kernel.write_ring_strips. */
+ * kernel.write_ring_strips: per side bit, the face's values over the
+ * window's extent in the other two axes. */
 static void ring_strips(const struct run_spec *p, double *dst, const int64_t *r,
                         ptrdiff_t o)
 {
-    const ptrdiff_t sy = p->sy, sz = p->sz, nx = p->nx, ny = p->ny;
-    for (int side = 0; side < 2; side++) {
-        if (r[SIDES] & (1 << side)) {
-            const double *v = p->face[side];
-            ptrdiff_t at = (side ? nx : -1) + o;
-            for (ptrdiff_t z = r[ZL]; z < r[ZH]; z++)
-                for (ptrdiff_t y = r[YL]; y < r[YH]; y++)
-                    dst[(z + o) * sz + (y + o) * sy + at] = v[z * ny + y];
-        }
-        if (r[SIDES] & (4 << side)) {
-            const double *v = p->face[2 + side];
-            ptrdiff_t at = (side ? ny : -1) + o;
-            for (ptrdiff_t z = r[ZL]; z < r[ZH]; z++)
-                for (ptrdiff_t x = r[XL]; x < r[XH]; x++)
-                    dst[(z + o) * sz + at * sy + x + o] = v[z * nx + x];
-        }
-        if (r[SIDES] & (16 << side)) {
-            const double *v = p->face[4 + side];
-            ptrdiff_t at = (side ? p->nz : -1) + o;
-            for (ptrdiff_t y = r[YL]; y < r[YH]; y++)
-                for (ptrdiff_t x = r[XL]; x < r[XH]; x++)
-                    dst[at * sz + (y + o) * sy + x + o] = v[y * nx + x];
-        }
+    const ptrdiff_t n[3] = {p->nx, p->ny, p->nz}, s[3] = {1, p->sy, p->sz};
+    for (int bit = 0; bit < 6; bit++) {
+        if (!(r[SIDES] >> bit & 1))
+            continue;
+        /* a face is (outer, inner) over the other two axes, outer the higher */
+        const int ax = bit / 2, in = ax == 0, out = ax == 2 ? 1 : 2;
+        const double *v = p->face[bit];
+        double *d = dst + ((bit & 1 ? n[ax] : -1) + o) * s[ax];
+        for (ptrdiff_t j = r[2 * out]; j < r[2 * out + 1]; j++)
+            for (ptrdiff_t i = r[2 * in]; i < r[2 * in + 1]; i++)
+                d[(j + o) * s[out] + (i + o) * s[in]] = v[j * n[in] + i];
     }
 }
 
@@ -371,28 +356,16 @@ static void pause_s(double seconds)
 
 /* Thread g's part of one pass: block by block, its T rows of each as a
  * wavefront of chunks (run_block).  The counter moves once per finished
- * block.  delays (NULL for none) holds a sleep in seconds per block.
- *
- * restore is the mask of ring sides the front thread rewrites in full from
- * the faces at this pass's read frame, before any thread reads it: the whole
- * ring on a run's first pass, since nothing says what the grid's ring holds
- * between runs; on a later pass the whole ring only when some side borders a
- * neighbour, else 0.  With no neighbour, every level's live range is the
- * whole interior, so the last level's windows tile each face and their
- * mid-pass strips have already written every face cell that this pass's
- * first level reads (the stencil reads no edge or corner).  With one, live
- * ranges shrink toward it, and the last level's strips miss the bands of
- * the ring next to it. */
+ * block.  delays (NULL for none) holds a sleep in seconds per block. */
 static int run_pass(const struct run_spec *p, const struct frame *f, int64_t g,
-                    int64_t restore, const double *delays, int64_t *stats,
-                    int64_t *sense)
+                    const double *delays, int64_t *stats, int64_t *sense)
 {
     int64_t *own = &p->counters[g * SLOT];
     const int64_t last = p->nblocks - 1;
     int64_t gap, seen;
     int rc = DONE;
-    if (g == 0 && restore) {
-        const int64_t all[NCOL] = {0, p->nx, 0, p->ny, 0, p->nz, 0, restore};
+    if (g == 0 && f->restore) {
+        const int64_t all[NCOL] = {0, p->nx, 0, p->ny, 0, p->nz, 0, f->restore};
         ring_strips(p, p->grid[0], all, f->base);
     }
     /* lockstep: in round r thread g works on block r-g */
@@ -410,7 +383,8 @@ static int run_pass(const struct run_spec *p, const struct frame *f, int64_t g,
         }
         if (delays && delays[k] > 0.0)
             pause_s(delays[k]);
-        const int64_t *rows = f->rows + (k * p->h + g * p->T) * NCOL;
+        const int64_t *rows =
+            p->rows[f->dir < 0] + (k * p->h + g * p->T) * NCOL;
         run_block(p, f, rows, stats);
         stats[ST_BLOCKS]++;
         if (p->barrier) {
@@ -437,26 +411,19 @@ static int run_pass(const struct run_spec *p, const struct frame *f, int64_t g,
  * every thread has finished the one before, at a barrier whose last arrival
  * resets the counters.  delays (NULL for none) holds a sleep in seconds per
  * (pass, thread, block); stats is the thread's NSTAT row, summed over the
- * passes.  Returns DONE, DEADLOCK or ABORTED. */
+ * passes, its gap fields -1 until a gap is seen.  Returns DONE, DEADLOCK or
+ * ABORTED. */
 int pipeline_worker(const struct run_spec *p, int64_t g, const double *delays,
                     int64_t *stats)
 {
     int64_t sense = 0;
     int rc = DONE;
-    struct frame f = {NULL, p->parity, p->base_off, 0, 1};
-    stats[ST_PRED_GAP_MIN] = stats[ST_SUCC_GAP_MAX] = -1;
     for (int64_t q = 0; q < p->passes && rc == DONE; q++) {
-        const int back = (int)((p->first + q) & 1);
         if (q > 0 && (rc = barrier_wait(p, g, &sense, stats, 1)))
             break;
-        f.rows = p->rows[back];
-        f.dir = back ? -1 : 1;
-        f.shift = p->shifting * f.dir;
-        rc = run_pass(p, &f, g, q == 0 || p->ring != ALL_SIDES ? p->ring : 0,
+        rc = run_pass(p, &p->plan[q], g,
                       delays ? delays + (q * p->nt + g) * p->nblocks : NULL,
                       stats, &sense);
-        f.parity += p->h;
-        f.base -= f.shift * p->h;
     }
     return rc;
 }

@@ -251,13 +251,13 @@ class RankRuntime:
     """Per-rank state for a distributed run: subdomain, grid, engine, plan."""
 
     def __init__(self, sub: Subdomain, cfg: PipelineConfig, ep, seed=42,
-                 init="random", value=0.0):
+                 init="random"):
         if cfg.h != sub.h:
             raise ValueError(f"halo width {sub.h} != pipeline h {cfg.h}")
         self.sub = sub
         self.cfg = cfg
         self.ep = ep
-        g = materialize_subdomain(sub, cfg, seed=seed, init=init, value=value)
+        g = materialize_subdomain(sub, cfg, seed=seed, init=init)
         grids = g if cfg.grid_mode == "compressed" else (g, g.copy())
         self.engine = PipelineEngine(cfg, grids, neighbors=sub.has_nb)
         self.plan = build_halo_plan(sub)

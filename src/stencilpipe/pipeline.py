@@ -47,9 +47,11 @@ from .grid import Grid3, BlockSpec, decompose_blocks
 from .kernel import apply_window, write_ring_strips
 
 # Layout shared with _jacobi.c: counter slots, work table columns (xl xh yl
-# yh zl zh level sides), stats row fields, control words, worker results.
+# yh zl zh level sides), pass plan columns (struct frame), stats row fields,
+# control words, worker results.
 _SLOT = 8  # int64 slots per counter: 64 bytes, one cache line
 _COLS = 8
+_DIR, _PARITY, _BASE, _SHIFT, _RESTORE = range(5)
 _STATS = ("blocks", "windows", "cells", "spins", "pred_wait_ns",
           "succ_wait_ns", "pred_gap_min", "pred_violations", "succ_gap_max")
 (_BLOCKS, _WINDOWS, _CELLS, _SPINS, _PRED_WAIT, _SUCC_WAIT, _GAP_MIN,
@@ -331,54 +333,41 @@ class PipelineEngine:
 
 
 class _Run:
-    """``count`` passes in flight: their work tables and frames and the
+    """``count`` passes in flight: their pass plan and work tables and the
     arrays the threads share (counters, one 64-byte slot per position; the
     effective distances; control words; stats rows), in the layout the
     compiled driver reads.
 
-    Pass q of the run is the engine's pass ``first + q``; it runs forward
-    when that is even and backward when odd.  Level u of a pass reads
-    ``arrays[(parity + u - 1) % 2]`` at offset ``base - shift * (u - 1)``
-    and writes ``arrays[(parity + u) % 2]`` at ``base - shift * u``
-    (:meth:`frame`): two-grid mode alternates the arrays at a fixed offset,
-    compressed mode shifts one array's frame by one cell per level in the
-    pass's direction.  Each pass starts where the one before ended.
-
-    A pass begins with its counters reset, once every position has finished
-    the one before.  In compressed mode the front position then restores the
-    whole Dirichlet ring at the pass's read frame before its first block, on
-    the run's first pass and, when some side borders a neighbour, on every
-    pass: mid-pass strips span only the update windows, which next to a
-    neighbour are narrower than the first level's region.  With no
-    neighbour the last level's windows tile every face, so their strips
-    leave the next pass's ring written.  ``drive(g)`` runs position
-    g's passes in the compiled driver with the interpreter lock released;
-    ``walk()`` runs every position's passes in the calling thread through
-    the module-level ``apply_window`` and ``write_ring_strips``."""
+    The pass plan (:meth:`_plan`) is the one statement of the run's
+    schedule, a row per pass that both executors read.  A pass begins with
+    its counters reset, once every position has finished the one before.
+    ``drive(g)`` runs position g's passes in the compiled driver with the
+    interpreter lock released; ``walk()`` runs every position's passes in
+    the calling thread through the module-level ``apply_window`` and
+    ``write_ring_strips``."""
 
     def __init__(self, engine: PipelineEngine, count: int):
         cfg = self.cfg = engine.cfg
         self.engine, self.count = engine, count
-        self.first = engine.passes_done
         self.nt = nt = cfg.threads
         self.counters = np.zeros(nt * _SLOT, dtype=np.int64)
         self.d_l, self.d_u = effective_distances(cfg)
         self.ctl = np.zeros(3 * _SLOT, dtype=np.int64)
         self.ctl[_CTL_COUNT] = nt
         self.stats = np.zeros((nt, len(_STATS)), dtype=np.int64)
+        self.stats[:, _GAP_MIN] = self.stats[:, _SUCC_MAX] = -1  # no gap yet
         g0 = engine.grids[0]
         self.faces, self.ring = g0.faces, engine.ring
+        self.plan = self._plan(engine)
+        rows = self.plan.tolist()
         if cfg.grid_mode == "compressed":
             self.arrays = (g0.data, g0.data)
-            self.parity, self.base, self.shifting = 0, g0.origin - g0.alignment, 1
-            self.alignment_after = g0.alignment + (
-                count % 2) * cfg.h * self.direction(0)
+            _dir, _parity, base, shift, _restore = rows[-1]
+            self.alignment_after = g0.origin - (base - shift * cfg.h)
         else:
             self.arrays = (g0.data, engine.grids[1].data)
-            self.parity = cfg.h * engine.passes_done % 2
-            self.base, self.shifting = g0.origin, 0
         # (forward, backward) tables; None for a direction the run never takes
-        used = {self.direction(q) for q in range(min(count, 2))}
+        used = {row[_DIR] for row in rows[:2]}
         self.tables = [engine.work_table(d) if d in used else None
                        for d in (1, -1)]
         self.nblocks = engine.plan.total_blocks
@@ -391,32 +380,49 @@ class _Run:
             self.delays = self._delays()
             self.spec = self._driver_spec()
 
-    def direction(self, q: int) -> int:
-        return 1 if (self.first + q) % 2 == 0 else -1
+    def _plan(self, engine: PipelineEngine) -> np.ndarray:
+        """The pass plan: an int64 row per pass of direction, grid parity,
+        level-0 frame offset, shift and the ring sides to restore, as
+        ``struct frame`` of ``_jacobi.c``.
 
-    def frame(self, q: int):
-        """(table, parity, base, shift) of pass q: an odd pass starts at the
-        offset where the first one ended."""
-        d = self.direction(q)
-        shift = self.shifting * d
-        return (self.tables[d == -1], (self.parity + q * self.cfg.h) % 2,
-                self.base + (q % 2) * self.cfg.h * shift, shift)
+        Pass q of the run is the engine's pass ``passes_done + q``; it runs
+        forward (+1) when that is even and backward (-1) when odd.  Level u
+        reads ``arrays[(parity + u - 1) % 2]`` at offset ``base - shift *
+        (u - 1)`` and writes ``arrays[(parity + u) % 2]`` at ``base - shift
+        * u``: two-grid mode alternates the arrays at a fixed offset (shift
+        0), compressed mode shifts one array's frame by one cell per level in
+        the pass's direction.  Each pass starts where the one before ended:
+        parity grows by h, base moves by ``-shift * h``.
+
+        Before a pass's first block the front position rewrites its restore
+        sides of the Dirichlet ring in full from the faces at the pass's read
+        frame.  In compressed mode that is the whole ring on the run's first
+        pass, since nothing says what the grid's ring holds between runs.  On
+        a later pass it is the whole ring when some side borders a neighbour,
+        else nothing.  With no neighbour, every level's live range is the
+        whole interior, so the last level's windows tile each face and their
+        mid-pass strips have already written every face cell that the next
+        pass's first level reads (the stencil reads no edge or corner).  With
+        one, live ranges shrink toward it, and the last level's strips miss
+        the bands of the ring next to it.  Two-grid mode has no ring to
+        restore (``engine.ring`` is 0)."""
+        h, g0 = self.cfg.h, engine.grids[0]
+        compressed = self.cfg.grid_mode == "compressed"
+        base = g0.origin - (g0.alignment if compressed else 0)
+        rows = []
+        for p in range(engine.passes_done, engine.passes_done + self.count):
+            direction = -1 if p % 2 else 1
+            shift = direction if compressed else 0
+            restore = self.ring if not rows or self.ring != _ALL_SIDES else 0
+            rows.append((direction, p * h % 2, base, shift, restore))
+            base -= shift * h
+        return np.array(rows, dtype=np.int64)
 
     def _check(self) -> None:
         """Raise ValueError before any thread starts where a pass of the run
         would leave the arrays: the compiled driver checks no bounds, and
-        apply_window's checks run per call.  Every pass spans the offsets of
-        the first one, so checking it covers the run."""
+        apply_window's checks run per call."""
         cfg, dims = self.cfg, self.engine.dims
-        g0 = self.engine.grids[0]
-        if cfg.grid_mode == "compressed":
-            a0, pad = g0.alignment, g0.pad
-            if self.direction(0) == 1 and a0 + cfg.h > pad:
-                raise ValueError(
-                    f"forward pass needs alignment+h <= pad ({a0}+{cfg.h} > {pad})")
-            if self.direction(0) == -1 and a0 - cfg.h < 0:
-                raise ValueError(
-                    f"backward pass needs alignment >= h ({a0} < {cfg.h})")
         src, dst = self.arrays
         kernel.check_arrays(src, dst)
         if src is not dst and (src.shape != dst.shape
@@ -424,14 +430,16 @@ class _Run:
             raise ValueError("the two grids of two-grid mode differ in shape "
                              "or overlap")
         # windows lie inside the interior (work_table), so the interior plus
-        # its ring at every level's offset bounds every load and store
-        first = self.base
-        last = first - self.shifting * self.direction(0) * cfg.h
-        if min(first, last) < 1 or any(
-                n + max(first, last) + 1 > size
-                for n, size in zip(dims, src.shape[::-1])):
-            raise ValueError(f"the frames of the run, offsets {first} to "
-                             f"{last}, leave the arrays of shape {src.shape}")
+        # its ring at every level's offset of every pass bounds every load
+        # and store; a pass's offsets run from base to base - shift * h
+        offsets = [off for _dir, _parity, base, shift, _restore
+                   in self.plan.tolist()
+                   for off in (base, base - shift * cfg.h)]
+        lo, hi = min(offsets), max(offsets)
+        if lo < 1 or any(n + hi + 1 > size
+                         for n, size in zip(dims, src.shape[::-1])):
+            raise ValueError(f"the frames of the run, offsets {lo} to {hi}, "
+                             f"leave the arrays of shape {src.shape}")
         # the driver reads the faces of the ring's sides by raw pointer
         zyx = dims[::-1]
         for bit in (b for b in range(6) if self.ring >> b & 1):
@@ -458,15 +466,14 @@ class _Run:
             rows=(ctypes.c_void_p * 2)(
                 *(None if t is None else t.ctypes.data for t in self.tables)),
             nblocks=self.nblocks, h=cfg.h, T=cfg.T, nt=self.nt,
-            passes=self.count, first=self.first,
+            passes=self.count, plan=self.plan.ctypes.data,
             grid=(ctypes.c_void_p * 2)(src.ctypes.data, dst.ctypes.data),
-            parity=self.parity, sy=src.strides[1] // src.itemsize,
-            sz=src.strides[0] // src.itemsize, base_off=self.base,
-            shifting=self.shifting,
+            sy=src.strides[1] // src.itemsize,
+            sz=src.strides[0] // src.itemsize,
             face=(ctypes.c_void_p * 6)(
                 *(self.faces[bit].ctypes.data if self.ring >> bit & 1 else None
                   for bit in range(6))),
-            ring=self.ring, nx=nx, ny=ny, nz=nz,
+            nx=nx, ny=ny, nz=nz,
             counters=self.counters.ctypes.data, ctl=self.ctl.ctypes.data,
             d_l=self.d_l.ctypes.data, d_u=self.d_u.ctypes.data,
             barrier=cfg.sync_mode == "barrier", watchdog_s=cfg.watchdog_s)
@@ -522,28 +529,22 @@ class _Run:
             ctypes.byref(self.spec), g, delays, self.stats[g].ctypes.data)
 
     def walk(self) -> None:
-        """Every position's whole run in the calling thread: per pass, block
-        by block, and within a block position by position through its rows
-        in level order.  Windows depend only on block, level and direction,
-        so this t=1, T=h order of the same table gives the driver's result
-        bit for bit."""
-        T = self.cfg.T
-        st = [[0] * len(_STATS) for _ in range(self.nt)]
-        for own in st:
-            own[_GAP_MIN] = own[_SUCC_MAX] = -1
-        for q in range(self.count):
-            frame = table, _parity, base, _shift = self.frame(q)
-            # the ring sides pipeline_worker has run_pass restore
-            restore = self.ring if q == 0 or self.ring != _ALL_SIDES else 0
+        """Every position's whole run in the calling thread: per row of the
+        plan, block by block, and within a block position by position
+        through its rows in level order.  Windows depend only on block,
+        level and direction, so this t=1, T=h order of the same table gives
+        the driver's result bit for bit."""
+        T, dims = self.cfg.T, self.engine.dims
+        st = self.stats.tolist()
+        for direction, parity, base, shift, restore in self.plan.tolist():
             if restore:
-                dims = self.engine.dims
                 write_ring_strips(self.arrays[0], self.faces,
                                   tuple((0, n) for n in dims), base,
                                   restore, dims)
-            for rows in table.tolist():
+            for rows in self.tables[direction == -1].tolist():
                 for g, own in enumerate(st):
                     for row in rows[g * T:(g + 1) * T]:
-                        self._walk_row(row, frame, own)
+                        self._walk_row(row, (parity, base, shift), own)
                     own[_BLOCKS] += 1
         self.stats[:] = st
 
@@ -551,7 +552,7 @@ class _Run:
         xl, xh, yl, yh, zl, zh, u, sides = row
         if xl >= xh or yl >= yh or zl >= zh:
             return
-        _table, parity, base, shift = frame
+        parity, base, shift = frame
         dst_off = base - shift * u
         dst = self.arrays[(parity + u) % 2]
         window = ((xl, xh), (yl, yh), (zl, zh))

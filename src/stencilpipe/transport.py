@@ -110,6 +110,17 @@ class TcpEndpoint:
                 pass
         return incoming
 
+    def shutdown(self) -> None:
+        """Shut every link down without closing it, so no thread's socket
+        goes away under it: pending and later sendrecv calls at either end
+        see the end of the stream or a broken pipe and raise
+        TransportError.  A close alone wakes no peer waiting in select."""
+        for s in self._socks.values():
+            try:
+                s.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed or shut down
+                pass
+
     def close(self):
         for s in self._socks.values():
             try:
@@ -214,13 +225,7 @@ class InProcessFabric:
         return list(self._endpoints)
 
     def abort(self) -> None:
-        """Shut every link down (without closing it, so no thread's socket
-        goes away under it): pending and later sendrecv calls see the end of
-        the stream or a broken pipe and raise TransportError, so one rank's
-        error ends its peers at once."""
+        """Shut down every rank's links (:meth:`TcpEndpoint.shutdown`), so
+        one rank's error ends its peers at once."""
         for ep in self._endpoints:
-            for s in ep._socks.values():
-                try:
-                    s.shutdown(socket.SHUT_RDWR)
-                except OSError:  # already closed or shut down
-                    pass
+            ep.shutdown()

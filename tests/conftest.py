@@ -66,7 +66,7 @@ def install_jitter(monkeypatch, prob, max_s, seed=0):
         for q, per_pass in enumerate(out):
             for g, row in enumerate(per_pass):
                 rng = random.Random(seed * 1_000_003
-                                    + (run.first + q) * 8191 + g)
+                                    + (run.engine.passes_done + q) * 8191 + g)
                 for k in range(len(row)):
                     if rng.random() < prob:
                         row[k] = rng.random() * max_s

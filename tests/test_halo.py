@@ -433,11 +433,11 @@ def test_tcp_ranks_reusing_their_frames_match_the_oracle(mode):
         try:
             eps[r] = tcp_endpoint(r, addresses)
             out[r] = run_rank(dist, r, eps[r])
-        except Exception as exc:  # unblock the peers
+        except Exception as exc:  # wake the peers; closed after the join
             errors.append(exc)
             for ep in eps:
                 if ep is not None:
-                    ep.close()
+                    ep.shutdown()
 
     ts = [threading.Thread(target=body, args=(r,), daemon=True)
           for r in range(4)]

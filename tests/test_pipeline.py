@@ -793,6 +793,68 @@ def test_work_table_matches_a_plain_build(mode, direction):
     assert engine.work_table(direction).tolist() == expected
 
 
+def _planned(mode, done, count, T=1, neighbors=((False, False),) * 3):
+    """A run of ``count`` passes after ``done`` earlier ones, built but not
+    started; h = T, so an odd T gives an odd h."""
+    cfg = _cfg(spec=BlockSpec(12, 4, 4), T=T, grid_mode=mode)
+    g = create_grid(12, 12, 12, pad=cfg.h, init="random_ring", seed=11)
+    if mode == "compressed" and done % 2:
+        g.alignment = cfg.h  # where a forward pass left it
+    engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
+                            neighbors=neighbors)
+    engine.passes_done = done
+    return engine, pipeline._Run(engine, count)
+
+
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+@pytest.mark.parametrize("done", [0, 3])
+def test_plan_directions_alternate_from_the_pass_count(mode, done):
+    _engine, run = _planned(mode, done, 5)
+    assert run.plan[:, pipeline._DIR].tolist() == \
+        [1 if (done + q) % 2 == 0 else -1 for q in range(5)]
+
+
+@pytest.mark.parametrize("T", [2, 3])
+@pytest.mark.parametrize("done", [0, 1, 4])
+def test_two_grid_plan_parity_grows_by_h(T, done):
+    engine, run = _planned("two_grid", done, 5, T=T)
+    parity = run.plan[:, pipeline._PARITY].tolist()
+    assert run.arrays[parity[0]] is engine.current_grid().data
+    assert parity == [(parity[0] + q * T) % 2 for q in range(5)]
+
+
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+@pytest.mark.parametrize("done", [0, 3])
+def test_plan_passes_start_where_the_one_before_ended(mode, done):
+    engine, run = _planned(mode, done, 5, T=3)
+    h, g = engine.cfg.h, engine.grids[0]
+    dirs, base, shift = (run.plan[:, c].tolist() for c in (
+        pipeline._DIR, pipeline._BASE, pipeline._SHIFT))
+    assert shift == (dirs if mode == "compressed" else [0] * 5)
+    assert base[0] == g.origin - g.alignment
+    for q in range(4):
+        assert base[q + 1] == base[q] - shift[q] * h
+    if mode == "compressed":
+        assert run.alignment_after == g.origin - (base[-1] - shift[-1] * h)
+
+
+@pytest.mark.parametrize("mode,neighbors,restore", [
+    ("compressed", ((False, False),) * 3, "first"),
+    ("compressed", ((False, False), (False, True), (False, False)), "every"),
+    ("two_grid", ((False, False),) * 3, "none"),
+    ("two_grid", ((False, False), (False, True), (False, False)), "none")])
+@pytest.mark.parametrize("done", [0, 3])
+def test_plan_restores_the_ring_where_no_strip_wrote_it(mode, neighbors,
+                                                         restore, done):
+    engine, run = _planned(mode, done, 4, neighbors=neighbors)
+    ring = engine.ring
+    assert (ring == pipeline._ALL_SIDES) == (restore == "first")
+    assert run.plan[:, pipeline._RESTORE].tolist() == {
+        "first": [ring, 0, 0, 0], "every": [ring] * 4,
+        "none": [0] * 4}[restore]
+    assert restore == "none" or ring != 0
+
+
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
 @pytest.mark.parametrize("mode", ["two_grid", "compressed"])
 def test_merged_last_blocks_equal_reference(mode, walk, request):
