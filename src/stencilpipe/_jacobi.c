@@ -130,7 +130,7 @@ struct frame {
 };
 
 struct run_spec {
-    const int64_t *rows[2];     /* nblocks x h rows of NCOL, or NULL if unused */
+    const int64_t *rows[2];     /* nblocks x h rows of NCOL each */
     int64_t nblocks, h, T, nt, passes;
     const struct frame *plan;   /* one row per pass */
     double *grid[2];

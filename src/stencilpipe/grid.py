@@ -38,6 +38,8 @@ def splitmix64_unit_at(idx: np.ndarray, seed: int) -> np.ndarray:
     """:func:`splitmix64_unit` for an array of uint64 linear indices (any
     shape).  Integer-only up to the final scaling, so the value of an index
     does not depend on which call produced it."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     z = idx * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -73,6 +75,9 @@ class Grid3:
             raise ValueError(f"grid dimensions must be >= 1, got {(nx, ny, nz)}")
         if pad < 0:
             raise ValueError(f"pad must be >= 0, got {pad}")
+        if not 0 <= alignment <= pad:
+            raise ValueError(f"alignment must lie in [0, pad={pad}], got "
+                             f"{alignment}")
         self.nx, self.ny, self.nz = nx, ny, nz
         self.pad = pad
         self.alignment = alignment

@@ -323,6 +323,10 @@ class DistConfig:
     seed: int = 42
     init: str = "random"
 
+    def __post_init__(self):
+        if self.cycles < 0:
+            raise ValueError(f"cycle count must be >= 0, got {self.cycles}")
+
     def digest(self) -> str:
         return run_digest(self.cfg, self.global_dims, self.cycles,
                           self.seed, self.init, self.topo.dims)

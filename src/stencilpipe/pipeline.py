@@ -232,15 +232,14 @@ class PipelineEngine:
         if isinstance(grids, Grid3):
             grids = (grids,)
         self.grids = list(grids)
-        if cfg.grid_mode == "two_grid":
-            if len(self.grids) != 2:
-                raise ValueError("two_grid mode needs a grid pair")
-            if self.grids[0].shape != self.grids[1].shape:
-                raise ValueError("grid pair shapes differ")
-        else:
-            if len(self.grids) != 1:
-                raise ValueError("compressed mode uses a single grid")
+        if len(self.grids) != (2 if cfg.grid_mode == "two_grid" else 1):
+            raise ValueError("two_grid mode needs a grid pair, compressed "
+                             f"mode a single grid; got {len(self.grids)}")
         g = self.grids[0]
+        if (g.shape, g.alignment) != (self.grids[-1].shape,
+                                      self.grids[-1].alignment):
+            raise ValueError("the grids of the pair differ in shape or "
+                             "alignment")
         self.dims = g.shape
         self.plan = decompose_blocks(g, cfg.spec)  # backward: reversed
         # each block's index along each axis, in forward traversal order
@@ -257,17 +256,17 @@ class PipelineEngine:
                         for ax, pair in enumerate(self.neighbors)
                         for side, nb in enumerate(pair)
                         if not nb and cfg.grid_mode == "compressed")
-        self._tables = {}
+        self.tables = (self.work_table(1), self.work_table(-1))
         self.passes_done = 0
 
     def current_grid(self) -> Grid3:
-        if self.cfg.grid_mode == "compressed":
-            return self.grids[0]
-        return self.grids[self.cfg.h * self.passes_done % 2]
+        """The grid holding the latest update level."""
+        return self.grids[self.cfg.h * self.passes_done % len(self.grids)]
 
     def work_table(self, direction: int) -> np.ndarray:
-        """The schedule of a pass in ``direction``, the one both executors
-        read; built on the first pass in that direction.
+        """The schedule of a pass in ``direction``, built anew on each call;
+        the engine builds both directions once, as ``tables`` (forward,
+        backward), which both executors read.
 
         An int64 array of shape (blocks, h, 8): row [k, u-1] holds the window
         block k (in traversal order) updates at level u as xl, xh, yl, yh, zl,
@@ -277,9 +276,6 @@ class PipelineEngine:
         level; both executors skip it."""
         if direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
-        table = self._tables.get(direction)
-        if table is not None:
-            return table
         cfg, plan = self.cfg, self.plan
         bases = plan.bases
         idx = self._block_index[::direction]
@@ -299,7 +295,6 @@ class PipelineEngine:
                 mask |= (hi == live_hi).astype(np.int64) << 2 * ax + 1
             table[:, u - 1, 6] = u
             table[:, u - 1, 7] = mask & self.ring
-        self._tables[direction] = table
         return table
 
     def run_passes(self, count: int) -> RunStats:
@@ -307,10 +302,11 @@ class PipelineEngine:
 
         Directions alternate with ``passes_done``: forward after an even
         number of passes, backward after an odd one.  Each pipeline position
-        runs all ``count`` passes in one call, in one thread started for the
-        whole run (a single position runs in the calling thread).  The
-        arrays, frames, faces and compressed alignment are checked once,
-        before any thread starts.  The walker runs in the calling thread."""
+        runs all ``count`` passes in one call: the first in the calling
+        thread, each other in one thread started for the whole run.  The
+        arrays, frames and faces are checked once, before any thread starts.
+        The walker runs in the calling thread.  Every grid's alignment is
+        then where the run's last frame left it."""
         if count < 0:
             raise ValueError(f"pass count must be >= 0, got {count}")
         return self.run_pass(count)
@@ -327,8 +323,8 @@ class PipelineEngine:
         else:
             run.run(range(self.cfg.threads))
         self.passes_done += count
-        if self.cfg.grid_mode == "compressed":
-            self.grids[0].alignment = run.alignment_after
+        for g in self.grids:
+            g.alignment = run.alignment_after
         return RunStats(passes=count, threads=run.thread_stats())
 
 
@@ -359,17 +355,10 @@ class _Run:
         g0 = engine.grids[0]
         self.faces, self.ring = g0.faces, engine.ring
         self.plan = self._plan(engine)
-        rows = self.plan.tolist()
-        if cfg.grid_mode == "compressed":
-            self.arrays = (g0.data, g0.data)
-            _dir, _parity, base, shift, _restore = rows[-1]
-            self.alignment_after = g0.origin - (base - shift * cfg.h)
-        else:
-            self.arrays = (g0.data, engine.grids[1].data)
-        # (forward, backward) tables; None for a direction the run never takes
-        used = {row[_DIR] for row in rows[:2]}
-        self.tables = [engine.work_table(d) if d in used else None
-                       for d in (1, -1)]
+        _dir, _parity, base, shift, _restore = self.plan[-1].tolist()
+        self.alignment_after = g0.origin - (base - shift * cfg.h)
+        self.arrays = (g0.data, engine.grids[-1].data)
+        self.tables = engine.tables
         self.nblocks = engine.plan.total_blocks
         self._check()
         # wrapped kernel functions (tracing, tests) must see every call
@@ -391,8 +380,9 @@ class _Run:
         (u - 1)`` and writes ``arrays[(parity + u) % 2]`` at ``base - shift
         * u``: two-grid mode alternates the arrays at a fixed offset (shift
         0), compressed mode shifts one array's frame by one cell per level in
-        the pass's direction.  Each pass starts where the one before ended:
-        parity grows by h, base moves by ``-shift * h``.
+        the pass's direction.  The first pass starts at the grid's frame,
+        ``origin - alignment``, in both modes; each later one starts where
+        the one before ended: parity grows by h, base moves by ``-shift * h``.
 
         Before a pass's first block the front position rewrites its restore
         sides of the Dirichlet ring in full from the faces at the pass's read
@@ -407,12 +397,11 @@ class _Run:
         the bands of the ring next to it.  Two-grid mode has no ring to
         restore (``engine.ring`` is 0)."""
         h, g0 = self.cfg.h, engine.grids[0]
-        compressed = self.cfg.grid_mode == "compressed"
-        base = g0.origin - (g0.alignment if compressed else 0)
+        base = g0.origin - g0.alignment
         rows = []
         for p in range(engine.passes_done, engine.passes_done + self.count):
             direction = -1 if p % 2 else 1
-            shift = direction if compressed else 0
+            shift = direction if self.cfg.grid_mode == "compressed" else 0
             restore = self.ring if not rows or self.ring != _ALL_SIDES else 0
             rows.append((direction, p * h % 2, base, shift, restore))
             base -= shift * h
@@ -463,8 +452,7 @@ class _Run:
         cfg, (nx, ny, nz) = self.cfg, self.engine.dims
         src, dst = self.arrays
         return kernel.RunSpec(
-            rows=(ctypes.c_void_p * 2)(
-                *(None if t is None else t.ctypes.data for t in self.tables)),
+            rows=(ctypes.c_void_p * 2)(*(t.ctypes.data for t in self.tables)),
             nblocks=self.nblocks, h=cfg.h, T=cfg.T, nt=self.nt,
             passes=self.count, plan=self.plan.ctypes.data,
             grid=(ctypes.c_void_p * 2)(src.ctypes.data, dst.ctypes.data),
@@ -481,33 +469,32 @@ class _Run:
     def run(self, positions) -> None:
         """Run the given pipeline positions through every pass in the
         compiled driver and raise the first failure: a worker's exception,
-        or PipelineDeadlock when a watchdog fired or the run was aborted.  A
-        single position runs in the calling thread; more run in one new
-        thread each."""
-        positions = list(positions)
-        if len(positions) == 1:
-            # no short-lived thread: with them, the rank threads that allocate
-            # grids drift over more malloc arenas, each keeping freed grids
-            # resident (20-37 MiB more peak RSS on a 2-rank TCP run)
-            codes = {positions[0]: self.drive(positions[0])}
-        else:
-            codes, errors = {}, []
+        or PipelineDeadlock when a watchdog fired or the run was aborted.  The
+        first position runs in the calling thread, each other in one new
+        thread; a failure in any of them aborts the rest."""
+        codes, errors = {}, []
 
-            def body(g):
-                try:
-                    codes[g] = self.drive(g)
-                except BaseException as exc:  # re-raised by the caller below
-                    errors.append(exc)
-                    self.abort()
+        def body(g):
+            try:
+                codes[g] = self.drive(g)
+            except BaseException as exc:  # re-raised below, once all joined
+                errors.append(exc)
+                self.abort()
 
-            threads = [threading.Thread(target=body, args=(g,), daemon=True)
-                       for g in positions]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
-            if errors:
-                raise errors[0]
+        # the calling thread takes a position: with one short-lived thread
+        # per position, the rank threads that allocate grids drift over more
+        # malloc arenas, each keeping freed grids resident (20-37 MiB more
+        # peak RSS on a 2-rank TCP run)
+        first, *rest = positions
+        threads = [threading.Thread(target=body, args=(g,), daemon=True)
+                   for g in rest]
+        for th in threads:
+            th.start()
+        body(first)
+        for th in threads:
+            th.join()
+        if errors:
+            raise errors[0]
         for code, what in ((_DEADLOCK, "no pipeline progress for "
                             f"{self.cfg.watchdog_s:.1f}s"),
                            (_ABORTED, "run aborted")):
@@ -567,12 +554,10 @@ class _Run:
 
 def run_pipelined(grids, cfg: PipelineConfig, total_passes: int) -> RunStats:
     """Alternate forward/backward passes; returns wall time, MLUP/s and spin
-    counts.  In compressed mode total_passes must be even so the alignment
-    returns to its starting value."""
+    counts.  The result holds the latest level at its grid's alignment: h
+    after an odd number of compressed passes from alignment 0, so a later
+    run whose frames would leave the pad from there is refused."""
     engine = PipelineEngine(cfg, grids)
-    if cfg.grid_mode == "compressed":
-        if total_passes % 2 != 0:
-            raise ValueError("compressed mode needs an even number of passes")
     t0 = time.perf_counter()
     stats = engine.run_passes(total_passes)
     stats.wall_seconds = time.perf_counter() - t0

@@ -249,6 +249,26 @@ def test_solve_and_dist_verify_with_a_nonzero_ring(capsys):
     assert [r["verified"] for r in rows_of(out)] == ["bitwise match"] * 4
 
 
+def test_dist_rejects_a_negative_cycle_count(capsys):
+    # -1 cycles would compare the initial grid with itself and verify
+    code, out, err = run_cli(["dist", "--topo", "2,1,1", "--grid", "12",
+                              "--block", "6,6,6", "--cycles", "-1",
+                              "--verify"], capsys)
+    assert code == 2 and out == ""
+    assert err == "config error: cycle count must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--grid", "12", "--block", "12,6,6"],
+    ["dist", "--topo", "2,1,1", "--grid", "12", "--block", "6,6,6"]],
+    ids=["solve", "dist"])
+def test_seed_outside_the_generator_range_is_config_error(argv, seed, capsys):
+    code, out, err = run_cli(argv + ["--seed", seed], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: seed must lie in [0, 2**64), got {seed}\n"
+
+
 def test_dist_rejects_mismatched_topology(capsys):
     code, _, err = run_cli(["dist", "--topo", "2,1,1", "--grid", "25",
                             "--t", "2", "--block", "12,8,8"], capsys)

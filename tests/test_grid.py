@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from stencilpipe import (
     BlockSpec,
+    Grid3,
     create_grid,
     decompose_blocks,
     read_snapshot,
@@ -58,6 +59,13 @@ def test_bad_dimensions_rejected(dims):
 def test_negative_pad_rejected():
     with pytest.raises(ValueError):
         create_grid(4, 4, 4, pad=-1)
+
+
+@pytest.mark.parametrize("pad,alignment", [(0, 1), (2, 3), (2, -1)])
+def test_alignment_outside_the_pad_rejected(pad, alignment):
+    # alignment 1 without pad would put the ring inside interior_view()
+    with pytest.raises(ValueError, match="alignment"):
+        Grid3(4, 4, 4, pad=pad, alignment=alignment)
 
 
 def test_data_of_wrong_shape_rejected():

@@ -21,7 +21,7 @@ from stencilpipe import (
     reference_sweep,
     run_pipelined,
 )
-from stencilpipe.grid import decompose_blocks
+from stencilpipe.grid import decompose_blocks, fill_field
 from tests.conftest import assert_bitwise, install_jitter
 
 
@@ -156,11 +156,49 @@ def test_result_independent_of_pipeline_shape(oracle):
         assert_bitwise(other, outs[0])
 
 
-def test_compressed_passes_must_be_even():
-    cfg = _cfg(grid_mode="compressed")
-    g = create_grid(12, 12, 12, pad=1)
-    with pytest.raises(ValueError):
-        run_pipelined(g, cfg, 3)
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+def test_odd_compressed_pass_count_equals_reference(walk, request, oracle):
+    # the result is read where the last forward pass left the frame, at
+    # alignment h; a new run would start forward from there and leave the pad
+    if walk:
+        request.getfixturevalue("walker_calls")
+    cfg = _cfg(spec=BlockSpec(12, 4, 4), t=2, grid_mode="compressed")
+    g0 = create_grid(12, 12, 12, init="random", seed=12)
+    st = _run(g0, cfg, 3)
+    assert_bitwise(st.result.interior_view(),
+                   oracle.after_sweeps(12, 12, 3 * cfg.h))
+    assert st.result.alignment == cfg.h
+    with pytest.raises(ValueError, match="leave"):
+        run_pipelined(st.result, cfg, 1)
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+def test_two_grid_pair_runs_at_its_alignment(walk, request, oracle):
+    # a pair shifted one cell into its pad: the frame is origin - alignment,
+    # where interior_view reads; h = 3 and 3 passes end on the second grid
+    if walk:
+        request.getfixturevalue("walker_calls")
+    cfg = _cfg(spec=BlockSpec(12, 4, 4), t=3)
+    a = Grid3(12, 12, 12, pad=1, alignment=1)
+    fill_field(a, "random", seed=14)
+    a.capture_boundary_faces()
+    pair = (a, a.copy())
+    st = run_pipelined(pair, cfg, 3)
+    assert st.result is pair[1]
+    assert [g.alignment for g in pair] == [1, 1]
+    assert_bitwise(st.result.interior_view(),
+                   oracle.after_sweeps(12, 14, 3 * cfg.h))
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+def test_pair_of_unequal_alignments_is_rejected(walk, request):
+    if walk:
+        request.getfixturevalue("walker_calls")
+    a = create_grid(12, 12, 12, pad=1, init="random", seed=15)
+    b = a.copy()
+    b.alignment = 1
+    with pytest.raises(ValueError, match="alignment"):
+        run_pipelined((a, b), _cfg(t=2), 2)
 
 
 def test_compressed_needs_pad_at_least_h():
@@ -514,7 +552,37 @@ def test_one_thread_per_position_per_run(t, walk, request, monkeypatch):
     st = _run(g0, cfg, 4)
     assert st.passes == 4
     walker = walk or kernel.BACKEND != "c"  # the walker starts no thread
-    assert len(started) == (t if t > 1 and not walker else 0)
+    # the calling thread runs the first position
+    assert len(started) == (0 if walker else t - 1)
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+def test_error_in_the_calling_threads_position_aborts_the_others(
+        walk, request, monkeypatch):
+    # positions 1 and 2 wait for a front position that never moves: only
+    # the abort, not the 60 s watchdog, can end their wait soon
+    caller = threading.current_thread()
+    if walk:
+        def failing(*args):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(pipeline, "apply_window", failing)
+    else:
+        _needs_driver()
+        real = pipeline._Run.drive
+
+        def drive(self, g):
+            if threading.current_thread() is caller:
+                raise RuntimeError("injected fault")
+            return real(self, g)
+
+        monkeypatch.setattr(pipeline._Run, "drive", drive)
+    cfg = _cfg(spec=BlockSpec(16, 4, 4), t=3, watchdog_s=60.0)
+    g = create_grid(16, 16, 16, init="random", seed=16)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="injected fault"):
+        run_pipelined((g, g.copy()), cfg, 2)
+    assert time.monotonic() - t0 < 5.0
 
 
 def test_abort_in_the_second_pass_stops_every_thread(monkeypatch):
@@ -834,8 +902,7 @@ def test_plan_passes_start_where_the_one_before_ended(mode, done):
     assert base[0] == g.origin - g.alignment
     for q in range(4):
         assert base[q + 1] == base[q] - shift[q] * h
-    if mode == "compressed":
-        assert run.alignment_after == g.origin - (base[-1] - shift[-1] * h)
+    assert run.alignment_after == g.origin - (base[-1] - shift[-1] * h)
 
 
 @pytest.mark.parametrize("mode,neighbors,restore", [
