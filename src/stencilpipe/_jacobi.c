@@ -1,5 +1,6 @@
-/* Jacobi window update and pipelined run driver, the compiled bodies of
- * kernel.apply_window and pipeline.PipelineEngine.run_passes.
+/* Jacobi window update, pipelined run driver and seeded field fill, the
+ * compiled bodies of kernel.apply_window, pipeline.PipelineEngine.run_passes
+ * and grid.fill_field's random rules.
  *
  * Summation order per cell is fixed: ((((x- + x+) + y-) + y+) + z-) + z+,
  * then times 1/6, the same as the numpy oracle.  Build without fast-math and
@@ -100,6 +101,30 @@ int jacobi_window_isa(int isa, WINDOW_PARAMS)
         return -1;
     copies[isa](WINDOW_ARGS);
     return 0;
+}
+
+/* The seeded field of grid.fill_field over a box of cx * cy * cz cells with
+ * strides sy and sz: the cell at box offset (x, y, z) takes the SplitMix64
+ * value of global linear index first + z * plane + y * row + x, as
+ * grid.splitmix64_unit_at gives it.  Integer arithmetic wraps modulo 2**64 as
+ * numpy's uint64 does, and v >> 11 converts to a double exactly, so every
+ * cell is bitwise equal to the numpy generator. */
+void splitmix64_fill(double *dst, ptrdiff_t sy, ptrdiff_t sz, ptrdiff_t cx,
+                     ptrdiff_t cy, ptrdiff_t cz, uint64_t first, uint64_t row,
+                     uint64_t plane, uint64_t seed)
+{
+    for (ptrdiff_t z = 0; z < cz; z++)
+        for (ptrdiff_t y = 0; y < cy; y++) {
+            double *d = dst + z * sz + y * sy;
+            uint64_t i = first + (uint64_t)z * plane + (uint64_t)y * row;
+            for (ptrdiff_t x = 0; x < cx; x++) {
+                uint64_t v = (i + (uint64_t)x) * 0x9E3779B97F4A7C15u + seed;
+                v = (v ^ (v >> 30)) * 0xBF58476D1CE4E5B9u;
+                v = (v ^ (v >> 27)) * 0x94D049BB133111EBu;
+                v ^= v >> 31;
+                d[x] = (double)(v >> 11) * 0x1p-53;
+            }
+        }
 }
 
 /* The run driver.  pipeline.py builds one work table per direction, a row

@@ -19,6 +19,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 from contextlib import ExitStack
@@ -29,9 +30,10 @@ import numpy as np
 
 from .bench import stream_copy_bench, update_bench
 from .flatfile import parse_flat
-from .grid import BlockSpec, Grid3, create_grid, write_snapshot
+from .grid import BOUNDARY, BlockSpec, Grid3, create_grid, write_snapshot
 from .halo import (DistConfig, RankTopology, assemble_global,
-                   run_digest, run_distributed_inprocess, run_rank)
+                   decompose_domain, run_digest, run_distributed_inprocess,
+                   run_rank)
 from .kernel import reference_sweep
 from .perfmodel import (baseline_perf, cache_cycle_model, comm_efficiency,
                         default_bj, l3_scalability_check, load_machine_model,
@@ -120,12 +122,53 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "block", None) is not None:
         values["bx"], values["by"], values["bz"] = (
             int(v) for v in args.block.split(","))
+    dims = (values["nx"], values["ny"], values["nz"])
+    if min(dims) < 1:
+        raise ValueError(f"grid dimensions must be >= 1, got {dims}")
     cfg = RunConfig(**values)
     for axis in ("x", "y", "z"):
         b, n = values[f"b{axis}"], values[f"n{axis}"]
         if b > n:
             raise ValueError(f"block {axis} extent {b} exceeds grid {n}")
     return cfg
+
+
+def mem_available(path="/proc/meminfo"):
+    """``MemAvailable`` of ``/proc/meminfo`` in bytes, or None where the file
+    or the field is absent."""
+    try:
+        with open(path) as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _grid_bytes(dims, pad=0) -> int:
+    """Bytes of one grid's storage and its six faces."""
+    nx, ny, nz = dims
+    cells = math.prod(n + 2 * BOUNDARY + pad for n in dims) \
+        + 2 * (ny * nz + nx * nz + nx * ny)
+    return 8 * cells
+
+
+def _run_bytes(dims, mode, h) -> int:
+    """Bytes of one run's grids: one padded grid, or a pair."""
+    if mode == "compressed":
+        return _grid_bytes(dims, pad=max(h, 0))
+    return 2 * _grid_bytes(dims)
+
+
+def _preflight(need: int) -> None:
+    """Refuse a run whose grids would not fit in the memory available now
+    (MemoryError, exit 2): an allocation past it succeeds lazily under
+    overcommit and the run would be killed mid-fill."""
+    avail = mem_available()
+    if avail is not None and need > avail:
+        raise MemoryError(f"the run's grids need {need} B but only {avail} B "
+                          f"of memory are available")
 
 
 def _verify(rows, result: Grid3, dims, init, seed, sweeps) -> bool:
@@ -192,6 +235,9 @@ def _stats_row(rc: RunConfig, cfg, stats) -> dict:
 
 def cmd_solve(args) -> int:
     rc = _config_from_args(args)
+    dims = (rc.nx, rc.ny, rc.nz)
+    _preflight(_run_bytes(dims, rc.mode, rc.n * rc.t * rc.T)
+               + (2 * _grid_bytes(dims) if args.verify else 0))
     cfg, stats = _execute(rc, watchdog_s=args.watchdog)
     if args.out:
         write_snapshot(stats.result, args.out)
@@ -207,6 +253,10 @@ def cmd_sweep(args) -> int:
              for name, text in (("t", args.sweep_t), ("T", args.sweep_T),
                                 ("d_l", args.dl), ("d_u", args.du),
                                 ("d_t", args.dt), ("bx", args.sweep_bx))]
+    # the largest run of the sweep: the pad grows with t and T
+    _preflight(max(_run_bytes((base.nx, base.ny, base.nz), base.mode,
+                              base.n * t * T)
+                   for t, T in itertools.product(*spans[:2])))
     rows = []
     for t, T, d_l, d_u, d_t, bx in itertools.product(*spans):
         values = dict(base.as_dict(), t=t, T=T, d_l=d_l, d_u=d_u, d_t=d_t,
@@ -314,12 +364,15 @@ def cmd_dist(args) -> int:
             raise ValueError("rankfile entries != --ranks")
         if args.ranks != topo.ranks:
             raise ValueError("--ranks must equal px*py*pz")
+        topo.coords(args.rank)  # a rank outside the topology is refused
+        _preflight(_dist_bytes(dist, [args.rank], verify=False))
         ep = tcp_endpoint(args.rank, addresses)
         try:
             runtimes = [run_rank(dist, args.rank, ep)]
         finally:
             ep.close()
     else:
+        _preflight(_dist_bytes(dist, range(topo.ranks), args.verify))
         runtimes = run_distributed_inprocess(dist)
     rows = [rank_row(rt) for rt in runtimes]
     if args.out_dir:
@@ -332,6 +385,18 @@ def cmd_dist(args) -> int:
         ok = _verify(rows, assemble_global(runtimes), dims,
                      rc.init, rc.seed, cfg.h * args.cycles)
     return _emit(rows, args, ok)
+
+
+def _dist_bytes(dist: DistConfig, ranks, verify) -> int:
+    """Bytes of the grids of the given ranks, and with ``verify`` of
+    assemble_global's grid and the oracle pair."""
+    cfg = dist.cfg
+    subs = decompose_domain(dist.global_dims, dist.topo, cfg.h)
+    need = sum(_run_bytes(subs[r].local_dims, cfg.grid_mode, cfg.h)
+               for r in ranks)
+    if verify:
+        need += 3 * _grid_bytes(dist.global_dims)
+    return need
 
 
 def _write_owned_snapshot(rt, path):

@@ -34,12 +34,16 @@ def splitmix64_unit(start: int, count: int, seed: int) -> np.ndarray:
                               seed)
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def splitmix64_unit_at(idx: np.ndarray, seed: int) -> np.ndarray:
     """:func:`splitmix64_unit` for an array of uint64 linear indices (any
     shape).  Integer-only up to the final scaling, so the value of an index
     does not depend on which call produced it."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    _check_seed(seed)
     z = idx * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -165,9 +169,20 @@ def fill_field(g: Grid3, init="constant", value=0.0, seed=0, origin=(0, 0, 0),
       "random_ring" -- "random", and each global Dirichlet ring cell (x, y,
                      z) set to 1 + ((7x + 13y + 29z) mod 17) / 16, so that
                      the ring differs from the zero pad below it
+
+    The random rules fill their cells with the compiled library's loop
+    (``kernel.splitmix64_fill``), which runs with the interpreter lock
+    released, so threads fill their grids at the same time; without a
+    compiler, with :func:`splitmix64_unit_at` one z-slab at a time.  Both
+    give bitwise equal cells.  A seed outside [0, 2**64) raises ValueError
+    before any cell changes.
     """
+    from . import kernel  # kernel imports this module
+
     if init not in ("constant", "impulse", "random", "random_ring"):
         raise ValueError(f"unknown init rule {init!r}")
+    if init in ("random", "random_ring"):
+        _check_seed(seed)  # before any cell changes
     nx, ny, nz = global_dims or g.shape
     g.data[...] = value if init == "constant" else 0.0
     if init == "random_ring":
@@ -192,18 +207,22 @@ def fill_field(g: Grid3, init="constant", value=0.0, seed=0, origin=(0, 0, 0),
         if all(0 <= i < n for i, n in zip(c, g.shape)):
             g.data[g.index(*c)] = 1.0
     elif init in ("random", "random_ring"):
-        ox, oy, oz = origin
-        x0, x1 = max(ox, 0), min(ox + g.nx, nx)
-        y0, y1 = max(oy, 0), min(oy + g.ny, ny)
-        if x0 >= x1 or y0 >= y1:
+        lo = [max(c, 0) for c in origin]
+        hi = [min(c + m, n) for c, m, n in zip(origin, g.shape, (nx, ny, nz))]
+        if any(a >= b for a, b in zip(lo, hi)):
             return
-        iv = g.interior_view()
+        (x0, y0, z0), (x1, y1, z1), (ox, oy, oz) = lo, hi, origin
+        box = g.interior_view()[z0 - oz:z1 - oz, y0 - oy:y1 - oy,
+                                x0 - ox:x1 - ox]
+        if kernel.splitmix64_fill(box, (z0 * ny + y0) * nx + x0, nx, ny * nx,
+                                  seed):
+            return
         rows = (np.arange(y0, y1, dtype=np.uint64) * np.uint64(nx))[:, None] \
             + np.arange(x0, x1, dtype=np.uint64)
-        for z in range(max(oz, 0), min(oz + g.nz, nz)):
+        for z in range(z0, z1):
             # one z-slab per call keeps the generator temporaries small
-            iv[z - oz, y0 - oy:y1 - oy, x0 - ox:x1 - ox] = splitmix64_unit_at(
-                rows + np.uint64(z * ny * nx), seed)
+            box[z - z0] = splitmix64_unit_at(rows + np.uint64(z * ny * nx),
+                                             seed)
 
 
 def create_grid(nx, ny, nz, pad=0, init="constant", value=0.0, seed=0) -> Grid3:

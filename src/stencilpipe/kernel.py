@@ -10,11 +10,13 @@ the oracle for everything else.
 ``cc`` on first use and cached.  ctypes releases the interpreter lock for the
 call, so pipeline and rank threads compute at the same time.  The same
 library holds the pipelined run driver (``pipeline_worker``, arguments in
-:class:`RunSpec`).  Where no compiler works it falls back to the numpy body,
-which ``reference_sweep`` always uses; ``BACKEND`` reads ``"c"`` or
-``"numpy"``.  The library holds a baseline and, on x86-64, an AVX2 copy of
-the loop and picks one when it loads; ``ISA`` reads ``"avx2"``,
-``"baseline"`` or ``"numpy"``.
+:class:`RunSpec`) and the seeded field fill (:func:`splitmix64_fill`, which
+``grid.fill_field`` calls, so rank threads fill their grids at the same time
+too).  Where no compiler works each falls back to its numpy body, which
+``reference_sweep`` and ``grid.seeded_field_checksum`` always use;
+``BACKEND`` reads ``"c"`` or ``"numpy"``.  The library holds a baseline and,
+on x86-64, an AVX2 copy of the window loop and picks one when it loads;
+``ISA`` reads ``"avx2"``, ``"baseline"`` or ``"numpy"``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,9 @@ def _bind(path: Path):
     lib.pipeline_worker.argtypes = [ctypes.POINTER(RunSpec), ctypes.c_int64,
                                     ctypes.c_void_p, ctypes.c_void_p]
     lib.pipeline_worker.restype = ctypes.c_int
+    lib.splitmix64_fill.argtypes = [ctypes.c_void_p] \
+        + [ctypes.c_ssize_t] * 5 + [ctypes.c_uint64] * 4
+    lib.splitmix64_fill.restype = None
     lib.run_spec_size.argtypes = []
     lib.run_spec_size.restype = ctypes.c_int64
     if lib.run_spec_size() != ctypes.sizeof(RunSpec):
@@ -190,6 +195,29 @@ def apply_window(src: np.ndarray, dst: np.ndarray, window, src_off: int,
     lib.jacobi_window(sp, dp, src.strides[1] // _ITEM, src.strides[0] // _ITEM,
                       src_off, dst_off, xl, xh, yl, yh, zl, zh,
                       dst_off > src_off)
+
+
+def splitmix64_fill(box: np.ndarray, first: int, row: int, plane: int,
+                    seed: int) -> bool:
+    """Fill ``box``, a (z, y, x) float64 view with unit x stride, with the
+    seeded field of ``grid.splitmix64_unit_at``: box cell (z, y, x) takes
+    global linear index ``first + z*plane + y*row + x``, bitwise as the
+    numpy generator gives it.  The compiled loop runs with the interpreter
+    lock released, so rank threads fill their grids at the same time.
+    Returns False, with no cell written, when no compiler works; the caller
+    then runs the numpy generator."""
+    if box.dtype != np.float64 or box.strides[2] != _ITEM \
+            or not box.flags.writeable:
+        raise ValueError(f"splitmix64_fill needs a writable float64 view "
+                         f"with unit x stride, got {box.dtype} {box.strides}")
+    lib = _compiled()
+    if lib is None:
+        return False
+    cz, cy, cx = box.shape
+    lib.splitmix64_fill(box.ctypes.data, box.strides[1] // _ITEM,
+                        box.strides[0] // _ITEM, cx, cy, cz, first, row,
+                        plane, seed)
+    return True
 
 
 def check_arrays(src: np.ndarray, dst: np.ndarray) -> None:

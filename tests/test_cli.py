@@ -275,6 +275,100 @@ def test_dist_rejects_mismatched_topology(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,dims", [
+    (["solve", "--grid", "0"], (0, 0, 0)),
+    (["solve", "--grid", "-4", "--block", "1,1,1"], (-4, -4, -4)),
+    (["solve", "--grid", "8", "--ny", "0", "--block", "1,1,1"], (8, 0, 8)),
+    (["dist", "--topo", "2,1,1", "--grid", "0"], (0, 0, 0)),
+    (["sweep", "--grid", "0", "--sweep-t", "1,2"], (0, 0, 0)),
+], ids=["solve", "solve_negative", "solve_ny", "dist", "sweep"])
+def test_grid_extent_below_one_is_config_error(argv, dims, capsys):
+    # named before the block is compared with the grid it does not fit
+    assert run_cli(argv, capsys) == (
+        2, "", f"config error: grid dimensions must be >= 1, got {dims}\n")
+
+
+# Grid bytes each run holds: a grid of interior n^3 at pad p stores
+# (n + 2 + p)^3 doubles and 6 n^2 face doubles.
+PREFLIGHT_RUNS = {
+    # the pair and the --verify oracle pair: 4 * (14^3 + 6 * 12^2) * 8
+    "solve": (["solve", "--grid", "12", "--block", "12,6,6", "--verify"],
+              115456),
+    # the largest pad of the sweep, h = 2: (16^3 + 6 * 12^2) * 8
+    "sweep": (["sweep", "--grid", "12", "--block", "12,6,6", "--mode",
+               "compressed", "--sweep-t", "1,2"], 39680),
+    # two ranks of 7x12x12 (6 owned + 1 halo), each a pair with faces:
+    # 4 * (9*14*14 + 2 * (144 + 84 + 84)) * 8, plus assemble_global's grid
+    # and the oracle pair, 3 * (14^3 + 6 * 12^2) * 8
+    "dist": (["dist", "--topo", "2,1,1", "--grid", "12", "--block", "6,6,6",
+              "--verify"], 76416 + 86592),
+}
+
+
+@pytest.mark.parametrize("run", PREFLIGHT_RUNS, ids=list(PREFLIGHT_RUNS))
+@pytest.mark.parametrize("available", ["fits", "short", "absent"])
+def test_memory_preflight(run, available, monkeypatch, capsys):
+    argv, need = PREFLIGHT_RUNS[run]
+    free = {"fits": need, "short": need - 1, "absent": None}[available]
+    monkeypatch.setattr(cli, "mem_available", lambda: free)
+    if available != "short":
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out
+        return
+
+    def no_grid(*_a, **_k):
+        raise AssertionError("a grid was allocated before the preflight")
+
+    for name in ("create_grid", "run_pipelined", "run_distributed_inprocess"):
+        monkeypatch.setattr(cli, name, no_grid)
+    assert run_cli(argv, capsys) == (
+        2, "", f"config error: the run's grids need {need} B but only "
+               f"{need - 1} B of memory are available\n")
+
+
+def test_memory_preflight_of_a_tcp_rank_counts_its_own_grids(
+        tmp_path, monkeypatch, capsys):
+    def no_connect(*_args):
+        raise AssertionError("a rank connected before the preflight")
+
+    monkeypatch.setattr(cli, "tcp_endpoint", no_connect)
+    monkeypatch.setattr(cli, "mem_available", lambda: 38207)
+    rankfile = tmp_path / "ranks.txt"
+    rankfile.write_text("0 127.0.0.1 1\n1 127.0.0.1 2\n")
+    # rank 1's pair of 7x12x12 cells: 2 * (9*14*14 + 2*(144+84+84)) * 8 B
+    assert run_cli(["dist", "--topo", "2,1,1", "--grid", "12", "--block",
+                    "6,6,6", "--ranks", "2", "--rank", "1", "--rankfile",
+                    str(rankfile)], capsys) == (
+        2, "", "config error: the run's grids need 38208 B but only 38207 B "
+               "of memory are available\n")
+
+
+@pytest.mark.parametrize("rank", ["2", "-1"])
+def test_tcp_rank_outside_the_topology_is_config_error(rank, tmp_path,
+                                                        monkeypatch, capsys):
+    def no_connect(*_args):
+        raise AssertionError("a rank outside the topology connected")
+
+    monkeypatch.setattr(cli, "tcp_endpoint", no_connect)
+    rankfile = tmp_path / "ranks.txt"
+    rankfile.write_text("0 127.0.0.1 1\n1 127.0.0.1 2\n")
+    assert run_cli(["dist", "--topo", "2,1,1", "--grid", "12", "--block",
+                    "6,6,6", "--ranks", "2", "--rank", rank, "--rankfile",
+                    str(rankfile)], capsys) == (
+        2, "", f"config error: rank {rank} outside 0..1\n")
+
+
+def test_mem_available_reads_meminfo(tmp_path):
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:        8000000 kB\n"
+                       "MemFree:          100000 kB\n"
+                       "MemAvailable:    4000000 kB\n")
+    assert cli.mem_available(meminfo) == 4000000 * 1024
+    meminfo.write_text("MemTotal:        8000000 kB\n")  # kernels before 3.14
+    assert cli.mem_available(meminfo) is None
+    assert cli.mem_available(tmp_path / "absent") is None
+
+
 # ---------------------------------------------------------------------------
 # provenance: equal stamps mean equal output
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,12 @@ from stencilpipe import (
     read_snapshot,
     write_snapshot,
 )
-from stencilpipe.grid import seeded_field_checksum, splitmix64_unit
+from stencilpipe import PipelineConfig, kernel
+from stencilpipe.grid import (fill_field, seeded_field_checksum,
+                              splitmix64_unit, splitmix64_unit_at)
+from stencilpipe.halo import (RankTopology, decompose_domain,
+                              materialize_subdomain)
+from tests.conftest import assert_bitwise
 
 # Frozen output of the deterministic field generator (SplitMix64 based); these
 # must never drift, they anchor every seeded oracle in the suite.
@@ -213,3 +220,127 @@ def test_copy_never_lies_a_whole_page_from_its_source(dims, pad):
         assert np.array_equal(dst.data, src.data)
         assert dst.alignment == pad and dst.pad == pad
         assert all(np.array_equal(a, b) for a, b in zip(dst.faces, src.faces))
+
+
+# ---------------------------------------------------------------------------
+# the compiled seeded fill against the numpy generator
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def numpy_fill(monkeypatch):
+    """Call a fill function with the compiled library hidden, so that
+    fill_field runs its numpy generator."""
+    def call(fn, *args, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "_compiled", lambda: None)
+            return fn(*args, **kw)
+    return call
+
+
+def _needs_compiled_fill():
+    if kernel.BACKEND != "c":
+        pytest.skip("no compiled library: fill_field runs the numpy "
+                    "generator only")
+
+
+def test_compiled_fill_matches_the_generator_on_a_strided_box():
+    _needs_compiled_fill()
+    data = np.full((6, 7, 9), -1.0)
+    box = data[1:5, 2:6, 3:8]  # 4 x 4 x 5 cells, strides of the whole array
+    first, row, plane = 1234, 50, 50 * 40
+    assert kernel.splitmix64_fill(box, first, row, plane, 9)
+    z, y, x = np.ogrid[0:4, 0:4, 0:5]
+    idx = (first + z * plane + y * row + x).astype(np.uint64)
+    assert_bitwise(box, splitmix64_unit_at(idx, 9))
+    outside = np.ones(data.shape, dtype=bool)
+    outside[1:5, 2:6, 3:8] = False
+    assert np.all(data[outside] == -1.0)
+
+
+def test_compiled_fill_refuses_a_view_it_cannot_write():
+    read_only = np.zeros((2, 3, 4))
+    read_only.flags.writeable = False
+    for box in (np.zeros((2, 3, 8))[:, :, ::2], np.zeros((2, 3, 4), "f4"),
+                read_only):
+        with pytest.raises(ValueError, match="splitmix64_fill"):
+            kernel.splitmix64_fill(box, 0, 4, 12, 1)
+        assert not box.any()
+
+
+@pytest.mark.parametrize("init", ["random", "random_ring"])
+@pytest.mark.parametrize("pad,alignment", [(0, 0), (2, 0), (2, 1)])
+def test_compiled_fill_equals_numpy_on_whole_grids(init, pad, alignment,
+                                                   numpy_fill):
+    grids = [Grid3(13, 7, 5, pad=pad, alignment=alignment) for _ in range(2)]
+    fill_field(grids[0], init, seed=21)
+    numpy_fill(fill_field, grids[1], init, seed=21)
+    assert_bitwise(grids[0].data, grids[1].data)
+    assert np.count_nonzero(grids[0].interior_view()) > 0
+
+
+@pytest.mark.parametrize("init", ["random", "random_ring"])
+@pytest.mark.parametrize("topo", [(2, 1, 1), (2, 2, 1)])
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+def test_compiled_fill_equals_numpy_on_rank_shares(init, topo, mode,
+                                                   numpy_fill):
+    cfg = PipelineConfig(spec=BlockSpec(4, 4, 4), t=2, T=1, grid_mode=mode)
+    for sub in decompose_domain((12, 10, 8), RankTopology(*topo), cfg.h):
+        got = materialize_subdomain(sub, cfg, seed=5, init=init)
+        want = numpy_fill(materialize_subdomain, sub, cfg, seed=5, init=init)
+        assert_bitwise(got.data, want.data)
+    # a share whose halo reaches past the global interior on every side
+    grids = [Grid3(16, 13, 12, pad=1) for _ in range(2)]
+    args = (init, 0.0, 5, (-2, -1, -3), (12, 10, 8))
+    fill_field(grids[0], *args)
+    numpy_fill(fill_field, grids[1], *args)
+    assert_bitwise(grids[0].data, grids[1].data)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_generator_range_ends_are_accepted(seed, numpy_fill):
+    grids = [Grid3(9, 4, 3, pad=1) for _ in range(2)]
+    fill_field(grids[0], "random", seed=seed)
+    numpy_fill(fill_field, grids[1], "random", seed=seed)
+    assert_bitwise(grids[0].data, grids[1].data)
+    assert_bitwise(grids[0].interior_view().ravel(),
+                   splitmix64_unit(0, 9 * 4 * 3, seed))
+
+
+@pytest.mark.parametrize("init", ["random", "random_ring"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("backend", ["library", "numpy"])
+def test_seed_outside_the_range_changes_no_cell(init, seed, backend,
+                                                numpy_fill):
+    g = create_grid(6, 5, 4, pad=1, init="constant", value=3.5)
+    fill = fill_field if backend == "library" else (
+        lambda *a, **k: numpy_fill(fill_field, *a, **k))
+    with pytest.raises(ValueError, match="seed"):
+        fill(g, init, seed=seed)
+    assert np.all(g.data == 3.5)
+
+
+def test_two_threads_fill_like_one(numpy_fill):
+    dims = [(64, 48, 40), (40, 64, 48)]
+    want = [Grid3(*d, pad=1) for d in dims]
+    for g, seed in zip(want, (3, 4)):
+        numpy_fill(fill_field, g, "random_ring", seed=seed)
+    got = [Grid3(*d, pad=1) for d in dims]
+    start = threading.Barrier(2)
+    errors = []
+
+    def body(g, seed):
+        try:
+            start.wait()
+            fill_field(g, "random_ring", seed=seed)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=body, args=(g, seed))
+               for g, seed in zip(got, (3, 4))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert not errors
+    for g, w in zip(got, want):
+        assert_bitwise(g.data, w.data)
