@@ -14,11 +14,12 @@
  * that reads it has already been updated.  A row's stores land in another
  * row than any it reads, so x always ascends.
  *
- * The run driver reads each pass of a run from its pass plan (struct frame,
- * built by pipeline._Run) and runs a thread's T levels of a block as a
- * wavefront over chunks of z planes (run_block), so that each level reads
- * the planes the level before it has just written while they are still in
- * cache.
+ * The run driver (pipeline_run) is one call per run that starts and joins
+ * the run's threads.  It reads each pass from its pass plan (struct frame,
+ * built by pipeline.PipelineEngine) and runs a thread's T levels of a block
+ * as a wavefront over chunks of z planes (run_block), so that each level
+ * reads the planes the level before it has just written while they are
+ * still in cache.
  *
  * The window loop is compiled twice from one body: for baseline x86-64 (SSE2)
  * and, with GCC or clang on x86-64, for AVX2.  The copy is chosen once, when
@@ -27,6 +28,7 @@
  * brings no FMA, so every copy gives the same bits.
  */
 #define _POSIX_C_SOURCE 200809L
+#include <pthread.h>
 #include <sched.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -130,23 +132,23 @@ void splitmix64_fill(double *dst, ptrdiff_t sy, ptrdiff_t sz, ptrdiff_t cx,
 /* The run driver.  pipeline.py builds one work table per direction, a row
  * per (block, level) holding the window, the level u and a bit mask of the
  * Dirichlet ring sides (bit 2*axis + side) the window touches, and one pass
- * plan per run, a row per pass (struct frame).  Thread g walks the rows of
- * its levels g*T+1 .. (g+1)*T block by block, for every pass of the plan,
- * and enforces the relaxed conditions of ready() on the shared counters, or
- * a staggered lockstep on a sense-reversing barrier.  Every field is 8 bytes
- * wide; kernel.RunSpec mirrors this layout. */
+ * plan per run, a row per pass (struct frame).  The thread of position g
+ * walks the rows of its levels g*T+1 .. (g+1)*T block by block, for every
+ * pass of the plan, and enforces the relaxed conditions of ready() on the
+ * shared counters, or a staggered lockstep on a sense-reversing barrier.
+ * Every field is 8 bytes wide; kernel.RunSpec mirrors this layout. */
 enum { XL, XH, YL, YH, ZL, ZH, LEVEL, SIDES, NCOL };
 enum { ST_BLOCKS, ST_WINDOWS, ST_CELLS, ST_SPINS, ST_PRED_WAIT_NS,
        ST_SUCC_WAIT_NS, ST_PRED_GAP_MIN, ST_PRED_VIOLATIONS, ST_SUCC_GAP_MAX,
        NSTAT };
 enum { SLOT = 8 };                    /* int64 per counter: one cache line */
 enum { CTL_ABORT = 0, CTL_COUNT = SLOT, CTL_SENSE = 2 * SLOT };
-enum { DONE = 0, DEADLOCK = 1, ABORTED = 2 };
+enum { DONE = 0, DEADLOCK = 1, ABORTED = 2, NOT_STARTED = 3 };
 enum { PRED, SUCC, BARRIER };
 
-/* One row of the run's pass plan, as pipeline._Run builds it.  The pass runs
- * in direction dir (+1 forward, ascending z, with rows[0]; -1 backward with
- * rows[1]).  Level u reads grid[(parity+u-1)&1] at frame offset
+/* One row of the run's pass plan (pipeline.PipelineEngine._plan).  The pass
+ * runs in direction dir (+1 forward, ascending z, with rows[0]; -1 backward
+ * with rows[1]).  Level u reads grid[(parity+u-1)&1] at frame offset
  * base-shift*(u-1) and writes grid[(parity+u)&1] at base-shift*u.  Before
  * any thread reads, the front thread rewrites the ring sides in restore
  * (bit 2*axis + side) in full from the faces at offset base. */
@@ -432,23 +434,63 @@ static int run_pass(const struct run_spec *p, const struct frame *f, int64_t g,
     return rc;
 }
 
-/* Thread g's whole run: every pass, in one call.  A pass begins only once
- * every thread has finished the one before, at a barrier whose last arrival
- * resets the counters.  delays (NULL for none) holds a sleep in seconds per
- * (pass, thread, block); stats is the thread's NSTAT row, summed over the
- * passes, its gap fields -1 until a gap is seen.  Returns DONE, DEADLOCK or
- * ABORTED. */
-int pipeline_worker(const struct run_spec *p, int64_t g, const double *delays,
-                    int64_t *stats)
+/* One position g of a run: where its code goes, and its NSTAT stats row,
+ * summed over the passes, its gap fields -1 until a gap is seen.  delays
+ * (NULL for none) holds a sleep in seconds per (pass, position, block). */
+struct position {
+    const struct run_spec *p;
+    int64_t g;
+    const double *delays;
+    int64_t *stats, *code;
+};
+
+/* Position w's whole run: every pass.  A pass begins only once every
+ * thread has finished the one before, at a barrier whose last arrival resets
+ * the counters.  Its code is DONE, DEADLOCK or ABORTED. */
+static void *pipeline_worker(void *arg)
 {
+    const struct position *w = arg;
+    const struct run_spec *p = w->p;
     int64_t sense = 0;
     int rc = DONE;
     for (int64_t q = 0; q < p->passes && rc == DONE; q++) {
-        if (q > 0 && (rc = barrier_wait(p, g, &sense, stats, 1)))
+        if (q > 0 && (rc = barrier_wait(p, w->g, &sense, w->stats, 1)))
             break;
-        rc = run_pass(p, &p->plan[q], g,
-                      delays ? delays + (q * p->nt + g) * p->nblocks : NULL,
-                      stats, &sense);
+        rc = run_pass(p, &p->plan[q], w->g, w->delays ? w->delays
+                      + (q * p->nt + w->g) * p->nblocks : NULL,
+                      w->stats, &sense);
     }
-    return rc;
+    *w->code = rc;
+    return NULL;
+}
+
+/* A whole run in one call: positions[0..n-1] (n >= 1) through every pass,
+ * the first in the calling thread and each other in a pthread started for
+ * the run and joined before the return.  stats holds an NSTAT row per
+ * position of the team; codes[i] receives the code of positions[i] if it
+ * runs.  If a pthread_create fails, the abort word is set, the threads
+ * already started are joined, no other position runs, the one not started
+ * gets NOT_STARTED and the errno is returned; else 0. */
+int pipeline_run(const struct run_spec *p, const int64_t *positions, int64_t n,
+                 const double *delays, int64_t *stats, int64_t *codes)
+{
+    struct position w[n];
+    pthread_t tid[n];
+    int err = 0;
+    int64_t i;
+    for (i = 0; i < n; i++) {
+        w[i] = (struct position){p, positions[i], delays,
+                                 stats + positions[i] * NSTAT, &codes[i]};
+        if (i > 0 && (err = pthread_create(&tid[i], NULL, pipeline_worker,
+                                           &w[i]))) {
+            store(&p->ctl[CTL_ABORT], 1);
+            codes[i] = NOT_STARTED;
+            break;
+        }
+    }
+    if (!err)
+        pipeline_worker(&w[0]);
+    while (--i > 0)
+        pthread_join(tid[i], NULL);
+    return err;
 }

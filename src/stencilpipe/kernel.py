@@ -9,14 +9,15 @@ the oracle for everything else.
 ``apply_window`` runs a compiled C loop (``_jacobi.c``), built with the system
 ``cc`` on first use and cached.  ctypes releases the interpreter lock for the
 call, so pipeline and rank threads compute at the same time.  The same
-library holds the pipelined run driver (``pipeline_worker``, arguments in
-:class:`RunSpec`) and the seeded field fill (:func:`splitmix64_fill`, which
-``grid.fill_field`` calls, so rank threads fill their grids at the same time
-too).  Where no compiler works each falls back to its numpy body, which
-``reference_sweep`` and ``grid.seeded_field_checksum`` always use;
-``BACKEND`` reads ``"c"`` or ``"numpy"``.  The library holds a baseline and,
-on x86-64, an AVX2 copy of the window loop and picks one when it loads;
-``ISA`` reads ``"avx2"``, ``"baseline"`` or ``"numpy"``.
+library holds the pipelined run driver (``pipeline_run``, one call per run
+that starts and joins the run's threads, arguments in :class:`RunSpec`) and
+the seeded field fill (:func:`splitmix64_fill`, which ``grid.fill_field``
+calls, so rank threads fill their grids at the same time too).  Where no
+compiler works each falls back to its numpy body, which ``reference_sweep``
+and ``grid.seeded_field_checksum`` always use; ``BACKEND`` reads ``"c"`` or
+``"numpy"``.  The library holds a baseline and, on x86-64, an AVX2 copy of
+the window loop and picks one when it loads; ``ISA`` reads ``"avx2"``,
+``"baseline"`` or ``"numpy"``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ SIXTH = 1.0 / 6.0
 _SOURCE = Path(__file__).with_name("_jacobi.c")
 # -ffp-contract=off forbids fused multiply-adds, which would change result
 # bits; fast-math (reassociation) would too and must never be added.
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 _ITEM = np.dtype(np.float64).itemsize
 # the window loop copies of _jacobi.c by index, as jacobi_window_isa takes them
 ISAS = ("baseline", "avx2")
@@ -66,8 +67,8 @@ def _build(target: Path) -> None:
 
 class RunSpec(ctypes.Structure):
     """``struct run_spec`` of ``_jacobi.c``: what every thread of one
-    pipelined run shares (see ``pipeline._Run``).  ``plan`` points at the
-    run's pass plan, one ``struct frame`` of five int64 per pass."""
+    pipelined run shares (see ``pipeline.PipelineEngine``).  ``plan`` points
+    at the run's pass plan, one ``struct frame`` of five int64 per pass."""
     _fields_ = [("rows", ctypes.c_void_p * 2), ("nblocks", ctypes.c_int64),
                 ("h", ctypes.c_int64), ("T", ctypes.c_int64),
                 ("nt", ctypes.c_int64), ("passes", ctypes.c_int64),
@@ -90,9 +91,9 @@ def _bind(path: Path):
     lib.jacobi_window_isa.restype = ctypes.c_int
     lib.jacobi_isa.argtypes = []
     lib.jacobi_isa.restype = ctypes.c_int
-    lib.pipeline_worker.argtypes = [ctypes.POINTER(RunSpec), ctypes.c_int64,
-                                    ctypes.c_void_p, ctypes.c_void_p]
-    lib.pipeline_worker.restype = ctypes.c_int
+    lib.pipeline_run.argtypes = [ctypes.POINTER(RunSpec), ctypes.c_void_p,
+                                 ctypes.c_int64] + [ctypes.c_void_p] * 3
+    lib.pipeline_run.restype = ctypes.c_int
     lib.splitmix64_fill.argtypes = [ctypes.c_void_p] \
         + [ctypes.c_ssize_t] * 5 + [ctypes.c_uint64] * 4
     lib.splitmix64_fill.restype = None

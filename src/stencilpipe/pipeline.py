@@ -15,12 +15,13 @@ or a staggered global-barrier lockstep used as the baseline.  Both produce
 bitwise identical grids; only timing differs.
 
 The schedule of a pass is one int64 table per direction
-(:meth:`PipelineEngine.work_table`).  Each thread runs its rows of every pass
-of a run in one call into the compiled driver (``pipeline_worker`` in
-``_jacobi.c``) with the interpreter lock released; a pass begins once every
-thread has finished the one before; ``ready()`` in ``_jacobi.c`` is the one
-statement of the sync conditions.  The driver runs a thread's T rows of a
-block as a wavefront over chunks of z planes, each level one plane
+(:meth:`PipelineEngine.work_table`).  A run is one call into the compiled
+driver (``pipeline_run`` in ``_jacobi.c``), with the interpreter lock
+released, that runs the first position in the calling thread and starts and
+joins a thread for each other; each runs its rows of every pass, and a pass
+begins once every thread has finished the one before.  ``ready()`` in
+``_jacobi.c`` states the sync conditions once.  The driver runs a thread's T
+rows of a block as a wavefront over chunks of z planes, each level one plane
 behind the one before, so that a level's input is still in cache; the sync
 conditions, still counted in whole blocks, do not change.
 
@@ -36,7 +37,8 @@ from __future__ import annotations
 
 import ctypes
 import math
-import threading
+import os
+import threading  # unused: perfbench/tracing.py assigns pipeline.threading
 import time
 from dataclasses import dataclass, field
 
@@ -48,7 +50,7 @@ from .kernel import apply_window, write_ring_strips
 
 # Layout shared with _jacobi.c: counter slots, work table columns (xl xh yl
 # yh zl zh level sides), pass plan columns (struct frame), stats row fields,
-# control words, worker results.
+# control words, position results.
 _SLOT = 8  # int64 slots per counter: 64 bytes, one cache line
 _COLS = 8
 _DIR, _PARITY, _BASE, _SHIFT, _RESTORE = range(5)
@@ -57,7 +59,7 @@ _STATS = ("blocks", "windows", "cells", "spins", "pred_wait_ns",
 (_BLOCKS, _WINDOWS, _CELLS, _SPINS, _PRED_WAIT, _SUCC_WAIT, _GAP_MIN,
  _VIOLATIONS, _SUCC_MAX) = range(len(_STATS))
 _CTL_ABORT, _CTL_COUNT = 0, _SLOT  # then the barrier sense at 2 * _SLOT
-_DONE, _DEADLOCK, _ABORTED = 0, 1, 2
+_DEADLOCK, _ABORTED, _NOT_STARTED = 1, 2, 3  # 0: done
 _ALL_SIDES = 0b111111  # a compressed ring with no neighbour on any side
 
 
@@ -257,6 +259,13 @@ class PipelineEngine:
                         for side, nb in enumerate(pair)
                         if not nb and cfg.grid_mode == "compressed")
         self.tables = (self.work_table(1), self.work_table(-1))
+        # shared by a run's positions in the driver's layout, reset per run:
+        # a 64-byte counter slot and a stats row each, and the control words
+        nt = cfg.threads
+        self.counters = np.zeros(nt * _SLOT, dtype=np.int64)
+        self.ctl = np.zeros(3 * _SLOT, dtype=np.int64)
+        self.stats = np.zeros((nt, len(_STATS)), dtype=np.int64)
+        self.d_l, self.d_u = effective_distances(cfg)
         self.passes_done = 0
 
     def current_grid(self) -> Grid3:
@@ -301,12 +310,11 @@ class PipelineEngine:
         """``count`` team sweeps; each gives every interior cell h updates.
 
         Directions alternate with ``passes_done``: forward after an even
-        number of passes, backward after an odd one.  Each pipeline position
-        runs all ``count`` passes in one call: the first in the calling
-        thread, each other in one thread started for the whole run.  The
-        arrays, frames and faces are checked once, before any thread starts.
-        The walker runs in the calling thread.  Every grid's alignment is
-        then where the run's last frame left it."""
+        number of passes, backward after an odd one.  The run is one call
+        into the compiled driver, or a walk in the calling thread; the
+        arrays, frames and faces are checked once, before either starts.
+        Every grid's alignment is then where the run's last frame left it.
+        OSError means that the driver could not start a thread."""
         if count < 0:
             raise ValueError(f"pass count must be >= 0, got {count}")
         return self.run_pass(count)
@@ -317,62 +325,29 @@ class PipelineEngine:
         is one ``pipeline.run_pass`` span holding its threads' spans."""
         if count == 0:
             return RunStats()
-        run = _Run(self, count)
-        if run.walker:
-            run.walk()
-        else:
-            run.run(range(self.cfg.threads))
-        self.passes_done += count
-        for g in self.grids:
-            g.alignment = run.alignment_after
-        return RunStats(passes=count, threads=run.thread_stats())
-
-
-class _Run:
-    """``count`` passes in flight: their pass plan and work tables and the
-    arrays the threads share (counters, one 64-byte slot per position; the
-    effective distances; control words; stats rows), in the layout the
-    compiled driver reads.
-
-    The pass plan (:meth:`_plan`) is the one statement of the run's
-    schedule, a row per pass that both executors read.  A pass begins with
-    its counters reset, once every position has finished the one before.
-    ``drive(g)`` runs position g's passes in the compiled driver with the
-    interpreter lock released; ``walk()`` runs every position's passes in
-    the calling thread through the module-level ``apply_window`` and
-    ``write_ring_strips``."""
-
-    def __init__(self, engine: PipelineEngine, count: int):
-        cfg = self.cfg = engine.cfg
-        self.engine, self.count = engine, count
-        self.nt = nt = cfg.threads
-        self.counters = np.zeros(nt * _SLOT, dtype=np.int64)
-        self.d_l, self.d_u = effective_distances(cfg)
-        self.ctl = np.zeros(3 * _SLOT, dtype=np.int64)
-        self.ctl[_CTL_COUNT] = nt
-        self.stats = np.zeros((nt, len(_STATS)), dtype=np.int64)
+        plan = self._plan(count)
+        self._check(plan)
+        self.stats[:] = 0
         self.stats[:, _GAP_MIN] = self.stats[:, _SUCC_MAX] = -1  # no gap yet
-        g0 = engine.grids[0]
-        self.faces, self.ring = g0.faces, engine.ring
-        self.plan = self._plan(engine)
-        _dir, _parity, base, shift, _restore = self.plan[-1].tolist()
-        self.alignment_after = g0.origin - (base - shift * cfg.h)
-        self.arrays = (g0.data, engine.grids[-1].data)
-        self.tables = engine.tables
-        self.nblocks = engine.plan.total_blocks
-        self._check()
         # wrapped kernel functions (tracing, tests) must see every call
-        self.walker = (kernel.BACKEND == "numpy"
-                       or apply_window is not kernel.apply_window
-                       or write_ring_strips is not kernel.write_ring_strips)
-        if not self.walker:
-            self.delays = self._delays()
-            self.spec = self._driver_spec()
+        if (kernel.BACKEND == "numpy"
+                or apply_window is not kernel.apply_window
+                or write_ring_strips is not kernel.write_ring_strips):
+            self._walk(plan)
+        else:
+            self._drive(plan, range(self.cfg.threads))
+        self.passes_done += count
+        _dir, _parity, base, shift, _restore = plan[-1].tolist()
+        for g in self.grids:
+            g.alignment = g.origin - (base - shift * self.cfg.h)
+        return RunStats(passes=count, threads=[
+            ThreadStats.from_row(row) for row in self.stats.tolist()])
 
-    def _plan(self, engine: PipelineEngine) -> np.ndarray:
-        """The pass plan: an int64 row per pass of direction, grid parity,
-        level-0 frame offset, shift and the ring sides to restore, as
-        ``struct frame`` of ``_jacobi.c``.
+    def _plan(self, count: int) -> np.ndarray:
+        """The pass plan of a run of ``count`` passes: an int64 row per pass
+        of direction, grid parity, level-0 frame offset, shift and the ring
+        sides to restore, as ``struct frame`` of ``_jacobi.c``; the one
+        statement of the run's schedule, which both executors read.
 
         Pass q of the run is the engine's pass ``passes_done + q``; it runs
         forward (+1) when that is even and backward (-1) when odd.  Level u
@@ -395,11 +370,11 @@ class _Run:
         pass's first level reads (the stencil reads no edge or corner).  With
         one, live ranges shrink toward it, and the last level's strips miss
         the bands of the ring next to it.  Two-grid mode has no ring to
-        restore (``engine.ring`` is 0)."""
-        h, g0 = self.cfg.h, engine.grids[0]
+        restore (``ring`` is 0)."""
+        h, g0 = self.cfg.h, self.grids[0]
         base = g0.origin - g0.alignment
         rows = []
-        for p in range(engine.passes_done, engine.passes_done + self.count):
+        for p in range(self.passes_done, self.passes_done + count):
             direction = -1 if p % 2 else 1
             shift = direction if self.cfg.grid_mode == "compressed" else 0
             restore = self.ring if not rows or self.ring != _ALL_SIDES else 0
@@ -407,12 +382,11 @@ class _Run:
             base -= shift * h
         return np.array(rows, dtype=np.int64)
 
-    def _check(self) -> None:
-        """Raise ValueError before any thread starts where a pass of the run
+    def _check(self, plan: np.ndarray) -> None:
+        """Raise ValueError before any thread starts where a pass of the plan
         would leave the arrays: the compiled driver checks no bounds, and
         apply_window's checks run per call."""
-        cfg, dims = self.cfg, self.engine.dims
-        src, dst = self.arrays
+        src, dst = self.grids[0].data, self.grids[-1].data
         kernel.check_arrays(src, dst)
         if src is not dst and (src.shape != dst.shape
                                or np.may_share_memory(src, dst)):
@@ -422,17 +396,17 @@ class _Run:
         # its ring at every level's offset of every pass bounds every load
         # and store; a pass's offsets run from base to base - shift * h
         offsets = [off for _dir, _parity, base, shift, _restore
-                   in self.plan.tolist()
-                   for off in (base, base - shift * cfg.h)]
+                   in plan.tolist()
+                   for off in (base, base - shift * self.cfg.h)]
         lo, hi = min(offsets), max(offsets)
         if lo < 1 or any(n + hi + 1 > size
-                         for n, size in zip(dims, src.shape[::-1])):
+                         for n, size in zip(self.dims, src.shape[::-1])):
             raise ValueError(f"the frames of the run, offsets {lo} to {hi}, "
                              f"leave the arrays of shape {src.shape}")
         # the driver reads the faces of the ring's sides by raw pointer
-        zyx = dims[::-1]
+        zyx, faces = self.dims[::-1], self.grids[0].faces
         for bit in (b for b in range(6) if self.ring >> b & 1):
-            face = self.faces[bit] if bit < len(self.faces) else None
+            face = faces[bit] if bit < len(faces) else None
             shape = zyx[:2 - bit // 2] + zyx[3 - bit // 2:]
             if not (isinstance(face, np.ndarray) and face.shape == shape
                     and face.dtype == np.float64 and face.flags.c_contiguous):
@@ -441,97 +415,79 @@ class _Run:
                     f"C-contiguous float64 array of shape {shape}, as "
                     "Grid3.capture_boundary_faces makes it")
 
-    def _delays(self):
+    def _delays(self, count: int):
         """Seconds the compiled driver sleeps before each block update, per
-        pass, thread and block, or None for no sleeps: a seam for tests that
-        perturb the threads' timing."""
+        pass, position and block of a run of ``count`` passes, or None for
+        no sleeps: a seam for tests that perturb the threads' timing."""
         return None
 
-    def _driver_spec(self) -> kernel.RunSpec:
-        """The compiled driver's arguments."""
-        cfg, (nx, ny, nz) = self.cfg, self.engine.dims
-        src, dst = self.arrays
-        return kernel.RunSpec(
+    def abort(self) -> None:
+        """Stop every thread of the run in flight at its next wait."""
+        self.ctl[_CTL_ABORT] = 1
+
+    def _drive(self, plan: np.ndarray, positions) -> None:
+        """Run ``positions`` (every one but in tests) through every pass of
+        the plan in one compiled call, and raise where one failed: OSError
+        when its thread could not be started, PipelineDeadlock when a
+        watchdog fired or the run was aborted.  A failure in any position
+        aborts the rest.  The counters and control words start reset; the
+        grids' arrays and faces are read anew, as callers may replace them."""
+        cfg, (nx, ny, nz) = self.cfg, self.dims
+        self.counters[:] = self.ctl[:] = 0
+        self.ctl[_CTL_COUNT] = cfg.threads
+        src, dst = self.grids[0].data, self.grids[-1].data
+        faces = self.grids[0].faces
+        spec = kernel.RunSpec(
             rows=(ctypes.c_void_p * 2)(*(t.ctypes.data for t in self.tables)),
-            nblocks=self.nblocks, h=cfg.h, T=cfg.T, nt=self.nt,
-            passes=self.count, plan=self.plan.ctypes.data,
+            nblocks=self.plan.total_blocks, h=cfg.h, T=cfg.T, nt=cfg.threads,
+            passes=len(plan), plan=plan.ctypes.data,
             grid=(ctypes.c_void_p * 2)(src.ctypes.data, dst.ctypes.data),
             sy=src.strides[1] // src.itemsize,
             sz=src.strides[0] // src.itemsize,
             face=(ctypes.c_void_p * 6)(
-                *(self.faces[bit].ctypes.data if self.ring >> bit & 1 else None
+                *(faces[bit].ctypes.data if self.ring >> bit & 1 else None
                   for bit in range(6))),
             nx=nx, ny=ny, nz=nz,
             counters=self.counters.ctypes.data, ctl=self.ctl.ctypes.data,
             d_l=self.d_l.ctypes.data, d_u=self.d_u.ctypes.data,
             barrier=cfg.sync_mode == "barrier", watchdog_s=cfg.watchdog_s)
-
-    def run(self, positions) -> None:
-        """Run the given pipeline positions through every pass in the
-        compiled driver and raise the first failure: a worker's exception,
-        or PipelineDeadlock when a watchdog fired or the run was aborted.  The
-        first position runs in the calling thread, each other in one new
-        thread; a failure in any of them aborts the rest."""
-        codes, errors = {}, []
-
-        def body(g):
-            try:
-                codes[g] = self.drive(g)
-            except BaseException as exc:  # re-raised below, once all joined
-                errors.append(exc)
-                self.abort()
-
-        # the calling thread takes a position: with one short-lived thread
-        # per position, the rank threads that allocate grids drift over more
-        # malloc arenas, each keeping freed grids resident (20-37 MiB more
-        # peak RSS on a 2-rank TCP run)
-        first, *rest = positions
-        threads = [threading.Thread(target=body, args=(g,), daemon=True)
-                   for g in rest]
-        for th in threads:
-            th.start()
-        body(first)
-        for th in threads:
-            th.join()
-        if errors:
-            raise errors[0]
+        delays = self._delays(len(plan))
+        positions = np.array(positions, dtype=np.int64)
+        codes = np.full_like(positions, _ABORTED)  # where none ran
+        err = kernel._compiled().pipeline_run(
+            ctypes.byref(spec), positions.ctypes.data, len(positions),
+            None if delays is None else delays.ctypes.data,
+            self.stats.ctypes.data, codes.ctypes.data)
+        if err:
+            g = positions[codes == _NOT_STARTED][0]
+            raise OSError(err, f"could not start the thread of pipeline "
+                               f"position {g}: {os.strerror(err)}")
         for code, what in ((_DEADLOCK, "no pipeline progress for "
-                            f"{self.cfg.watchdog_s:.1f}s"),
+                            f"{cfg.watchdog_s:.1f}s"),
                            (_ABORTED, "run aborted")):
-            if code in codes.values():
+            if code in codes:
                 raise PipelineDeadlock(
                     f"{what}; counters = {self.counters[::_SLOT].tolist()}")
 
-    def abort(self) -> None:
-        """Stop every thread of the run at its next wait."""
-        self.ctl[_CTL_ABORT] = 1
-
-    def thread_stats(self) -> list:
-        return [ThreadStats.from_row(row) for row in self.stats.tolist()]
-
-    def drive(self, g: int) -> int:
-        """Thread g's whole run in one compiled call."""
-        delays = None if self.delays is None else self.delays.ctypes.data
-        return kernel._compiled().pipeline_worker(
-            ctypes.byref(self.spec), g, delays, self.stats[g].ctypes.data)
-
-    def walk(self) -> None:
+    def _walk(self, plan: np.ndarray) -> None:
         """Every position's whole run in the calling thread: per row of the
         plan, block by block, and within a block position by position
-        through its rows in level order.  Windows depend only on block,
-        level and direction, so this t=1, T=h order of the same table gives
-        the driver's result bit for bit."""
-        T, dims = self.cfg.T, self.engine.dims
+        through its rows in level order, through the module-level
+        ``apply_window`` and ``write_ring_strips``.  Windows depend only on
+        block, level and direction, so this t=1, T=h order of the same table
+        gives the driver's result bit for bit."""
+        T, dims, faces = self.cfg.T, self.dims, self.grids[0].faces
+        arrays = self.grids[0].data, self.grids[-1].data
         st = self.stats.tolist()
-        for direction, parity, base, shift, restore in self.plan.tolist():
+        for direction, parity, base, shift, restore in plan.tolist():
             if restore:
-                write_ring_strips(self.arrays[0], self.faces,
+                write_ring_strips(arrays[0], faces,
                                   tuple((0, n) for n in dims), base,
                                   restore, dims)
             for rows in self.tables[direction == -1].tolist():
                 for g, own in enumerate(st):
                     for row in rows[g * T:(g + 1) * T]:
-                        self._walk_row(row, (parity, base, shift), own)
+                        self._walk_row(row, (arrays, parity, base, shift), own)
                     own[_BLOCKS] += 1
         self.stats[:] = st
 
@@ -539,17 +495,17 @@ class _Run:
         xl, xh, yl, yh, zl, zh, u, sides = row
         if xl >= xh or yl >= yh or zl >= zh:
             return
-        parity, base, shift = frame
+        arrays, parity, base, shift = frame
         dst_off = base - shift * u
-        dst = self.arrays[(parity + u) % 2]
+        dst = arrays[(parity + u) % 2]
         window = ((xl, xh), (yl, yh), (zl, zh))
-        apply_window(self.arrays[(parity + u - 1) % 2], dst, window,
+        apply_window(arrays[(parity + u - 1) % 2], dst, window,
                      base - shift * (u - 1), dst_off)
         st[_WINDOWS] += 1
         st[_CELLS] += (xh - xl) * (yh - yl) * (zh - zl)
         if sides:
-            write_ring_strips(dst, self.faces, window, dst_off, sides,
-                              self.engine.dims)
+            write_ring_strips(dst, self.grids[0].faces, window, dst_off,
+                              sides, self.dims)
 
 
 def run_pipelined(grids, cfg: PipelineConfig, total_passes: int) -> RunStats:

@@ -61,15 +61,15 @@ def install_jitter(monkeypatch, prob, max_s, seed=0):
     update a thread sleeps up to ``max_s`` seconds with probability
     ``prob``, drawn from one random.Random per engine pass and thread."""
 
-    def delays(run):
-        out = np.zeros((run.count, run.nt, run.nblocks))
+    def delays(engine, count):
+        out = np.zeros((count, engine.cfg.threads, engine.plan.total_blocks))
         for q, per_pass in enumerate(out):
             for g, row in enumerate(per_pass):
                 rng = random.Random(seed * 1_000_003
-                                    + (run.engine.passes_done + q) * 8191 + g)
+                                    + (engine.passes_done + q) * 8191 + g)
                 for k in range(len(row)):
                     if rng.random() < prob:
                         row[k] = rng.random() * max_s
         return out
 
-    monkeypatch.setattr(pipeline._Run, "_delays", delays)
+    monkeypatch.setattr(pipeline.PipelineEngine, "_delays", delays)

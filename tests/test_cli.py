@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from stencilpipe import cli
+from stencilpipe import cli, kernel
 from stencilpipe.cli import (RunConfig, _config_from_args, build_parser, main,
                              parse_span)
 from stencilpipe.halo import run_digest
@@ -84,6 +88,32 @@ def test_solve_rejects_bad_config(capsys):
                            capsys)
     assert code == 2
     assert "config error" in err
+
+
+def test_a_pipeline_thread_that_cannot_start_is_a_config_error():
+    # a child whose stack limit exceeds the address space: glibc sizes a new
+    # thread's stack by that limit, so mapping it fails and the driver cannot
+    # start position 1's thread; the child starts no other thread
+    if kernel.BACKEND != "c":
+        pytest.skip("no compiled driver: the walker starts no thread")
+    huge = 1 << 47
+    hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+    if hard != resource.RLIM_INFINITY and hard < huge:
+        pytest.skip(f"the hard stack limit {hard} is too low to raise")
+    # the limit is read when the process starts: set it, then exec the CLI;
+    # one BLAS thread, since numpy's BLAS would start its others at import
+    child = ("import os, resource, sys; resource.setrlimit(resource.RLIMIT_"
+             f"STACK, ({huge}, {hard})); os.execv(sys.executable, "
+             "[sys.executable, '-m', 'stencilpipe.cli', *sys.argv[1:]])")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", child, "solve", "--grid", "12", "--block",
+         "12,4,4", "--t", "2", "--passes", "1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("config error: [Errno ")
+    assert "could not start the thread of pipeline position 1" in done.stderr
 
 
 def test_config_file_roundtrip(tmp_path, capsys):

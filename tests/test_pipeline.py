@@ -308,7 +308,8 @@ def _jittered_run(sync):
 @pytest.mark.parametrize("sync", ["relaxed", "barrier"])
 def test_driver_and_walker_stats_agree(sync, monkeypatch):
     _needs_driver()
-    monkeypatch.setattr(pipeline._Run, "walk", None)  # the first run must not walk
+    # the first run must not walk
+    monkeypatch.setattr(pipeline.PipelineEngine, "_walk", None)
     install_jitter(monkeypatch, 0.05, 0.0005, seed=99)
     cfg, driven = _jittered_run(sync)
     monkeypatch.undo()
@@ -335,28 +336,35 @@ def test_driver_and_walker_stats_agree(sync, monkeypatch):
         assert (d.blocks, d.windows, d.cells) == (w.blocks, w.windows, w.cells)
 
 
-def _stalled_run(sync, watchdog_s, passes=1, spec=BlockSpec(12, 4, 4)):
+def _stalled_engine(sync, watchdog_s, spec=BlockSpec(12, 4, 4)):
     cfg = _cfg(spec=spec, t=2, sync_mode=sync, watchdog_s=watchdog_s)
     g = create_grid(12, 12, 12, init="random", seed=5)
-    return pipeline._Run(PipelineEngine(cfg, (g, g.copy())), passes)
+    return PipelineEngine(cfg, (g, g.copy()))
 
 
-def _deadlock_of(run, positions, watchdog_s):
-    """The PipelineDeadlock raised by running only ``positions``, asserted
-    with a join deadline so that a dead watchdog fails instead of hanging."""
+def _run_in_thread(engine, passes, positions):
+    """A thread running ``positions`` of the team through the engine's
+    private run entry, and the list that receives its PipelineDeadlock."""
     errors = []
 
-    def partial_team():
+    def team():
         try:
-            run.run(positions)
+            engine._drive(engine._plan(passes), positions)
         except PipelineDeadlock as exc:
             errors.append(exc)
 
-    th = threading.Thread(target=partial_team, daemon=True)
+    th = threading.Thread(target=team, daemon=True)
     th.start()
+    return th, errors
+
+
+def _deadlock_of(engine, passes, positions, watchdog_s):
+    """The PipelineDeadlock raised by running only ``positions``, asserted
+    with a join deadline so that a dead watchdog fails instead of hanging."""
+    th, errors = _run_in_thread(engine, passes, positions)
     th.join(timeout=watchdog_s + 1.0)
     stuck = th.is_alive()
-    run.abort()  # releases a thread whose watchdog never fired
+    engine.abort()  # releases a thread whose watchdog never fired
     th.join(timeout=2.0)
     assert not stuck
     assert len(errors) == 1
@@ -364,12 +372,26 @@ def _deadlock_of(run, positions, watchdog_s):
     return errors[0]
 
 
+def _abort_of(engine, passes, positions):
+    """The PipelineDeadlock raised by running only ``positions`` when the
+    engine is aborted while they wait for a position that never moves."""
+    th, errors = _run_in_thread(engine, passes, positions)
+    time.sleep(0.2)
+    assert th.is_alive()  # waiting for a predecessor that never moves
+    engine.abort()
+    th.join(timeout=2.0)
+    assert not th.is_alive()
+    assert len(errors) == 1
+    assert "run aborted" in str(errors[0])
+    return errors[0]
+
+
 @pytest.mark.parametrize("sync", ["relaxed", "barrier"])
 def test_rear_thread_alone_raises_deadlock(sync):
     _needs_driver()
     for passes in (1, 3):
-        run = _stalled_run(sync, watchdog_s=0.3, passes=passes)
-        exc = _deadlock_of(run, [1], 0.3)  # the front thread never starts
+        engine = _stalled_engine(sync, watchdog_s=0.3)
+        exc = _deadlock_of(engine, passes, [1], 0.3)  # the front never starts
         assert "counters = [0, " in str(exc)
 
 
@@ -377,28 +399,44 @@ def test_front_thread_alone_stops_at_the_pass_boundary():
     # three blocks fit within d_u = 3, so the front finishes its first pass
     # without its successor and then waits for it at the pass boundary
     _needs_driver()
-    run = _stalled_run("relaxed", watchdog_s=0.3, passes=2,
-                       spec=BlockSpec(12, 12, 4))
-    exc = _deadlock_of(run, [0], 0.3)
+    engine = _stalled_engine("relaxed", watchdog_s=0.3,
+                             spec=BlockSpec(12, 12, 4))
+    exc = _deadlock_of(engine, 2, [0], 0.3)
     assert "counters = [6, 0]" in str(exc)  # 3 blocks plus the wind-down
-    assert run.stats[0, pipeline._BLOCKS] == 3
+    assert engine.stats[0, pipeline._BLOCKS] == 3
 
 
 @pytest.mark.parametrize("sync", ["relaxed", "barrier"])
 def test_abort_word_stops_a_spinning_thread(sync):
     _needs_driver()
-    run = _stalled_run(sync, watchdog_s=60.0)
-    assert not run.walker
-    codes = []
-    th = threading.Thread(target=lambda: codes.append(run.drive(1)),
-                          daemon=True)
-    th.start()
-    time.sleep(0.2)
-    assert th.is_alive()  # waiting for a predecessor that never moves
-    run.abort()
-    th.join(timeout=2.0)
-    assert not th.is_alive()
-    assert codes == [pipeline._ABORTED]
+    engine = _stalled_engine(sync, watchdog_s=60.0)
+    _abort_of(engine, 1, [1])
+    assert engine.stats[1, pipeline._SPINS] > 0
+    assert engine.stats[1, pipeline._BLOCKS] == 0
+
+
+@pytest.mark.parametrize("failure", ["deadlock", "abort"])
+@pytest.mark.parametrize("sync", ["relaxed", "barrier"])
+def test_engine_runs_again_after_a_failed_partial_run(failure, sync, oracle):
+    # the failed run leaves a counter moved or the barrier count short, the
+    # abort word set and the stats filled: the next run resets every one
+    _needs_driver()
+    engine = _stalled_engine(sync, watchdog_s=0.3 if failure == "deadlock"
+                             else 60.0, spec=BlockSpec(12, 12, 4))
+    initial = [g.data.copy() for g in engine.grids]
+    if failure == "deadlock":
+        _deadlock_of(engine, 2, [0], 0.3)  # the front runs a block or a pass
+        assert engine.counters[0] > 0
+    else:
+        _abort_of(engine, 2, [1])
+    assert engine.ctl[pipeline._CTL_ABORT] == 1
+    for g, data in zip(engine.grids, initial):
+        g.data[...] = data  # undo what the front wrote
+    st = engine.run_passes(2)
+    assert_bitwise(engine.current_grid().interior_view(),
+                   oracle.after_sweeps(12, 5, 2 * engine.cfg.h))
+    assert [t.blocks for t in st.threads] == [2 * 3] * engine.cfg.threads
+    assert st.pred_violations == 0
 
 
 @pytest.mark.parametrize("sync", ["relaxed", "barrier"])
@@ -501,14 +539,14 @@ def test_oversubscribed_walker_under_fast_switching(walker_calls, oracle):
 
 
 # ---------------------------------------------------------------------------
-# multi-pass runs: one call per thread, a barrier between passes
+# multi-pass runs: one call per run, a barrier between passes
 # ---------------------------------------------------------------------------
 
-def _tail_delays(self):
+def _tail_delays(engine, count):
     """Delays on the last two blocks of every pass, longest on the rear
     position: a pass that began before the one before had ended everywhere
     would read unfinished data here."""
-    delays = np.zeros((self.count, self.nt, self.nblocks))
+    delays = np.zeros((count, engine.cfg.threads, engine.plan.total_blocks))
     delays[:, :, -2:] = 0.001
     delays[:, -1, -2:] = 0.003
     return delays
@@ -523,7 +561,7 @@ def test_multi_pass_run_equals_reference(mode, passes, sync, walk, request,
                                          monkeypatch, oracle):
     if walk:
         request.getfixturevalue("walker_calls")
-    monkeypatch.setattr(pipeline._Run, "_delays", _tail_delays)
+    monkeypatch.setattr(pipeline.PipelineEngine, "_delays", _tail_delays)
     cfg = _cfg(spec=BlockSpec(16, 4, 4), t=3, T=1, d_l=1, d_u=2,
                sync_mode=sync, grid_mode=mode)
     g0 = create_grid(16, 16, 16, init="random", seed=44)
@@ -537,6 +575,9 @@ def test_multi_pass_run_equals_reference(mode, passes, sync, walk, request,
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_one_thread_per_position_per_run(t, walk, request, monkeypatch):
+    # the compiled driver starts and joins the threads of the positions
+    # after the first itself, and the walker starts none: no run starts a
+    # Python thread
     if walk:
         request.getfixturevalue("walker_calls")
     started = []
@@ -550,33 +591,20 @@ def test_one_thread_per_position_per_run(t, walk, request, monkeypatch):
     cfg = _cfg(spec=BlockSpec(12, 4, 4), t=t)
     g0 = create_grid(12, 12, 12, init="random", seed=9)
     st = _run(g0, cfg, 4)
-    assert st.passes == 4
-    walker = walk or kernel.BACKEND != "c"  # the walker starts no thread
-    # the calling thread runs the first position
-    assert len(started) == (0 if walker else t - 1)
+    assert st.passes == 4 and not started
+    assert [th.blocks for th in st.threads] == [4 * 9] * t
 
 
-@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+# only the walker runs Python code in a position, so only it can raise there
+@pytest.mark.parametrize("walk", [True], ids=["walker"])
 def test_error_in_the_calling_threads_position_aborts_the_others(
-        walk, request, monkeypatch):
-    # positions 1 and 2 wait for a front position that never moves: only
-    # the abort, not the 60 s watchdog, can end their wait soon
-    caller = threading.current_thread()
-    if walk:
-        def failing(*args):
-            raise RuntimeError("injected fault")
+        walk, monkeypatch):
+    # positions 1 and 2 would wait for a front position that never moves:
+    # the run must end soon, not after the 60 s watchdog
+    def failing(*args):
+        raise RuntimeError("injected fault")
 
-        monkeypatch.setattr(pipeline, "apply_window", failing)
-    else:
-        _needs_driver()
-        real = pipeline._Run.drive
-
-        def drive(self, g):
-            if threading.current_thread() is caller:
-                raise RuntimeError("injected fault")
-            return real(self, g)
-
-        monkeypatch.setattr(pipeline._Run, "drive", drive)
+    monkeypatch.setattr(pipeline, "apply_window", failing)
     cfg = _cfg(spec=BlockSpec(16, 4, 4), t=3, watchdog_s=60.0)
     g = create_grid(16, 16, 16, init="random", seed=16)
     t0 = time.monotonic()
@@ -590,26 +618,17 @@ def test_abort_in_the_second_pass_stops_every_thread(monkeypatch):
     install_jitter(monkeypatch, 1.0, 0.004)
     cfg = _cfg(spec=BlockSpec(16, 4, 4), t=2, watchdog_s=60.0)
     g = create_grid(16, 16, 16, init="random", seed=5)
-    run = pipeline._Run(PipelineEngine(cfg, (g, g.copy())), 4)
-    errors = []
-
-    def whole_team():
-        try:
-            run.run(range(2))
-        except PipelineDeadlock as exc:
-            errors.append(exc)
-
-    th = threading.Thread(target=whole_team, daemon=True)
-    th.start()
+    engine = PipelineEngine(cfg, (g, g.copy()))
+    th, errors = _run_in_thread(engine, 4, range(2))
     deadline = time.monotonic() + 10.0
-    while run.stats[:, pipeline._BLOCKS].min() <= 16:  # both in pass 2
+    while engine.stats[:, pipeline._BLOCKS].min() <= 16:  # both in pass 2
         assert th.is_alive() and time.monotonic() < deadline
         time.sleep(0.001)
-    run.abort()
+    engine.abort()
     th.join(timeout=2.0)
     assert not th.is_alive()
     assert len(errors) == 1 and "aborted" in str(errors[0])
-    assert run.stats[:, pipeline._BLOCKS].max() <= 2 * 16
+    assert engine.stats[:, pipeline._BLOCKS].max() <= 2 * 16
 
 
 def test_kernel_error_in_the_second_pass_ends_the_run(monkeypatch):
@@ -812,6 +831,44 @@ def test_compressed_run_rejects_unusable_faces(case, walk, request,
     assert not started and np.all(g.data == 1.0)
 
 
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+def test_compressed_run_reads_the_faces_captured_since_the_run_before(
+        walk, request):
+    # faces recaptured between two runs of one engine, over a ring that now
+    # holds other values: the second run must restore and read the new ones
+    if walk:
+        request.getfixturevalue("walker_calls")
+    cfg = _cfg(spec=BlockSpec(8, 4, 4), t=2, T=2, grid_mode="compressed")
+    g0, g = _ringed_pair((16, 12, 10), cfg.h)
+    engine = PipelineEngine(cfg, g)
+    engine.run_passes(1)
+    g1 = g0.copy()  # g's interior now, in a ring of new values
+    g1.data[...] = np.random.default_rng(22).random(g1.data.shape) + 3.0
+    g1.interior_view()[...] = g.interior_view()
+    o, p = g1.origin, g.origin - g.alignment
+    (nx, ny, nz), old = g.shape, g.faces
+    g.data[p - 1:p + nz + 1, p - 1:p + ny + 1, p - 1:p + nx + 1] = \
+        g1.data[o - 1:o + nz + 1, o - 1:o + ny + 1, o - 1:o + nx + 1]
+    g.capture_boundary_faces()
+    g1.capture_boundary_faces()
+    assert not any(np.array_equal(a, b) for a, b in zip(old, g.faces))
+    engine.run_passes(1)
+    assert_bitwise(g.interior_view(), _faces_reference(g1, cfg.h)[-1])
+
+
+def test_compressed_run_of_a_grid_whose_faces_were_emptied_raises():
+    cfg = _cfg(t=2, grid_mode="compressed")
+    g = create_grid(12, 12, 12, pad=cfg.h, init="random_ring", seed=7)
+    engine = PipelineEngine(cfg, g)
+    engine.run_passes(1)
+    g.faces = ()
+    before = g.data.copy()
+    with pytest.raises(ValueError, match="boundary face 0"):
+        engine.run_passes(1)
+    assert_bitwise(g.data, before)
+    assert engine.passes_done == 1
+
+
 def test_a_side_with_a_neighbour_needs_no_face():
     cfg = _cfg(t=2, grid_mode="compressed")
     g = create_grid(12, 12, 12, pad=cfg.h)
@@ -862,8 +919,8 @@ def test_work_table_matches_a_plain_build(mode, direction):
 
 
 def _planned(mode, done, count, T=1, neighbors=((False, False),) * 3):
-    """A run of ``count`` passes after ``done`` earlier ones, built but not
-    started; h = T, so an odd T gives an odd h."""
+    """An engine after ``done`` passes and the plan of its next run of
+    ``count``, not started; h = T, so an odd T gives an odd h."""
     cfg = _cfg(spec=BlockSpec(12, 4, 4), T=T, grid_mode=mode)
     g = create_grid(12, 12, 12, pad=cfg.h, init="random_ring", seed=11)
     if mode == "compressed" and done % 2:
@@ -871,38 +928,39 @@ def _planned(mode, done, count, T=1, neighbors=((False, False),) * 3):
     engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
                             neighbors=neighbors)
     engine.passes_done = done
-    return engine, pipeline._Run(engine, count)
+    return engine, engine._plan(count)
 
 
 @pytest.mark.parametrize("mode", ["two_grid", "compressed"])
 @pytest.mark.parametrize("done", [0, 3])
 def test_plan_directions_alternate_from_the_pass_count(mode, done):
-    _engine, run = _planned(mode, done, 5)
-    assert run.plan[:, pipeline._DIR].tolist() == \
+    _engine, plan = _planned(mode, done, 5)
+    assert plan[:, pipeline._DIR].tolist() == \
         [1 if (done + q) % 2 == 0 else -1 for q in range(5)]
 
 
 @pytest.mark.parametrize("T", [2, 3])
 @pytest.mark.parametrize("done", [0, 1, 4])
 def test_two_grid_plan_parity_grows_by_h(T, done):
-    engine, run = _planned("two_grid", done, 5, T=T)
-    parity = run.plan[:, pipeline._PARITY].tolist()
-    assert run.arrays[parity[0]] is engine.current_grid().data
+    engine, plan = _planned("two_grid", done, 5, T=T)
+    parity = plan[:, pipeline._PARITY].tolist()
+    assert engine.grids[parity[0]] is engine.current_grid()
     assert parity == [(parity[0] + q * T) % 2 for q in range(5)]
 
 
 @pytest.mark.parametrize("mode", ["two_grid", "compressed"])
 @pytest.mark.parametrize("done", [0, 3])
 def test_plan_passes_start_where_the_one_before_ended(mode, done):
-    engine, run = _planned(mode, done, 5, T=3)
+    engine, plan = _planned(mode, done, 5, T=3)
     h, g = engine.cfg.h, engine.grids[0]
-    dirs, base, shift = (run.plan[:, c].tolist() for c in (
+    dirs, base, shift = (plan[:, c].tolist() for c in (
         pipeline._DIR, pipeline._BASE, pipeline._SHIFT))
     assert shift == (dirs if mode == "compressed" else [0] * 5)
     assert base[0] == g.origin - g.alignment
     for q in range(4):
         assert base[q + 1] == base[q] - shift[q] * h
-    assert run.alignment_after == g.origin - (base[-1] - shift[-1] * h)
+    engine.run_passes(5)
+    assert g.alignment == g.origin - (base[-1] - shift[-1] * h)
 
 
 @pytest.mark.parametrize("mode,neighbors,restore", [
@@ -913,10 +971,10 @@ def test_plan_passes_start_where_the_one_before_ended(mode, done):
 @pytest.mark.parametrize("done", [0, 3])
 def test_plan_restores_the_ring_where_no_strip_wrote_it(mode, neighbors,
                                                          restore, done):
-    engine, run = _planned(mode, done, 4, neighbors=neighbors)
+    engine, plan = _planned(mode, done, 4, neighbors=neighbors)
     ring = engine.ring
     assert (ring == pipeline._ALL_SIDES) == (restore == "first")
-    assert run.plan[:, pipeline._RESTORE].tolist() == {
+    assert plan[:, pipeline._RESTORE].tolist() == {
         "first": [ring, 0, 0, 0], "every": [ring] * 4,
         "none": [0] * 4}[restore]
     assert restore == "none" or ring != 0
