@@ -1,6 +1,6 @@
-/* Jacobi window update, pipelined run driver and seeded field fill, the
- * compiled bodies of kernel.apply_window, pipeline.PipelineEngine.run_passes
- * and grid.fill_field's random rules.
+/* Jacobi window update, pipelined run driver and grid setup passes, the
+ * compiled bodies of kernel.apply_window, pipeline.PipelineEngine.run_passes,
+ * grid.fill_field's random rules and grid.Grid3.copy.
  *
  * Summation order per cell is fixed: ((((x- + x+) + y-) + y+) + z-) + z+,
  * then times 1/6, the same as the numpy oracle.  Build without fast-math and
@@ -32,6 +32,7 @@
 #include <sched.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 #include <time.h>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -105,28 +106,133 @@ int jacobi_window_isa(int isa, WINDOW_PARAMS)
     return 0;
 }
 
-/* The seeded field of grid.fill_field over a box of cx * cy * cz cells with
- * strides sy and sz: the cell at box offset (x, y, z) takes the SplitMix64
- * value of global linear index first + z * plane + y * row + x, as
- * grid.splitmix64_unit_at gives it.  Integer arithmetic wraps modulo 2**64 as
- * numpy's uint64 does, and v >> 11 converts to a double exactly, so every
- * cell is bitwise equal to the numpy generator. */
-void splitmix64_fill(double *dst, ptrdiff_t sy, ptrdiff_t sz, ptrdiff_t cx,
-                     ptrdiff_t cy, ptrdiff_t cz, uint64_t first, uint64_t row,
-                     uint64_t plane, uint64_t seed)
+/* Setup passes over a grid's whole storage, the compiled bodies of
+ * grid.fill_field's random rules and Grid3.copy.  A pass splits the
+ * storage's z planes over a team of threads (team), so that each thread
+ * first-touches the pages it writes. */
+typedef void share_fn(const void *job, int64_t z0, int64_t z1);
+
+struct share {
+    share_fn *fn;
+    const void *job;
+    int64_t z0, z1;
+};
+
+static void *share_main(void *arg)
 {
-    for (ptrdiff_t z = 0; z < cz; z++)
-        for (ptrdiff_t y = 0; y < cy; y++) {
-            double *d = dst + z * sz + y * sy;
-            uint64_t i = first + (uint64_t)z * plane + (uint64_t)y * row;
-            for (ptrdiff_t x = 0; x < cx; x++) {
-                uint64_t v = (i + (uint64_t)x) * 0x9E3779B97F4A7C15u + seed;
+    const struct share *s = arg;
+    s->fn(s->job, s->z0, s->z1);
+    return NULL;
+}
+
+/* Planes 0..nz-1 split into n near-equal runs, n clamped to [1, nz] (1
+ * when nz is 0): run 0 in the calling thread, each other in a pthread
+ * started here and joined before the return.  A run whose thread could not
+ * start goes to the calling thread after its own, so every plane is done
+ * either way.  Returns the number of threads that ran. */
+static int64_t team(share_fn *fn, const void *job, int64_t nz, int64_t n)
+{
+    n = n > nz ? nz : n;
+    n = n < 1 ? 1 : n;
+    struct share s[n];
+    pthread_t tid[n];
+    int started[n];
+    int64_t ran = 1;
+    for (int64_t i = 0; i < n; i++) {
+        s[i] = (struct share){fn, job, nz * i / n, nz * (i + 1) / n};
+        started[i] = i > 0 && !pthread_create(&tid[i], NULL, share_main, &s[i]);
+        ran += started[i];
+    }
+    for (int64_t i = 0; i < n; i++)
+        if (!started[i])
+            share_main(&s[i]);
+    for (int64_t i = 1; i < n; i++)
+        if (started[i])
+            pthread_join(tid[i], NULL);
+    return ran;
+}
+
+/* The seeded field of grid.fill_field over a C-contiguous nz * ny * nx
+ * storage: each cell in the box lo..hi-1 (storage (z, y, x), half-open) at
+ * box offset (x, y, z) takes the SplitMix64 value of global linear index
+ * first + z * plane + y * row + x, as grid.splitmix64_unit_at gives it, and
+ * every other cell 0, so each stored cell is written exactly once.  Integer
+ * arithmetic wraps modulo 2**64 as numpy's uint64 does, and v >> 11
+ * converts to a double exactly, so every cell is bitwise equal to the numpy
+ * generator. */
+struct fill {
+    double *dst;
+    int64_t ny, nx;
+    const int64_t *lo, *hi;
+    uint64_t first, row, plane, seed;
+};
+
+static void fill_planes(const void *job, int64_t z0, int64_t z1)
+{
+    const struct fill *f = job;
+    const int64_t nx = f->nx, xl = f->lo[2], xh = f->hi[2];
+    for (int64_t z = z0; z < z1; z++) {
+        double *p = f->dst + z * f->ny * nx;
+        if (z < f->lo[0] || z >= f->hi[0]) {
+            memset(p, 0, (size_t)(f->ny * nx) * sizeof *p);
+            continue;
+        }
+        for (int64_t y = 0; y < f->ny; y++) {
+            double *d = p + y * nx;
+            if (y < f->lo[1] || y >= f->hi[1]) {
+                memset(d, 0, (size_t)nx * sizeof *d);
+                continue;
+            }
+            memset(d, 0, (size_t)xl * sizeof *d);
+            const uint64_t i = f->first + (uint64_t)(z - f->lo[0]) * f->plane
+                               + (uint64_t)(y - f->lo[1]) * f->row
+                               - (uint64_t)xl;
+            for (int64_t x = xl; x < xh; x++) {
+                uint64_t v = (i + (uint64_t)x) * 0x9E3779B97F4A7C15u + f->seed;
                 v = (v ^ (v >> 30)) * 0xBF58476D1CE4E5B9u;
                 v = (v ^ (v >> 27)) * 0x94D049BB133111EBu;
                 v ^= v >> 31;
                 d[x] = (double)(v >> 11) * 0x1p-53;
             }
+            memset(d + xh, 0, (size_t)(nx - xh) * sizeof *d);
         }
+    }
+}
+
+/* The fill over a team of up to threads threads; the box must lie in the
+ * storage with lo <= hi on every axis, and one empty on any axis leaves
+ * every cell 0.  Returns the number of threads that ran. */
+int64_t splitmix64_fill(double *dst, int64_t nz, int64_t ny, int64_t nx,
+                        const int64_t *lo, const int64_t *hi, uint64_t first,
+                        uint64_t row, uint64_t plane, uint64_t seed,
+                        int64_t threads)
+{
+    struct fill f = {dst, ny, nx, lo, hi, first, row, plane, seed};
+    return team(fill_planes, &f, nz, threads);
+}
+
+/* Grid3.copy's copy of nz planes of plane cells each. */
+struct copy {
+    double *dst;
+    const double *src;
+    int64_t plane;
+};
+
+static void copy_planes(const void *job, int64_t z0, int64_t z1)
+{
+    const struct copy *c = job;
+    for (int64_t z = z0; z < z1; z++)
+        memcpy(c->dst + z * c->plane, c->src + z * c->plane,
+               (size_t)c->plane * sizeof *c->dst);
+}
+
+/* The copy over a team of up to threads threads; returns the number of
+ * threads that ran. */
+int64_t copy_grid(double *dst, const double *src, int64_t nz, int64_t plane,
+                  int64_t threads)
+{
+    struct copy c = {dst, src, plane};
+    return team(copy_planes, &c, nz, threads);
 }
 
 /* The run driver.  pipeline.py builds one work table per direction, a row
@@ -446,20 +552,26 @@ struct position {
 
 /* Position w's whole run: every pass.  A pass begins only once every
  * thread has finished the one before, at a barrier whose last arrival resets
- * the counters.  Its code is DONE, DEADLOCK or ABORTED. */
+ * the counters.  Its code is DONE, DEADLOCK or ABORTED.  The stats row is
+ * kept in a local copy and written back once, whatever the code: the rows
+ * of neighbouring positions share cache lines, and a wait counts every
+ * spin round. */
 static void *pipeline_worker(void *arg)
 {
     const struct position *w = arg;
     const struct run_spec *p = w->p;
+    int64_t stats[NSTAT];
+    memcpy(stats, w->stats, sizeof stats);
     int64_t sense = 0;
     int rc = DONE;
     for (int64_t q = 0; q < p->passes && rc == DONE; q++) {
-        if (q > 0 && (rc = barrier_wait(p, w->g, &sense, w->stats, 1)))
+        if (q > 0 && (rc = barrier_wait(p, w->g, &sense, stats, 1)))
             break;
         rc = run_pass(p, &p->plan[q], w->g, w->delays ? w->delays
                       + (q * p->nt + w->g) * p->nblocks : NULL,
-                      w->stats, &sense);
+                      stats, &sense);
     }
+    memcpy(w->stats, stats, sizeof stats);
     *w->code = rc;
     return NULL;
 }

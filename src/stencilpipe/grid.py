@@ -135,12 +135,20 @@ class Grid3:
     def copy(self) -> "Grid3":
         """An independent grid with equal cells and faces, whose storage lies
         _COPY_SKEW bytes past this one's modulo a page (the pair of a
-        two-grid run is a grid and its copy)."""
+        two-grid run is a grid and its copy).  The compiled library copies a
+        C-contiguous float64 grid in one pass, its z planes split over a
+        team of threads that each first-touch the pages they write
+        (``kernel.copy_grid``); numpy copies any other grid, or every grid
+        without a compiler."""
+        from . import kernel  # kernel imports this module
+
         buf = np.empty(self.data.nbytes + _PAGE, dtype=np.uint8)
         start = (self.data.ctypes.data + _COPY_SKEW - buf.ctypes.data) % _PAGE
         data = buf[start:start + self.data.nbytes].view(np.float64)
         data = data.reshape(self.data.shape)
-        data[...] = self.data
+        if not (self.data.dtype == np.float64 and self.data.flags.c_contiguous
+                and kernel.copy_grid(data, self.data)):
+            data[...] = self.data
         g = Grid3(self.nx, self.ny, self.nz, self.pad, data=data,
                   alignment=self.alignment)
         g.faces = tuple(f.copy() for f in self.faces)
@@ -170,25 +178,53 @@ def fill_field(g: Grid3, init="constant", value=0.0, seed=0, origin=(0, 0, 0),
                      z) set to 1 + ((7x + 13y + 29z) mod 17) / 16, so that
                      the ring differs from the zero pad below it
 
-    The random rules fill their cells with the compiled library's loop
-    (``kernel.splitmix64_fill``), which runs with the interpreter lock
-    released, so threads fill their grids at the same time; without a
-    compiler, with :func:`splitmix64_unit_at` one z-slab at a time.  Both
-    give bitwise equal cells.  A seed outside [0, 2**64) raises ValueError
+    The random rules write every stored cell once, in one call to the
+    compiled library (``kernel.splitmix64_fill``): the seeded field in the
+    global interior, 0 elsewhere, so a reused grid comes out the same as a
+    fresh one.  The call splits the z planes over a team of threads, each
+    first-touching the pages it writes, with the interpreter lock released,
+    so rank threads fill their grids at the same time.  Without a compiler,
+    or for a grid whose storage is not C-contiguous, every cell is zeroed
+    first and :func:`splitmix64_unit_at` fills the interior one z-slab at a
+    time.  Both give bitwise equal cells.  The ``random_ring`` ring is
+    written after either fill.  A seed outside [0, 2**64) raises ValueError
     before any cell changes.
     """
     from . import kernel  # kernel imports this module
 
     if init not in ("constant", "impulse", "random", "random_ring"):
         raise ValueError(f"unknown init rule {init!r}")
-    if init in ("random", "random_ring"):
+    seeded = init in ("random", "random_ring")
+    if seeded:
         _check_seed(seed)  # before any cell changes
     nx, ny, nz = global_dims or g.shape
-    g.data[...] = value if init == "constant" else 0.0
+    # the global interior's box within g, as global (x, y, z) bounds and as
+    # storage (z, y, x) bounds; an empty box has hi == lo
+    lo = [max(c, 0) for c in origin]
+    hi = [max(min(c + m, n), a)
+          for c, m, n, a in zip(origin, g.shape, (nx, ny, nz), lo)]
+    o = g.origin - g.alignment
+    box_at = [[o + v - c for v, c in zip(b[::-1], origin[::-1])]
+              for b in (lo, hi)]
+    first = (lo[2] * ny + lo[1]) * nx + lo[0]
+    if not (seeded and g.data.dtype == np.float64
+            and g.data.flags.c_contiguous
+            and kernel.splitmix64_fill(g.data, *box_at, first, nx, ny * nx,
+                                       seed)):
+        g.data[...] = value if init == "constant" else 0.0
+        if seeded:
+            box = g.data[tuple(slice(a, b) for a, b in zip(*box_at))]
+            (x0, y0, z0), (x1, y1, z1) = lo, hi
+            rows = (np.arange(y0, y1, dtype=np.uint64)
+                    * np.uint64(nx))[:, None] \
+                + np.arange(x0, x1, dtype=np.uint64)
+            for z in range(z0, z1):
+                # one z-slab per call keeps the generator temporaries small
+                box[z - z0] = splitmix64_unit_at(
+                    rows + np.uint64(z * ny * nx), seed)
     if init == "random_ring":
         # per (z, y, x) axis of g's interior and its own ring: the global
         # coordinate of each index, and the indices within [-1, n]
-        o = g.origin - g.alignment
         box = g.data[o - 1:o + g.nz + 1, o - 1:o + g.ny + 1, o - 1:o + g.nx + 1]
         coords = [np.arange(-1, m + 1) + c
                   for m, c in zip((g.nz, g.ny, g.nx), origin[::-1])]
@@ -206,23 +242,6 @@ def fill_field(g: Grid3, init="constant", value=0.0, seed=0, origin=(0, 0, 0),
         c = tuple(n // 2 - o for n, o in zip((nx, ny, nz), origin))
         if all(0 <= i < n for i, n in zip(c, g.shape)):
             g.data[g.index(*c)] = 1.0
-    elif init in ("random", "random_ring"):
-        lo = [max(c, 0) for c in origin]
-        hi = [min(c + m, n) for c, m, n in zip(origin, g.shape, (nx, ny, nz))]
-        if any(a >= b for a, b in zip(lo, hi)):
-            return
-        (x0, y0, z0), (x1, y1, z1), (ox, oy, oz) = lo, hi, origin
-        box = g.interior_view()[z0 - oz:z1 - oz, y0 - oy:y1 - oy,
-                                x0 - ox:x1 - ox]
-        if kernel.splitmix64_fill(box, (z0 * ny + y0) * nx + x0, nx, ny * nx,
-                                  seed):
-            return
-        rows = (np.arange(y0, y1, dtype=np.uint64) * np.uint64(nx))[:, None] \
-            + np.arange(x0, x1, dtype=np.uint64)
-        for z in range(z0, z1):
-            # one z-slab per call keeps the generator temporaries small
-            box[z - z0] = splitmix64_unit_at(rows + np.uint64(z * ny * nx),
-                                             seed)
 
 
 def create_grid(nx, ny, nz, pad=0, init="constant", value=0.0, seed=0) -> Grid3:

@@ -11,10 +11,15 @@ the oracle for everything else.
 call, so pipeline and rank threads compute at the same time.  The same
 library holds the pipelined run driver (``pipeline_run``, one call per run
 that starts and joins the run's threads, arguments in :class:`RunSpec`) and
-the seeded field fill (:func:`splitmix64_fill`, which ``grid.fill_field``
-calls, so rank threads fill their grids at the same time too).  Where no
-compiler works each falls back to its numpy body, which ``reference_sweep``
-and ``grid.seeded_field_checksum`` always use; ``BACKEND`` reads ``"c"`` or
+the two grid setup passes: the seeded field fill (:func:`splitmix64_fill`,
+which ``grid.fill_field`` calls) and the grid copy (:func:`copy_grid`, which
+``grid.Grid3.copy`` calls).  Each setup pass is one call that writes every
+stored cell once, its z planes split over a team of threads
+(:func:`setup_threads`) that it starts and joins, each first-touching the
+pages it writes; with the interpreter lock released, rank threads set up
+their grids at the same time too.  Where no compiler works each falls back
+to its numpy body, which ``reference_sweep`` and
+``grid.seeded_field_checksum`` always use; ``BACKEND`` reads ``"c"`` or
 ``"numpy"``.  The library holds a baseline and, on x86-64, an AVX2 copy of
 the window loop and picks one when it loads; ``ISA`` reads ``"avx2"``,
 ``"baseline"`` or ``"numpy"``.
@@ -45,6 +50,12 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 _ITEM = np.dtype(np.float64).itemsize
 # the window loop copies of _jacobi.c by index, as jacobi_window_isa takes them
 ISAS = ("baseline", "avx2")
+# Fewest bytes of storage per thread of a setup pass.  Starting and joining a
+# team thread costs about 35 us and a fill of fresh pages about 0.4 ms per
+# MiB (2-vCPU Xeon), so a 4 MiB share pays about 2% for its thread.  Grids
+# of a few grains stay in the calling thread: a dist_tcp rank's 7.9 MB grid
+# does, so that two rank threads filling at once take no more threads.
+_GRAIN = 4 << 20
 
 _load_lock = threading.Lock()
 _jacobi = None      # the compiled library once loaded, None on numpy
@@ -95,8 +106,11 @@ def _bind(path: Path):
                                  ctypes.c_int64] + [ctypes.c_void_p] * 3
     lib.pipeline_run.restype = ctypes.c_int
     lib.splitmix64_fill.argtypes = [ctypes.c_void_p] \
-        + [ctypes.c_ssize_t] * 5 + [ctypes.c_uint64] * 4
-    lib.splitmix64_fill.restype = None
+        + [ctypes.c_int64] * 3 + [ctypes.POINTER(ctypes.c_int64)] * 2 \
+        + [ctypes.c_uint64] * 4 + [ctypes.c_int64]
+    lib.splitmix64_fill.restype = ctypes.c_int64
+    lib.copy_grid.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3
+    lib.copy_grid.restype = ctypes.c_int64
     lib.run_spec_size.argtypes = []
     lib.run_spec_size.restype = ctypes.c_int64
     if lib.run_spec_size() != ctypes.sizeof(RunSpec):
@@ -198,27 +212,76 @@ def apply_window(src: np.ndarray, dst: np.ndarray, window, src_off: int,
                       dst_off > src_off)
 
 
-def splitmix64_fill(box: np.ndarray, first: int, row: int, plane: int,
-                    seed: int) -> bool:
-    """Fill ``box``, a (z, y, x) float64 view with unit x stride, with the
-    seeded field of ``grid.splitmix64_unit_at``: box cell (z, y, x) takes
-    global linear index ``first + z*plane + y*row + x``, bitwise as the
-    numpy generator gives it.  The compiled loop runs with the interpreter
-    lock released, so rank threads fill their grids at the same time.
-    Returns False, with no cell written, when no compiler works; the caller
-    then runs the numpy generator."""
-    if box.dtype != np.float64 or box.strides[2] != _ITEM \
-            or not box.flags.writeable:
-        raise ValueError(f"splitmix64_fill needs a writable float64 view "
-                         f"with unit x stride, got {box.dtype} {box.strides}")
+def setup_threads(data: np.ndarray) -> int:
+    """Threads for a setup pass (:func:`splitmix64_fill`, :func:`copy_grid`)
+    over ``data``: the CPUs this process may run on, at most one per
+    ``_GRAIN`` bytes of storage and one per z plane, and at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return max(1, min(cpus, data.nbytes // _GRAIN, data.shape[0]))
+
+
+def _storage(data: np.ndarray, name: str) -> None:
+    if data.dtype != np.float64 or data.ndim != 3 \
+            or not data.flags.c_contiguous or not data.flags.writeable:
+        raise ValueError(f"{name} needs a writable C-contiguous (z, y, x) "
+                         f"float64 array, got {data.dtype} {data.strides}")
+
+
+def _team_size(data: np.ndarray, threads) -> int:
+    threads = setup_threads(data) if threads is None else threads
+    if threads < 1:
+        raise ValueError(f"a setup pass needs >= 1 thread, got {threads}")
+    return threads
+
+
+def splitmix64_fill(data: np.ndarray, lo, hi, first: int, row: int,
+                    plane: int, seed: int, threads=None) -> int:
+    """Write every cell of ``data``, a C-contiguous (z, y, x) float64 array,
+    once: a cell of the box ``lo <= (z, y, x) < hi`` (storage indices) at
+    box offset (z, y, x) takes the seeded field of
+    ``grid.splitmix64_unit_at`` at global linear index ``first + z*plane +
+    y*row + x``, bitwise as the numpy generator gives it, and every other
+    cell 0.0, whatever it held before.  The z planes split over a team of
+    ``threads`` pthreads (:func:`setup_threads` when None, at most one per
+    plane) that each first-touch the pages they write; a thread that cannot
+    start leaves its planes to the calling thread.  The call runs with the
+    interpreter lock released, so rank threads fill their grids at the same
+    time.  Returns the number of threads that filled, or 0, with no cell
+    written, when no compiler works; the caller then runs the numpy
+    generator."""
+    _storage(data, "splitmix64_fill")
+    if not all(0 <= a <= b <= n for a, b, n in zip(lo, hi, data.shape)):
+        raise ValueError(f"splitmix64_fill box {tuple(lo)}..{tuple(hi)} "
+                         f"leaves the storage of shape {data.shape}")
+    threads = _team_size(data, threads)
     lib = _compiled()
     if lib is None:
-        return False
-    cz, cy, cx = box.shape
-    lib.splitmix64_fill(box.ctypes.data, box.strides[1] // _ITEM,
-                        box.strides[0] // _ITEM, cx, cy, cz, first, row,
-                        plane, seed)
-    return True
+        return 0
+    box = [(ctypes.c_int64 * 3)(*v) for v in (lo, hi)]
+    return lib.splitmix64_fill(data.ctypes.data, *data.shape, *box, first,
+                               row, plane, seed, threads)
+
+
+def copy_grid(dst: np.ndarray, src: np.ndarray, threads=None) -> int:
+    """Copy ``src`` into ``dst``, C-contiguous (z, y, x) float64 arrays of
+    one shape that do not overlap, with the z planes split over a team of
+    ``threads`` pthreads as :func:`splitmix64_fill` splits them, each
+    first-touching the pages of ``dst`` it writes.  Returns the number of
+    threads that copied, or 0, with no cell copied, when no compiler
+    works."""
+    _storage(dst, "copy_grid")
+    if src.dtype != np.float64 or not src.flags.c_contiguous \
+            or src.shape != dst.shape or np.may_share_memory(src, dst):
+        raise ValueError(f"copy_grid needs a C-contiguous float64 source of "
+                         f"shape {dst.shape} apart from the destination")
+    threads = _team_size(dst, threads)
+    lib = _compiled()
+    if lib is None:
+        return 0
+    nz, ny, nx = dst.shape
+    return lib.copy_grid(dst.ctypes.data, src.ctypes.data, nz, ny * nx,
+                         threads)
 
 
 def check_arrays(src: np.ndarray, dst: np.ndarray) -> None:

@@ -1,4 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,27 +249,143 @@ def _needs_compiled_fill():
 
 
 def test_compiled_fill_matches_the_generator_on_a_strided_box():
+    # a box inside a dirty array: the box takes the generator at its own
+    # linear indices, every cell around it 0.0, for every team size
     _needs_compiled_fill()
-    data = np.full((6, 7, 9), -1.0)
-    box = data[1:5, 2:6, 3:8]  # 4 x 4 x 5 cells, strides of the whole array
     first, row, plane = 1234, 50, 50 * 40
-    assert kernel.splitmix64_fill(box, first, row, plane, 9)
     z, y, x = np.ogrid[0:4, 0:4, 0:5]
     idx = (first + z * plane + y * row + x).astype(np.uint64)
-    assert_bitwise(box, splitmix64_unit_at(idx, 9))
-    outside = np.ones(data.shape, dtype=bool)
+    outside = np.ones((6, 7, 9), dtype=bool)
     outside[1:5, 2:6, 3:8] = False
-    assert np.all(data[outside] == -1.0)
+    for threads in (1, 2, 3, 4):
+        data = np.full((6, 7, 9), -1.0)
+        assert kernel.splitmix64_fill(data, (1, 2, 3), (5, 6, 8), first, row,
+                                      plane, 9, threads) == threads
+        assert_bitwise(data[1:5, 2:6, 3:8], splitmix64_unit_at(idx, 9))
+        assert np.all(data[outside] == 0.0)
 
 
 def test_compiled_fill_refuses_a_view_it_cannot_write():
     read_only = np.zeros((2, 3, 4))
     read_only.flags.writeable = False
-    for box in (np.zeros((2, 3, 8))[:, :, ::2], np.zeros((2, 3, 4), "f4"),
-                read_only):
+    for data, box in ((np.zeros((2, 3, 8))[:, :, ::2], (2, 3, 4)),
+                      (np.zeros((2, 3, 4), "f4"), (2, 3, 4)),
+                      (read_only, (2, 3, 4)), (np.zeros((2, 3, 4)), (2, 4, 4)),
+                      (np.zeros((2, 3, 4)), (2, 3, 5))):
         with pytest.raises(ValueError, match="splitmix64_fill"):
-            kernel.splitmix64_fill(box, 0, 4, 12, 1)
-        assert not box.any()
+            kernel.splitmix64_fill(data, (0, 0, 0), box, 0, 4, 12, 1)
+        assert not data.any()
+    with pytest.raises(ValueError, match="thread"):
+        kernel.splitmix64_fill(np.zeros((2, 3, 4)), (0, 0, 0), (2, 3, 4), 0,
+                               4, 12, 1, threads=0)
+
+
+def _seeded_oracle(g, seed, origin=(0, 0, 0), global_dims=None):
+    """Every stored cell of g under the "random" rule, built from zeros and
+    splitmix64_unit_at alone: the generator at each cell of the global
+    interior, 0.0 elsewhere."""
+    nx, ny, nz = global_dims or g.shape
+    want = np.zeros(g.data.shape)
+    z, y, x = np.ogrid[0:g.nz, 0:g.ny, 0:g.nx]
+    gx, gy, gz = x + origin[0], y + origin[1], z + origin[2]
+    inside = (0 <= gx) & (gx < nx) & (0 <= gy) & (gy < ny) \
+        & (0 <= gz) & (gz < nz)
+    idx = np.where(inside, (gz * ny + gy) * nx + gx, 0).astype(np.uint64)
+    o = g.origin - g.alignment
+    want[o:o + g.nz, o:o + g.ny, o:o + g.nx] = \
+        np.where(inside, splitmix64_unit_at(idx, seed), 0.0)
+    return want
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["whole", "aligned", "share", "halo_share",
+                                  "one_plane", "no_interior"])
+def test_compiled_fill_writes_every_stored_cell_once(case, threads,
+                                                     monkeypatch):
+    # fill_field over a team of 1-4 threads (more than the planes of a
+    # one-plane grid's three) into a grid that holds other values: every
+    # stored cell must equal the generator-and-zeros oracle
+    _needs_compiled_fill()
+    dims, pad, alignment, origin, global_dims = {
+        "whole": ((13, 7, 5), 0, 0, (0, 0, 0), None),
+        "aligned": ((13, 7, 5), 2, 1, (0, 0, 0), None),
+        "share": ((6, 10, 8), 1, 0, (6, 0, 0), (12, 10, 8)),
+        "halo_share": ((16, 13, 12), 1, 1, (-2, -1, -3), (12, 10, 8)),
+        "one_plane": ((9, 4, 1), 0, 0, (0, 0, 2), (9, 4, 3)),
+        "no_interior": ((4, 5, 6), 1, 0, (12, 0, 0), (12, 10, 8)),
+    }[case]
+    ran = []
+    fill = kernel.splitmix64_fill
+    monkeypatch.setattr(kernel, "setup_threads", lambda data: threads)
+    monkeypatch.setattr(kernel, "splitmix64_fill",
+                        lambda *a, **k: ran.append(fill(*a, **k)) or ran[-1])
+    g = Grid3(*dims, pad=pad, alignment=alignment)
+    g.data[...] = np.nan
+    fill_field(g, "random", seed=17, origin=origin, global_dims=global_dims)
+    assert ran == [min(threads, g.data.shape[0])]
+    assert_bitwise(g.data, _seeded_oracle(g, 17, origin, global_dims))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_compiled_copy_equals_its_source_with_any_team(threads):
+    _needs_compiled_fill()
+    for dims, pad in (((13, 7, 5), 2), ((9, 4, 1), 0)):
+        src = create_grid(*dims, pad=pad, init="random_ring", seed=6)
+        dst = np.full(src.data.shape, np.nan)
+        assert kernel.copy_grid(dst, src.data, threads) \
+            == min(threads, src.data.shape[0])
+        assert_bitwise(dst, src.data)
+    with pytest.raises(ValueError, match="copy_grid"):
+        kernel.copy_grid(src.data, src.data)
+
+
+def test_setup_threads_follow_cpus_grain_and_planes(monkeypatch):
+    # broadcast views: nz planes of mib MiB in all, with no memory behind
+    def big(nz, mib):
+        return np.broadcast_to(np.zeros(1), (nz, 1, (mib << 17) // nz))
+
+    monkeypatch.setattr(kernel.os, "sched_getaffinity",
+                        lambda pid: set(range(8)), raising=False)
+    grain = kernel._GRAIN >> 20
+    assert kernel.setup_threads(big(64, 64 * grain)) == 8
+    assert kernel.setup_threads(big(64, 3 * grain)) == 3
+    assert kernel.setup_threads(big(64, grain - 1)) == 1
+    assert kernel.setup_threads(big(2, 64 * grain)) == 2
+    monkeypatch.setattr(kernel.os, "sched_getaffinity",
+                        lambda pid: {0}, raising=False)
+    assert kernel.setup_threads(big(64, 64 * grain)) == 1
+
+
+def test_a_setup_thread_that_cannot_start_leaves_its_planes_to_the_caller():
+    # a child whose stack limit exceeds the address space: glibc sizes a
+    # new thread's stack by that limit, so no team thread starts, and the
+    # calling thread must fill and copy every plane itself
+    _needs_compiled_fill()
+    huge = 1 << 47
+    hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+    if hard != resource.RLIM_INFINITY and hard < huge:
+        pytest.skip(f"the hard stack limit {hard} is too low to raise")
+    body = (
+        "import numpy as np\n"
+        "from stencilpipe import kernel\n"
+        "from stencilpipe.grid import Grid3, fill_field\n"
+        "want, got = Grid3(13, 7, 6, pad=1), Grid3(13, 7, 6, pad=1)\n"
+        "fill_field(want, 'random', seed=3)\n"
+        "got.data[...] = np.nan\n"
+        "box = ((2, 2, 2), (8, 9, 15))\n"
+        "assert kernel.splitmix64_fill(got.data, *box, 0, 13, 91, 3, 4) == 1\n"
+        "assert np.array_equal(got.data, want.data)\n"
+        "copy = np.full(want.data.shape, np.nan)\n"
+        "assert kernel.copy_grid(copy, want.data, 4) == 1\n"
+        "assert np.array_equal(copy, want.data)\n")
+    child = ("import os, resource, sys; resource.setrlimit(resource.RLIMIT_"
+             f"STACK, ({huge}, {hard})); os.execv(sys.executable, "
+             "[sys.executable, '-c', sys.argv[1]])")
+    env = dict(os.environ, PYTHONPATH=str(Path(kernel.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", child, body], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("init", ["random", "random_ring"])
