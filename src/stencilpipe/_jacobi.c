@@ -552,26 +552,20 @@ struct position {
 
 /* Position w's whole run: every pass.  A pass begins only once every
  * thread has finished the one before, at a barrier whose last arrival resets
- * the counters.  Its code is DONE, DEADLOCK or ABORTED.  The stats row is
- * kept in a local copy and written back once, whatever the code: the rows
- * of neighbouring positions share cache lines, and a wait counts every
- * spin round. */
+ * the counters.  Its code is DONE, DEADLOCK or ABORTED. */
 static void *pipeline_worker(void *arg)
 {
     const struct position *w = arg;
     const struct run_spec *p = w->p;
-    int64_t stats[NSTAT];
-    memcpy(stats, w->stats, sizeof stats);
     int64_t sense = 0;
     int rc = DONE;
     for (int64_t q = 0; q < p->passes && rc == DONE; q++) {
-        if (q > 0 && (rc = barrier_wait(p, w->g, &sense, stats, 1)))
+        if (q > 0 && (rc = barrier_wait(p, w->g, &sense, w->stats, 1)))
             break;
         rc = run_pass(p, &p->plan[q], w->g, w->delays ? w->delays
                       + (q * p->nt + w->g) * p->nblocks : NULL,
-                      stats, &sense);
+                      w->stats, &sense);
     }
-    memcpy(w->stats, stats, sizeof stats);
     *w->code = rc;
     return NULL;
 }

@@ -135,19 +135,17 @@ class Grid3:
     def copy(self) -> "Grid3":
         """An independent grid with equal cells and faces, whose storage lies
         _COPY_SKEW bytes past this one's modulo a page (the pair of a
-        two-grid run is a grid and its copy).  The compiled library copies a
-        C-contiguous float64 grid in one pass, its z planes split over a
-        team of threads that each first-touch the pages they write
-        (``kernel.copy_grid``); numpy copies any other grid, or every grid
-        without a compiler."""
+        two-grid run is a grid and its copy).  The compiled library copies
+        the grid in one pass, its z planes split over a team of threads that
+        each first-touch the pages they write (``kernel.copy_grid``); numpy
+        copies it without a compiler."""
         from . import kernel  # kernel imports this module
 
         buf = np.empty(self.data.nbytes + _PAGE, dtype=np.uint8)
         start = (self.data.ctypes.data + _COPY_SKEW - buf.ctypes.data) % _PAGE
         data = buf[start:start + self.data.nbytes].view(np.float64)
         data = data.reshape(self.data.shape)
-        if not (self.data.dtype == np.float64 and self.data.flags.c_contiguous
-                and kernel.copy_grid(data, self.data)):
+        if not kernel.copy_grid(data, self.data):
             data[...] = self.data
         g = Grid3(self.nx, self.ny, self.nz, self.pad, data=data,
                   alignment=self.alignment)
@@ -183,12 +181,11 @@ def fill_field(g: Grid3, init="constant", value=0.0, seed=0, origin=(0, 0, 0),
     global interior, 0 elsewhere, so a reused grid comes out the same as a
     fresh one.  The call splits the z planes over a team of threads, each
     first-touching the pages it writes, with the interpreter lock released,
-    so rank threads fill their grids at the same time.  Without a compiler,
-    or for a grid whose storage is not C-contiguous, every cell is zeroed
-    first and :func:`splitmix64_unit_at` fills the interior one z-slab at a
-    time.  Both give bitwise equal cells.  The ``random_ring`` ring is
-    written after either fill.  A seed outside [0, 2**64) raises ValueError
-    before any cell changes.
+    so rank threads fill their grids at the same time.  Without a compiler
+    every cell is zeroed first and :func:`splitmix64_unit_at` fills the
+    interior one z-slab at a time.  Both give bitwise equal cells.  The
+    ``random_ring`` ring is written after either fill.  A seed outside
+    [0, 2**64) raises ValueError before any cell changes.
     """
     from . import kernel  # kernel imports this module
 
@@ -199,18 +196,17 @@ def fill_field(g: Grid3, init="constant", value=0.0, seed=0, origin=(0, 0, 0),
         _check_seed(seed)  # before any cell changes
     nx, ny, nz = global_dims or g.shape
     # the global interior's box within g, as global (x, y, z) bounds and as
-    # storage (z, y, x) bounds; an empty box has hi == lo
-    lo = [max(c, 0) for c in origin]
+    # storage (z, y, x) bounds; an empty box has hi == lo, both within g's
+    # interior on every axis, so that it lies in the storage too
+    lo = [min(max(c, 0), c + m) for c, m in zip(origin, g.shape)]
     hi = [max(min(c + m, n), a)
           for c, m, n, a in zip(origin, g.shape, (nx, ny, nz), lo)]
     o = g.origin - g.alignment
     box_at = [[o + v - c for v, c in zip(b[::-1], origin[::-1])]
               for b in (lo, hi)]
     first = (lo[2] * ny + lo[1]) * nx + lo[0]
-    if not (seeded and g.data.dtype == np.float64
-            and g.data.flags.c_contiguous
-            and kernel.splitmix64_fill(g.data, *box_at, first, nx, ny * nx,
-                                       seed)):
+    if not (seeded and kernel.splitmix64_fill(g.data, *box_at, first, nx,
+                                              ny * nx, seed)):
         g.data[...] = value if init == "constant" else 0.0
         if seeded:
             box = g.data[tuple(slice(a, b) for a, b in zip(*box_at))]

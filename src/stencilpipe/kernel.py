@@ -53,8 +53,12 @@ ISAS = ("baseline", "avx2")
 # Fewest bytes of storage per thread of a setup pass.  Starting and joining a
 # team thread costs about 35 us and a fill of fresh pages about 0.4 ms per
 # MiB (2-vCPU Xeon), so a 4 MiB share pays about 2% for its thread.  Grids
-# of a few grains stay in the calling thread: a dist_tcp rank's 7.9 MB grid
-# does, so that two rank threads filling at once take no more threads.
+# under two grains stay in the calling thread, a dist_tcp rank's 7.9 MB grid
+# among them.  The team is sized from the whole affinity mask, whatever
+# other rank threads of the process fill at the same time; on the same host
+# in-process dist setups of 4 ranks (2,2,1 at 240^3 and 320^3) and 8 ranks
+# (2,2,2 at 240^3), each fill on 2 threads, were no slower than with every
+# fill on 1.
 _GRAIN = 4 << 20
 
 _load_lock = threading.Lock()
@@ -228,60 +232,49 @@ def _storage(data: np.ndarray, name: str) -> None:
                          f"float64 array, got {data.dtype} {data.strides}")
 
 
-def _team_size(data: np.ndarray, threads) -> int:
-    threads = setup_threads(data) if threads is None else threads
-    if threads < 1:
-        raise ValueError(f"a setup pass needs >= 1 thread, got {threads}")
-    return threads
-
-
 def splitmix64_fill(data: np.ndarray, lo, hi, first: int, row: int,
-                    plane: int, seed: int, threads=None) -> int:
+                    plane: int, seed: int) -> int:
     """Write every cell of ``data``, a C-contiguous (z, y, x) float64 array,
     once: a cell of the box ``lo <= (z, y, x) < hi`` (storage indices) at
     box offset (z, y, x) takes the seeded field of
     ``grid.splitmix64_unit_at`` at global linear index ``first + z*plane +
     y*row + x``, bitwise as the numpy generator gives it, and every other
     cell 0.0, whatever it held before.  The z planes split over a team of
-    ``threads`` pthreads (:func:`setup_threads` when None, at most one per
-    plane) that each first-touch the pages they write; a thread that cannot
-    start leaves its planes to the calling thread.  The call runs with the
-    interpreter lock released, so rank threads fill their grids at the same
-    time.  Returns the number of threads that filled, or 0, with no cell
-    written, when no compiler works; the caller then runs the numpy
-    generator."""
+    :func:`setup_threads` pthreads that each first-touch the pages they
+    write; a thread that cannot start leaves its planes to the calling
+    thread.  The call runs with the interpreter lock released, so rank
+    threads fill their grids at the same time.  Returns the number of
+    threads that filled, or 0, with no cell written, when no compiler works;
+    the caller then runs the numpy generator."""
     _storage(data, "splitmix64_fill")
     if not all(0 <= a <= b <= n for a, b, n in zip(lo, hi, data.shape)):
         raise ValueError(f"splitmix64_fill box {tuple(lo)}..{tuple(hi)} "
                          f"leaves the storage of shape {data.shape}")
-    threads = _team_size(data, threads)
     lib = _compiled()
     if lib is None:
         return 0
     box = [(ctypes.c_int64 * 3)(*v) for v in (lo, hi)]
     return lib.splitmix64_fill(data.ctypes.data, *data.shape, *box, first,
-                               row, plane, seed, threads)
+                               row, plane, seed, setup_threads(data))
 
 
-def copy_grid(dst: np.ndarray, src: np.ndarray, threads=None) -> int:
+def copy_grid(dst: np.ndarray, src: np.ndarray) -> int:
     """Copy ``src`` into ``dst``, C-contiguous (z, y, x) float64 arrays of
     one shape that do not overlap, with the z planes split over a team of
-    ``threads`` pthreads as :func:`splitmix64_fill` splits them, each
-    first-touching the pages of ``dst`` it writes.  Returns the number of
-    threads that copied, or 0, with no cell copied, when no compiler
-    works."""
+    threads as :func:`splitmix64_fill` splits them, each first-touching the
+    pages of ``dst`` it writes.  Returns the number of threads that copied,
+    or 0, with no cell copied, when no compiler works."""
     _storage(dst, "copy_grid")
     if src.dtype != np.float64 or not src.flags.c_contiguous \
             or src.shape != dst.shape or np.may_share_memory(src, dst):
         raise ValueError(f"copy_grid needs a C-contiguous float64 source of "
                          f"shape {dst.shape} apart from the destination")
-    threads = _team_size(dst, threads)
     lib = _compiled()
     if lib is None:
         return 0
     nz, ny, nx = dst.shape
     return lib.copy_grid(dst.ctypes.data, src.ctypes.data, nz, ny * nx,
-                         threads)
+                         setup_threads(dst))
 
 
 def check_arrays(src: np.ndarray, dst: np.ndarray) -> None:

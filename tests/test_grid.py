@@ -248,7 +248,7 @@ def _needs_compiled_fill():
                     "generator only")
 
 
-def test_compiled_fill_matches_the_generator_on_a_strided_box():
+def test_compiled_fill_matches_the_generator_on_a_strided_box(monkeypatch):
     # a box inside a dirty array: the box takes the generator at its own
     # linear indices, every cell around it 0.0, for every team size
     _needs_compiled_fill()
@@ -258,9 +258,10 @@ def test_compiled_fill_matches_the_generator_on_a_strided_box():
     outside = np.ones((6, 7, 9), dtype=bool)
     outside[1:5, 2:6, 3:8] = False
     for threads in (1, 2, 3, 4):
+        monkeypatch.setattr(kernel, "setup_threads", lambda data: threads)
         data = np.full((6, 7, 9), -1.0)
         assert kernel.splitmix64_fill(data, (1, 2, 3), (5, 6, 8), first, row,
-                                      plane, 9, threads) == threads
+                                      plane, 9) == threads
         assert_bitwise(data[1:5, 2:6, 3:8], splitmix64_unit_at(idx, 9))
         assert np.all(data[outside] == 0.0)
 
@@ -275,9 +276,6 @@ def test_compiled_fill_refuses_a_view_it_cannot_write():
         with pytest.raises(ValueError, match="splitmix64_fill"):
             kernel.splitmix64_fill(data, (0, 0, 0), box, 0, 4, 12, 1)
         assert not data.any()
-    with pytest.raises(ValueError, match="thread"):
-        kernel.splitmix64_fill(np.zeros((2, 3, 4)), (0, 0, 0), (2, 3, 4), 0,
-                               4, 12, 1, threads=0)
 
 
 def _seeded_oracle(g, seed, origin=(0, 0, 0), global_dims=None):
@@ -299,12 +297,14 @@ def _seeded_oracle(g, seed, origin=(0, 0, 0), global_dims=None):
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
 @pytest.mark.parametrize("case", ["whole", "aligned", "share", "halo_share",
-                                  "one_plane", "no_interior"])
+                                  "one_plane", "no_interior", "far_below_x",
+                                  "far_below_z"])
 def test_compiled_fill_writes_every_stored_cell_once(case, threads,
                                                      monkeypatch):
     # fill_field over a team of 1-4 threads (more than the planes of a
     # one-plane grid's three) into a grid that holds other values: every
-    # stored cell must equal the generator-and-zeros oracle
+    # stored cell must equal the generator-and-zeros oracle, also for a
+    # share that lies wholly past the global grid on one axis
     _needs_compiled_fill()
     dims, pad, alignment, origin, global_dims = {
         "whole": ((13, 7, 5), 0, 0, (0, 0, 0), None),
@@ -313,6 +313,8 @@ def test_compiled_fill_writes_every_stored_cell_once(case, threads,
         "halo_share": ((16, 13, 12), 1, 1, (-2, -1, -3), (12, 10, 8)),
         "one_plane": ((9, 4, 1), 0, 0, (0, 0, 2), (9, 4, 3)),
         "no_interior": ((4, 5, 6), 1, 0, (12, 0, 0), (12, 10, 8)),
+        "far_below_x": ((4, 4, 4), 0, 0, (-20, 0, 0), (8, 8, 8)),
+        "far_below_z": ((4, 5, 6), 1, 1, (0, 3, -20), (8, 8, 8)),
     }[case]
     ran = []
     fill = kernel.splitmix64_fill
@@ -327,12 +329,13 @@ def test_compiled_fill_writes_every_stored_cell_once(case, threads,
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
-def test_compiled_copy_equals_its_source_with_any_team(threads):
+def test_compiled_copy_equals_its_source_with_any_team(threads, monkeypatch):
     _needs_compiled_fill()
+    monkeypatch.setattr(kernel, "setup_threads", lambda data: threads)
     for dims, pad in (((13, 7, 5), 2), ((9, 4, 1), 0)):
         src = create_grid(*dims, pad=pad, init="random_ring", seed=6)
         dst = np.full(src.data.shape, np.nan)
-        assert kernel.copy_grid(dst, src.data, threads) \
+        assert kernel.copy_grid(dst, src.data) \
             == min(threads, src.data.shape[0])
         assert_bitwise(dst, src.data)
     with pytest.raises(ValueError, match="copy_grid"):
@@ -369,14 +372,15 @@ def test_a_setup_thread_that_cannot_start_leaves_its_planes_to_the_caller():
         "import numpy as np\n"
         "from stencilpipe import kernel\n"
         "from stencilpipe.grid import Grid3, fill_field\n"
+        "kernel.setup_threads = lambda data: 4\n"
         "want, got = Grid3(13, 7, 6, pad=1), Grid3(13, 7, 6, pad=1)\n"
         "fill_field(want, 'random', seed=3)\n"
         "got.data[...] = np.nan\n"
         "box = ((2, 2, 2), (8, 9, 15))\n"
-        "assert kernel.splitmix64_fill(got.data, *box, 0, 13, 91, 3, 4) == 1\n"
+        "assert kernel.splitmix64_fill(got.data, *box, 0, 13, 91, 3) == 1\n"
         "assert np.array_equal(got.data, want.data)\n"
         "copy = np.full(want.data.shape, np.nan)\n"
-        "assert kernel.copy_grid(copy, want.data, 4) == 1\n"
+        "assert kernel.copy_grid(copy, want.data) == 1\n"
         "assert np.array_equal(copy, want.data)\n")
     child = ("import os, resource, sys; resource.setrlimit(resource.RLIMIT_"
              f"STACK, ({huge}, {hard})); os.execv(sys.executable, "
@@ -409,12 +413,14 @@ def test_compiled_fill_equals_numpy_on_rank_shares(init, topo, mode,
         got = materialize_subdomain(sub, cfg, seed=5, init=init)
         want = numpy_fill(materialize_subdomain, sub, cfg, seed=5, init=init)
         assert_bitwise(got.data, want.data)
-    # a share whose halo reaches past the global interior on every side
-    grids = [Grid3(16, 13, 12, pad=1) for _ in range(2)]
-    args = (init, 0.0, 5, (-2, -1, -3), (12, 10, 8))
-    fill_field(grids[0], *args)
-    numpy_fill(fill_field, grids[1], *args)
-    assert_bitwise(grids[0].data, grids[1].data)
+    # a share whose halo reaches past the global interior on every side, and
+    # one that lies wholly below it in x
+    for origin in ((-2, -1, -3), (-20, 0, 0)):
+        grids = [Grid3(16, 13, 12, pad=1) for _ in range(2)]
+        args = (init, 0.0, 5, origin, (12, 10, 8))
+        fill_field(grids[0], *args)
+        numpy_fill(fill_field, grids[1], *args)
+        assert_bitwise(grids[0].data, grids[1].data)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
