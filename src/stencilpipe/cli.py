@@ -147,18 +147,24 @@ def mem_available(path="/proc/meminfo"):
 
 
 def _grid_bytes(dims, pad=0) -> int:
-    """Bytes of one grid's storage and its six faces."""
-    nx, ny, nz = dims
-    cells = math.prod(n + 2 * BOUNDARY + pad for n in dims) \
-        + 2 * (ny * nz + nx * nz + nx * ny)
-    return 8 * cells
+    """Bytes of one grid's storage."""
+    return 8 * math.prod(n + 2 * BOUNDARY + pad for n in dims)
 
 
 def _run_bytes(dims, mode, h) -> int:
-    """Bytes of one run's grids: one padded grid, or a pair."""
+    """Bytes of one run's grids: one padded grid and the six faces its
+    engine reads, or a pair."""
     if mode == "compressed":
-        return _grid_bytes(dims, pad=max(h, 0))
+        nx, ny, nz = dims
+        return _grid_bytes(dims, pad=max(h, 0)) \
+            + 16 * (ny * nz + nx * nz + nx * ny)
     return 2 * _grid_bytes(dims)
+
+
+def _verify_bytes(dims) -> int:
+    """Bytes that :func:`_verify` holds at once: the oracle pair and the
+    interior-sized temporary of each reference sweep."""
+    return 2 * _grid_bytes(dims) + 8 * math.prod(dims)
 
 
 def _preflight(need: int) -> None:
@@ -237,7 +243,7 @@ def cmd_solve(args) -> int:
     rc = _config_from_args(args)
     dims = (rc.nx, rc.ny, rc.nz)
     _preflight(_run_bytes(dims, rc.mode, rc.n * rc.t * rc.T)
-               + (2 * _grid_bytes(dims) if args.verify else 0))
+               + (_verify_bytes(dims) if args.verify else 0))
     cfg, stats = _execute(rc, watchdog_s=args.watchdog)
     if args.out:
         write_snapshot(stats.result, args.out)
@@ -389,13 +395,13 @@ def cmd_dist(args) -> int:
 
 def _dist_bytes(dist: DistConfig, ranks, verify) -> int:
     """Bytes of the grids of the given ranks, and with ``verify`` of
-    assemble_global's grid and the oracle pair."""
+    assemble_global's grid and what the oracle holds."""
     cfg = dist.cfg
     subs = decompose_domain(dist.global_dims, dist.topo, cfg.h)
     need = sum(_run_bytes(subs[r].local_dims, cfg.grid_mode, cfg.h)
                for r in ranks)
     if verify:
-        need += 3 * _grid_bytes(dist.global_dims)
+        need += _grid_bytes(dist.global_dims) + _verify_bytes(dist.global_dims)
     return need
 
 

@@ -92,10 +92,6 @@ class Grid3:
             raise ValueError(f"data shape {data.shape} does not match the "
                              f"expected storage shape {expected}")
         self.data = data
-        # Dirichlet face values in logical coordinates, captured once the ring
-        # is filled (capture_boundary_faces); needed to re-materialize the
-        # ring at shifted positions during compressed sweeps.
-        self.faces = ()
 
     @property
     def origin(self) -> int:
@@ -117,9 +113,9 @@ class Grid3:
         o = self.origin - self.alignment
         return self.data[o:o + self.nz, o:o + self.ny, o:o + self.nx]
 
-    def capture_boundary_faces(self):
-        """Record the six Dirichlet face layers as ``faces``, C-contiguous
-        (z, y, x) arrays without the face's own axis, at index
+    def capture_boundary_faces(self) -> tuple:
+        """Copies of the six Dirichlet face layers at the current alignment:
+        C-contiguous (z, y, x) arrays without the face's own axis, at index
         ``2*axis + side`` (the work table's side bit).  Interior extent only:
         ring edges and corners are never read by the 7-point stencil."""
         o = self.origin - self.alignment
@@ -130,10 +126,10 @@ class Grid3:
                 idx = list(interior)
                 idx[2 - axis] = at
                 faces.append(self.data[tuple(idx)].copy())
-        self.faces = tuple(faces)
+        return tuple(faces)
 
     def copy(self) -> "Grid3":
-        """An independent grid with equal cells and faces, whose storage lies
+        """An independent grid with equal cells, whose storage lies
         _COPY_SKEW bytes past this one's modulo a page (the pair of a
         two-grid run is a grid and its copy).  The compiled library copies
         the grid in one pass, its z planes split over a team of threads that
@@ -147,10 +143,8 @@ class Grid3:
         data = data.reshape(self.data.shape)
         if not kernel.copy_grid(data, self.data):
             data[...] = self.data
-        g = Grid3(self.nx, self.ny, self.nz, self.pad, data=data,
-                  alignment=self.alignment)
-        g.faces = tuple(f.copy() for f in self.faces)
-        return g
+        return Grid3(self.nx, self.ny, self.nz, self.pad, data=data,
+                     alignment=self.alignment)
 
     def checksum(self) -> str:
         h = hashlib.sha256()
@@ -244,7 +238,6 @@ def create_grid(nx, ny, nz, pad=0, init="constant", value=0.0, seed=0) -> Grid3:
     """Allocate a grid and fill it with an init rule (:func:`fill_field`)."""
     g = Grid3(nx, ny, nz, pad)
     fill_field(g, init, value, seed)
-    g.capture_boundary_faces()
     return g
 
 
@@ -325,5 +318,4 @@ def read_snapshot(path) -> Grid3:
         raise ValueError(f"snapshot {path} truncated")
     g = Grid3(nx, ny, nz, pad=0)
     g.interior_view()[...] = np.frombuffer(raw, dtype="<f8").reshape(nz, ny, nx)
-    g.capture_boundary_faces()
     return g

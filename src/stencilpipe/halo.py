@@ -137,7 +137,6 @@ def materialize_subdomain(sub: Subdomain, cfg: PipelineConfig, seed: int = 42,
     g = Grid3(*sub.local_dims, pad=pad)
     grid.fill_field(g, init, value, seed, origin=sub.global_origin,
                     global_dims=sub.global_dims)
-    g.capture_boundary_faces()
     return g
 
 
@@ -391,5 +390,4 @@ def assemble_global(runtimes) -> Grid3:
         c = rt.sub.topo.coords(rt.sub.rank)
         x0, y0, z0 = (c[ax] * owned[ax] for ax in range(3))
         iv[z0:z0 + owned[2], y0:y0 + owned[1], x0:x0 + owned[0]] = rt.owned_view()
-    g.capture_boundary_faces()
     return g

@@ -316,7 +316,8 @@ def write_ring_strips(dst: np.ndarray, faces, window, dst_off: int,
     """Re-materialize Dirichlet values next to a window in the destination
     frame.  ``sides`` is a bit mask (bit 2*axis + side, as the work table's)
     of the physical domain faces the window touches; ``faces`` holds the face
-    values at the same index (``Grid3.faces``).  Each strip spans the window's
+    values at the same index (``Grid3.capture_boundary_faces``, as the
+    engine reads them when it is built).  Each strip spans the window's
     extent in the other two axes.  Needed only when the write frame is
     displaced (compressed mode): the shifted ring position must hold boundary
     values before the next update level reads them."""

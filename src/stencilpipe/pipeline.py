@@ -226,6 +226,12 @@ class PipelineEngine:
     update region shrinks one layer per level toward neighbours, and the
     other sides keep their ring (re-materialized while data shifts in
     compressed mode).
+
+    A compressed engine with a ring side reads the six faces of its grid's
+    ring at the grid's frame when it is built, as ``faces`` (empty
+    otherwise), and every run re-materializes the ring from them: the
+    Dirichlet values are fixed then, and code that changes a grid's ring
+    builds a new engine.
     """
 
     def __init__(self, cfg: PipelineConfig, grids,
@@ -258,6 +264,7 @@ class PipelineEngine:
                         for ax, pair in enumerate(self.neighbors)
                         for side, nb in enumerate(pair)
                         if not nb and cfg.grid_mode == "compressed")
+        self.faces = g.capture_boundary_faces() if self.ring else ()
         self.tables = (self.work_table(1), self.work_table(-1))
         # shared by a run's positions in the driver's layout, reset per run:
         # a 64-byte counter slot and a stats row each, and the control words
@@ -312,7 +319,7 @@ class PipelineEngine:
         Directions alternate with ``passes_done``: forward after an even
         number of passes, backward after an odd one.  The run is one call
         into the compiled driver, or a walk in the calling thread; the
-        arrays, frames and faces are checked once, before either starts.
+        arrays and frames are checked once, before either starts.
         Every grid's alignment is then where the run's last frame left it.
         OSError means that the driver could not start a thread."""
         if count < 0:
@@ -360,24 +367,24 @@ class PipelineEngine:
         the one before ended: parity grows by h, base moves by ``-shift * h``.
 
         Before a pass's first block the front position rewrites its restore
-        sides of the Dirichlet ring in full from the faces at the pass's read
-        frame.  In compressed mode that is the whole ring on the run's first
-        pass, since nothing says what the grid's ring holds between runs.  On
-        a later pass it is the whole ring when some side borders a neighbour,
-        else nothing.  With no neighbour, every level's live range is the
-        whole interior, so the last level's windows tile each face and their
-        mid-pass strips have already written every face cell that the next
-        pass's first level reads (the stencil reads no edge or corner).  With
-        one, live ranges shrink toward it, and the last level's strips miss
-        the bands of the ring next to it.  Two-grid mode has no ring to
-        restore (``ring`` is 0)."""
+        sides of the Dirichlet ring in full from ``faces`` at the pass's read
+        frame: the ring sides on every pass when some side borders a
+        neighbour, otherwise nothing on any pass.  With no neighbour, the
+        engine's first pass reads the ring its faces were read from, and
+        every level's live range is the whole interior, so the last level's
+        windows tile each face and their strips have already written every
+        face cell that the next pass's first level reads, in this run or the
+        next (the stencil reads no edge or corner).  With one, live ranges
+        shrink toward it, and the last level's strips miss the bands of the
+        ring next to it.  Two-grid mode has no ring to restore (``ring`` is
+        0)."""
         h, g0 = self.cfg.h, self.grids[0]
         base = g0.origin - g0.alignment
+        restore = 0 if self.ring == _ALL_SIDES else self.ring
         rows = []
         for p in range(self.passes_done, self.passes_done + count):
             direction = -1 if p % 2 else 1
             shift = direction if self.cfg.grid_mode == "compressed" else 0
-            restore = self.ring if not rows or self.ring != _ALL_SIDES else 0
             rows.append((direction, p * h % 2, base, shift, restore))
             base -= shift * h
         return np.array(rows, dtype=np.int64)
@@ -403,17 +410,6 @@ class PipelineEngine:
                          for n, size in zip(self.dims, src.shape[::-1])):
             raise ValueError(f"the frames of the run, offsets {lo} to {hi}, "
                              f"leave the arrays of shape {src.shape}")
-        # the driver reads the faces of the ring's sides by raw pointer
-        zyx, faces = self.dims[::-1], self.grids[0].faces
-        for bit in (b for b in range(6) if self.ring >> b & 1):
-            face = faces[bit] if bit < len(faces) else None
-            shape = zyx[:2 - bit // 2] + zyx[3 - bit // 2:]
-            if not (isinstance(face, np.ndarray) and face.shape == shape
-                    and face.dtype == np.float64 and face.flags.c_contiguous):
-                raise ValueError(
-                    f"boundary face {bit} (bit 2*axis + side) must be a "
-                    f"C-contiguous float64 array of shape {shape}, as "
-                    "Grid3.capture_boundary_faces makes it")
 
     def _delays(self, count: int):
         """Seconds the compiled driver sleeps before each block update, per
@@ -431,12 +427,11 @@ class PipelineEngine:
         when its thread could not be started, PipelineDeadlock when a
         watchdog fired or the run was aborted.  A failure in any position
         aborts the rest.  The counters and control words start reset; the
-        grids' arrays and faces are read anew, as callers may replace them."""
+        grids' arrays are read anew, as callers may replace them."""
         cfg, (nx, ny, nz) = self.cfg, self.dims
         self.counters[:] = self.ctl[:] = 0
         self.ctl[_CTL_COUNT] = cfg.threads
         src, dst = self.grids[0].data, self.grids[-1].data
-        faces = self.grids[0].faces
         spec = kernel.RunSpec(
             rows=(ctypes.c_void_p * 2)(*(t.ctypes.data for t in self.tables)),
             nblocks=self.plan.total_blocks, h=cfg.h, T=cfg.T, nt=cfg.threads,
@@ -444,9 +439,7 @@ class PipelineEngine:
             grid=(ctypes.c_void_p * 2)(src.ctypes.data, dst.ctypes.data),
             sy=src.strides[1] // src.itemsize,
             sz=src.strides[0] // src.itemsize,
-            face=(ctypes.c_void_p * 6)(
-                *(faces[bit].ctypes.data if self.ring >> bit & 1 else None
-                  for bit in range(6))),
+            face=(ctypes.c_void_p * 6)(*(f.ctypes.data for f in self.faces)),
             nx=nx, ny=ny, nz=nz,
             counters=self.counters.ctypes.data, ctl=self.ctl.ctypes.data,
             d_l=self.d_l.ctypes.data, d_u=self.d_u.ctypes.data,
@@ -476,7 +469,7 @@ class PipelineEngine:
         ``apply_window`` and ``write_ring_strips``.  Windows depend only on
         block, level and direction, so this t=1, T=h order of the same table
         gives the driver's result bit for bit."""
-        T, dims, faces = self.cfg.T, self.dims, self.grids[0].faces
+        T, dims, faces = self.cfg.T, self.dims, self.faces
         arrays = self.grids[0].data, self.grids[-1].data
         st = self.stats.tolist()
         for direction, parity, base, shift, restore in plan.tolist():
@@ -504,8 +497,8 @@ class PipelineEngine:
         st[_WINDOWS] += 1
         st[_CELLS] += (xh - xl) * (yh - yl) * (zh - zl)
         if sides:
-            write_ring_strips(dst, self.grids[0].faces, window, dst_off,
-                              sides, self.dims)
+            write_ring_strips(dst, self.faces, window, dst_off, sides,
+                              self.dims)
 
 
 def run_pipelined(grids, cfg: PipelineConfig, total_passes: int) -> RunStats:

@@ -319,19 +319,22 @@ def test_grid_extent_below_one_is_config_error(argv, dims, capsys):
 
 
 # Grid bytes each run holds: a grid of interior n^3 at pad p stores
-# (n + 2 + p)^3 doubles and 6 n^2 face doubles.
+# (n + 2 + p)^3 doubles, a compressed engine 6 n^2 face doubles beside it,
+# and each --verify reference sweep an n^3 temporary.
 PREFLIGHT_RUNS = {
-    # the pair and the --verify oracle pair: 4 * (14^3 + 6 * 12^2) * 8
+    # the pair, the --verify oracle pair and its temporary:
+    # (4 * 14^3 + 12^3) * 8
     "solve": (["solve", "--grid", "12", "--block", "12,6,6", "--verify"],
-              115456),
-    # the largest pad of the sweep, h = 2: (16^3 + 6 * 12^2) * 8
+              101632),
+    # the largest pad of the sweep, h = 2, and its engine's faces:
+    # (16^3 + 6 * 12^2) * 8
     "sweep": (["sweep", "--grid", "12", "--block", "12,6,6", "--mode",
                "compressed", "--sweep-t", "1,2"], 39680),
-    # two ranks of 7x12x12 (6 owned + 1 halo), each a pair with faces:
-    # 4 * (9*14*14 + 2 * (144 + 84 + 84)) * 8, plus assemble_global's grid
-    # and the oracle pair, 3 * (14^3 + 6 * 12^2) * 8
+    # two ranks of 7x12x12 (6 owned + 1 halo), each a pair:
+    # 4 * 9*14*14 * 8, plus assemble_global's grid, the oracle pair and its
+    # temporary, (3 * 14^3 + 12^3) * 8
     "dist": (["dist", "--topo", "2,1,1", "--grid", "12", "--block", "6,6,6",
-              "--verify"], 76416 + 86592),
+              "--verify"], 56448 + 79680),
 }
 
 
@@ -356,20 +359,36 @@ def test_memory_preflight(run, available, monkeypatch, capsys):
                f"{need - 1} B of memory are available\n")
 
 
+def test_memory_preflight_counts_the_oracles_temporary(monkeypatch, capsys):
+    # each reference sweep of --verify allocates an interior-sized
+    # temporary: memory for the pair, the oracle pair and four sets of
+    # faces, 4 * (34^3 + 6 * 32^2) * 8 B, is not enough for the pair, the
+    # oracle pair and that temporary, (4 * 34^3 + 32^3) * 8 B
+    def no_grid(*_a, **_k):
+        raise AssertionError("a grid was allocated before the preflight")
+
+    monkeypatch.setattr(cli, "mem_available", lambda: 1454336)
+    monkeypatch.setattr(cli, "create_grid", no_grid)
+    assert run_cli(["solve", "--grid", "32", "--block", "32,8,8",
+                    "--verify"], capsys) == (
+        2, "", "config error: the run's grids need 1519872 B but only "
+               "1454336 B of memory are available\n")
+
+
 def test_memory_preflight_of_a_tcp_rank_counts_its_own_grids(
         tmp_path, monkeypatch, capsys):
     def no_connect(*_args):
         raise AssertionError("a rank connected before the preflight")
 
     monkeypatch.setattr(cli, "tcp_endpoint", no_connect)
-    monkeypatch.setattr(cli, "mem_available", lambda: 38207)
+    monkeypatch.setattr(cli, "mem_available", lambda: 28223)
     rankfile = tmp_path / "ranks.txt"
     rankfile.write_text("0 127.0.0.1 1\n1 127.0.0.1 2\n")
-    # rank 1's pair of 7x12x12 cells: 2 * (9*14*14 + 2*(144+84+84)) * 8 B
+    # rank 1's pair of 7x12x12 cells: 2 * 9*14*14 * 8 B
     assert run_cli(["dist", "--topo", "2,1,1", "--grid", "12", "--block",
                     "6,6,6", "--ranks", "2", "--rank", "1", "--rankfile",
                     str(rankfile)], capsys) == (
-        2, "", "config error: the run's grids need 38208 B but only 38207 B "
+        2, "", "config error: the run's grids need 28224 B but only 28223 B "
                "of memory are available\n")
 
 

@@ -224,7 +224,6 @@ def test_copy_never_lies_a_whole_page_from_its_source(dims, pad):
         assert not np.may_share_memory(dst.data, src.data)
         assert np.array_equal(dst.data, src.data)
         assert dst.alignment == pad and dst.pad == pad
-        assert all(np.array_equal(a, b) for a, b in zip(dst.faces, src.faces))
 
 
 # ---------------------------------------------------------------------------

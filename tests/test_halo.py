@@ -120,7 +120,7 @@ def test_indivisible_axis_rejected():
                                   "random_ring"])
 def test_one_field_for_whole_and_rank_grids(init):
     whole = create_grid(12, 10, 8, init=init, value=2.5, seed=7)
-    wv = whole.interior_view()
+    wv, whole_faces = whole.interior_view(), whole.capture_boundary_faces()
     subs = decompose_domain((12, 10, 8), RankTopology(2, 2, 2), 2)
     for sub, mode in zip(subs, itertools.cycle(("two_grid", "compressed"))):
         g = materialize_subdomain(sub, _cfg(t=2, mode=mode, spec=(4, 4, 4)),
@@ -130,13 +130,14 @@ def test_one_field_for_whole_and_rank_grids(init):
                                              o[1]:o[1] + m[1],
                                              o[0]:o[0] + m[0]])
         # the ring on the sides without a neighbour is the global ring
+        faces = g.capture_boundary_faces()
         for ax in range(3):
             for side in (0, 1):
                 if not sub.has_nb[ax][side]:
                     face = tuple(slice(o[a], o[a] + m[a])
                                  for a in (2, 1, 0) if a != ax)
-                    assert_bitwise(g.faces[2 * ax + side],
-                                   whole.faces[2 * ax + side][face])
+                    assert_bitwise(faces[2 * ax + side],
+                                   whole_faces[2 * ax + side][face])
     # a grid reaching past the global interior on both sides of every axis:
     # beyond the global ring lies the rule's background value, the global
     # ring holds it too unless the rule sets the ring, and the rest equals
@@ -375,7 +376,7 @@ def test_distributed_cycles_match_the_oracle_with_a_nonzero_ring(
     dims, seed, cycles = (24, 24, 16), 5, 3
     cfg = _cfg(t=2, T=2, mode=mode, spec=(8, 8, 8))
     expected = _swept(dims, seed, cycles * cfg.h, "random_ring")
-    assert all(np.all(f > 0) for f in expected.faces)
+    assert all(np.all(f > 0) for f in expected.capture_boundary_faces())
     dist = DistConfig(topo=RankTopology(*topo_dims), cfg=cfg, cycles=cycles,
                       global_dims=dims, seed=seed, init="random_ring")
     assembled = assemble_global(run_distributed_inprocess(dist))

@@ -102,7 +102,6 @@ def test_linearity_for_power_of_two_scales(alpha):
     g = create_grid(8, 8, 8, init="random", seed=9)
     scaled = g.copy()
     scaled.data *= alpha
-    scaled.capture_boundary_faces()
     out = _sweeps(g, 2)
     out_scaled = _sweeps(scaled, 2)
     assert_bitwise(out_scaled.interior_view(), out.interior_view() * alpha)
@@ -302,10 +301,10 @@ def test_faces_and_ring_strips_in_bit_order(bit):
     # mix-up of axes, sides or storage order shows here
     g = Grid3(5, 4, 3, pad=2, alignment=1)
     g.data[...] = np.arange(g.data.size).reshape(g.data.shape)
-    g.capture_boundary_faces()
+    faces = g.capture_boundary_faces()
     axis, side = divmod(bit, 2)
-    face = g.faces[bit]
-    assert len(g.faces) == 6
+    face = faces[bit]
+    assert len(faces) == 6
     assert face.dtype == np.float64 and face.flags.c_contiguous
     others = [a for a in (2, 1, 0) if a != axis]  # (z, y, x) minus axis
     assert face.shape == tuple(g.shape[a] for a in others)
@@ -314,7 +313,7 @@ def test_faces_and_ring_strips_in_bit_order(bit):
     # one side's strip next to an off-origin window, nothing else
     window = ((1, 4), (2, 4), (1, 2))
     dst = np.full_like(g.data, -1.0)
-    kernel.write_ring_strips(dst, g.faces, window, g.origin - g.alignment,
+    kernel.write_ring_strips(dst, faces, window, g.origin - g.alignment,
                              1 << bit, g.shape)
     expected = np.full_like(g.data, -1.0)
     for cell in _ring_layer(g, axis, side, window):

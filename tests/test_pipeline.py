@@ -34,7 +34,6 @@ def _run(g0, cfg, passes, pad=None):
     if cfg.grid_mode == "compressed":
         g = create_grid(*g0.shape, pad=pad if pad is not None else cfg.h)
         g.interior_view()[...] = g0.interior_view()
-        g.capture_boundary_faces()
         return run_pipelined(g, cfg, passes)
     a, b = g0.copy(), g0.copy()
     return run_pipelined((a, b), cfg, passes)
@@ -181,7 +180,6 @@ def test_two_grid_pair_runs_at_its_alignment(walk, request, oracle):
     cfg = _cfg(spec=BlockSpec(12, 4, 4), t=3)
     a = Grid3(12, 12, 12, pad=1, alignment=1)
     fill_field(a, "random", seed=14)
-    a.capture_boundary_faces()
     pair = (a, a.copy())
     st = run_pipelined(pair, cfg, 3)
     assert st.result is pair[1]
@@ -220,7 +218,6 @@ def test_instrumented_gaps_respect_distances(monkeypatch):
     g = create_grid(16, 16, 16, pad=cfg.h)
     g.interior_view()[...] = create_grid(16, 16, 16, init="random",
                                          seed=3).interior_view()
-    g.capture_boundary_faces()
     st = run_pipelined(g, cfg, 2)
     assert st.pred_violations == 0
     assert st.pred_gap_min is not None and st.pred_gap_min >= cfg.d_l
@@ -694,9 +691,10 @@ def _faces_reference(g0, levels):
     a, b = g0.copy(), g0.copy()
     whole = tuple((0, n) for n in g0.shape)
     off = a.origin - a.alignment
+    faces = g0.capture_boundary_faces()
     out = [a.interior_view().copy()]
     for _ in range(levels):
-        kernel.write_ring_strips(a.data, g0.faces, whole, off, 0b111111,
+        kernel.write_ring_strips(a.data, faces, whole, off, 0b111111,
                                  g0.shape)
         kernel._apply_window_numpy(a.data, b.data, whole, off, off)
         a, b = b, a
@@ -706,22 +704,13 @@ def _faces_reference(g0, levels):
 
 def _ringed_pair(dims, pad):
     """A grid with a nonzero Dirichlet ring unlike the zero pad below it, and
-    its copy with that pad, faces captured on both."""
+    its copy with that pad."""
     g0 = create_grid(*dims)
     g0.data[...] = np.random.default_rng(21).random(g0.data.shape) + 1.0
-    g0.capture_boundary_faces()
     g = create_grid(*dims, pad=pad)
     o, (nx, ny, nz) = g.origin, dims
     g.data[o - 1:o + nz + 1, o - 1:o + ny + 1, o - 1:o + nx + 1] = g0.data
-    g.capture_boundary_faces()
     return g0, g
-
-
-def _ring_now(g):
-    """The faces of g's ring at its current alignment."""
-    view = Grid3(*g.shape, pad=g.pad, data=g.data, alignment=g.alignment)
-    view.capture_boundary_faces()
-    return view.faces
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
@@ -753,20 +742,22 @@ def test_compressed_ring_restored_at_each_pass_start(walk, request):
 
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
 def test_compressed_run_without_neighbours_keeps_its_ring(walk, request):
-    # with no neighbour, only a run's first pass restores the whole ring: a
-    # later pass reads the ring that the strips of the last level before it
-    # wrote.  Check both: one call of 5 passes against the oracle, and the
-    # ring at the grid's frame after each single pass
+    # with no neighbour, no pass restores the whole ring: the first reads
+    # the ring the engine's faces were read from, a later one the ring that
+    # the strips of the last level before it wrote.  Check both: one call of
+    # 5 passes against the oracle, and the ring at the grid's frame after
+    # each single pass
     if walk:
         request.getfixturevalue("walker_calls")
     cfg = _cfg(spec=BlockSpec(8, 4, 4), t=2, T=2, grid_mode="compressed")
     dims, passes = (16, 12, 10), 5
     g0, g = _ringed_pair(dims, cfg.h)
     expected = _faces_reference(g0, passes * cfg.h)
-    PipelineEngine(cfg, g).run_passes(passes)
+    engine = PipelineEngine(cfg, g)
+    engine.run_passes(passes)
     assert g.alignment == cfg.h
     assert_bitwise(g.interior_view(), expected[-1])
-    for face, want in zip(_ring_now(g), g.faces):
+    for face, want in zip(g.capture_boundary_faces(), engine.faces):
         assert_bitwise(face, want)
 
     _, g = _ringed_pair(dims, cfg.h)
@@ -774,18 +765,73 @@ def test_compressed_run_without_neighbours_keeps_its_ring(walk, request):
     for q in range(1, passes + 1):
         engine.run_passes(1)
         assert_bitwise(g.interior_view(), expected[q * cfg.h])
-        for face, want in zip(_ring_now(g), g.faces):
+        for face, want in zip(g.capture_boundary_faces(), engine.faces):
             assert_bitwise(face, want)
 
 
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+def test_back_to_back_compressed_runs_keep_the_ring(walk, request):
+    # each run_pipelined call builds a new engine, which reads its faces
+    # from the ring at the frame the run before left: 2 passes end at
+    # alignment 0, 4 more at 0 again, 3 more at h
+    if walk:
+        request.getfixturevalue("walker_calls")
+    cfg = _cfg(spec=BlockSpec(8, 4, 4), t=2, T=2, grid_mode="compressed")
+    dims, seed = (16, 12, 10), 9
+    g = create_grid(*dims, pad=cfg.h, init="random_ring", seed=seed)
+    expected = create_grid(*dims, init="random_ring", seed=seed)
+    scratch = expected.copy()
+    for passes in (2, 4, 3):
+        st = run_pipelined(g, cfg, passes)
+        for _ in range(cfg.h * passes):
+            reference_sweep(expected, scratch)
+            expected, scratch = scratch, expected
+        assert st.result is g
+        assert_bitwise(g.interior_view(), expected.interior_view())
+    assert g.alignment == cfg.h
+
+
+@pytest.mark.parametrize("at_h", [False, True],
+                         ids=["alignment_0", "alignment_h"])
+def test_engine_faces_are_the_ring_when_it_is_built(at_h):
+    cfg = _cfg(spec=BlockSpec(8, 4, 4), t=2, T=2, grid_mode="compressed")
+    alignment = cfg.h if at_h else 0
+    g = Grid3(16, 12, 10, pad=cfg.h, alignment=alignment)
+    fill_field(g, "random_ring", seed=10)
+    (nx, ny, nz), o = g.shape, g.origin - alignment
+    ring = g.data[o - 1:o + nz + 1, o - 1:o + ny + 1, o - 1:o + nx + 1]
+    engine = PipelineEngine(cfg, g)
+    inner = (slice(1, -1),) * 3
+    want = []
+    for axis in range(3):  # (x, y, z), each low then high, as bit order
+        for at in (0, -1):
+            idx = list(inner)
+            idx[2 - axis] = at
+            want.append(ring[tuple(idx)])
+    assert len(engine.faces) == 6
+    for face, expected in zip(engine.faces, want):
+        assert face.flags.c_contiguous and face.dtype == np.float64
+        assert not np.shares_memory(face, g.data)
+        assert_bitwise(face, expected)
+    assert np.all(np.concatenate([f.ravel() for f in want]) >= 1.0)
+
+
+def test_an_engine_with_no_ring_side_reads_no_faces():
+    cfg = _cfg(t=2, grid_mode="compressed")
+    g = create_grid(12, 12, 12, pad=cfg.h)
+    assert PipelineEngine(cfg, g, neighbors=((True, True),) * 3).faces == ()
+    two = _cfg(t=2)
+    assert PipelineEngine(two, (g, g.copy())).faces == ()
+
+
 @pytest.mark.parametrize("neighbors,restores", [
-    (((False, False),) * 3, 1),
+    (((False, False),) * 3, 0),
     (((False, False), (False, True), (False, False)), 4)],
     ids=["no_neighbour", "one_neighbour"])
 def test_whole_ring_restores_per_run(neighbors, restores, walker_calls,
                                      monkeypatch):
-    # a 4-pass run rewrites the whole ring before its first pass, and before
-    # every later one only when some side borders a neighbour
+    # a 4-pass run rewrites its ring sides in full before every pass when
+    # some side borders a neighbour, and before none when no side does
     calls = []
     real = pipeline.write_ring_strips
 
@@ -805,78 +851,28 @@ def test_whole_ring_restores_per_run(neighbors, restores, walker_calls,
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
-@pytest.mark.parametrize("case", ["never_captured", "strided", "float32",
-                                  "wrong_shape"])
-def test_compressed_run_rejects_unusable_faces(case, walk, request,
-                                               monkeypatch):
-    # the driver reads the faces by raw pointer: each face the run uses must
-    # be a C-contiguous float64 array of the face's shape, checked before
-    # any thread starts or any cell is written
-    if walk:
-        request.getfixturevalue("walker_calls")
-    cfg = _cfg(t=2, grid_mode="compressed")
-    g = Grid3(12, 12, 12, pad=cfg.h)
-    g.data[...] = 1.0
-    if case != "never_captured":
-        g.capture_boundary_faces()
-        bad = {"strided": np.ones((12, 24))[:, ::2],
-               "float32": np.ones((12, 12), dtype=np.float32),
-               "wrong_shape": np.ones((12, 11))}[case]
-        g.faces = g.faces[:3] + (bad,) + g.faces[4:]
-    entered = []
-    for name in ("_drive", "_walk"):
-        monkeypatch.setattr(PipelineEngine, name,
-                            lambda self, *a, name=name: entered.append(name))
-    with pytest.raises(ValueError, match="boundary face [03]"):
-        run_pipelined(g, cfg, 2)
-    assert not entered and np.all(g.data == 1.0)
-
-
-@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
-def test_compressed_run_reads_the_faces_captured_since_the_run_before(
-        walk, request):
-    # faces recaptured between two runs of one engine, over a ring that now
-    # holds other values: the second run must restore and read the new ones
+def test_a_new_engine_on_a_changed_ring_reads_the_new_values(walk, request):
+    # Dirichlet values are fixed when an engine is built: after a run, the
+    # ring at the grid's frame is given other values, and the strips of a
+    # new engine on the grid must write those
     if walk:
         request.getfixturevalue("walker_calls")
     cfg = _cfg(spec=BlockSpec(8, 4, 4), t=2, T=2, grid_mode="compressed")
     g0, g = _ringed_pair((16, 12, 10), cfg.h)
-    engine = PipelineEngine(cfg, g)
-    engine.run_passes(1)
+    old = PipelineEngine(cfg, g)
+    old.run_passes(2)
     g1 = g0.copy()  # g's interior now, in a ring of new values
     g1.data[...] = np.random.default_rng(22).random(g1.data.shape) + 3.0
     g1.interior_view()[...] = g.interior_view()
     o, p = g1.origin, g.origin - g.alignment
-    (nx, ny, nz), old = g.shape, g.faces
+    nx, ny, nz = g.shape
     g.data[p - 1:p + nz + 1, p - 1:p + ny + 1, p - 1:p + nx + 1] = \
         g1.data[o - 1:o + nz + 1, o - 1:o + ny + 1, o - 1:o + nx + 1]
-    g.capture_boundary_faces()
-    g1.capture_boundary_faces()
-    assert not any(np.array_equal(a, b) for a, b in zip(old, g.faces))
+    engine = PipelineEngine(cfg, g)
+    assert not any(np.array_equal(a, b)
+                   for a, b in zip(old.faces, engine.faces))
     engine.run_passes(1)
     assert_bitwise(g.interior_view(), _faces_reference(g1, cfg.h)[-1])
-
-
-def test_compressed_run_of_a_grid_whose_faces_were_emptied_raises():
-    cfg = _cfg(t=2, grid_mode="compressed")
-    g = create_grid(12, 12, 12, pad=cfg.h, init="random_ring", seed=7)
-    engine = PipelineEngine(cfg, g)
-    engine.run_passes(1)
-    g.faces = ()
-    before = g.data.copy()
-    with pytest.raises(ValueError, match="boundary face 0"):
-        engine.run_passes(1)
-    assert_bitwise(g.data, before)
-    assert engine.passes_done == 1
-
-
-def test_a_side_with_a_neighbour_needs_no_face():
-    cfg = _cfg(t=2, grid_mode="compressed")
-    g = create_grid(12, 12, 12, pad=cfg.h)
-    g.faces = g.faces[:3] + (None,) + g.faces[4:]  # bit 3: y high
-    PipelineEngine(cfg, g, neighbors=((False, False), (False, True),
-                                      (False, False))).run_passes(2)
-    assert g.alignment == 0
 
 
 @pytest.mark.parametrize("mode", ["two_grid", "compressed"])
@@ -965,7 +961,7 @@ def test_plan_passes_start_where_the_one_before_ended(mode, done):
 
 
 @pytest.mark.parametrize("mode,neighbors,restore", [
-    ("compressed", ((False, False),) * 3, "first"),
+    ("compressed", ((False, False),) * 3, "never"),
     ("compressed", ((False, False), (False, True), (False, False)), "every"),
     ("two_grid", ((False, False),) * 3, "none"),
     ("two_grid", ((False, False), (False, True), (False, False)), "none")])
@@ -974,10 +970,9 @@ def test_plan_restores_the_ring_where_no_strip_wrote_it(mode, neighbors,
                                                          restore, done):
     engine, plan = _planned(mode, done, 4, neighbors=neighbors)
     ring = engine.ring
-    assert (ring == pipeline._ALL_SIDES) == (restore == "first")
-    assert plan[:, pipeline._RESTORE].tolist() == {
-        "first": [ring, 0, 0, 0], "every": [ring] * 4,
-        "none": [0] * 4}[restore]
+    assert (ring == pipeline._ALL_SIDES) == (restore == "never")
+    assert plan[:, pipeline._RESTORE].tolist() == (
+        [ring] * 4 if restore == "every" else [0] * 4)
     assert restore == "none" or ring != 0
 
 

@@ -17,7 +17,7 @@ from tests.conftest import assert_bitwise
 
 def _ringed(dims, seed, pad=0):
     """A random interior inside a ring whose every cell has its own nonzero
-    value, faces captured."""
+    value."""
     g = create_grid(*dims, pad=pad, init="random", seed=seed)
     o = g.origin - g.alignment
     nx, ny, nz = dims
@@ -27,7 +27,6 @@ def _ringed(dims, seed, pad=0):
     z = np.arange(-1, nz + 1)[:, None, None]
     ring = (x == -1) | (x == nx) | (y == -1) | (y == ny) | (z == -1) | (z == nz)
     box[...] = np.where(ring, 1.0 + (7 * x + 13 * y + 29 * z) % 17 / 16, box)
-    g.capture_boundary_faces()
     return g
 
 
