@@ -255,13 +255,13 @@ enum { PRED, SUCC, BARRIER };
 /* One row of the run's pass plan (pipeline.PipelineEngine._plan).  The pass
  * runs in direction dir (+1 forward, ascending z, with rows[0]; -1 backward
  * with rows[1]).  Level u reads grid[(parity+u-1)&1] at frame offset
- * base-shift*(u-1) and writes grid[(parity+u)&1] at base-shift*u.  Before
- * any thread reads, the front thread rewrites the ring sides in restore
- * (bit 2*axis + side) in full from the faces at offset base. */
+ * base-shift*(u-1) and writes grid[(parity+u)&1] at base-shift*u. */
 struct frame {
-    int64_t dir, parity, base, shift, restore;
+    int64_t dir, parity, base, shift;
 };
 
+/* Fixed when the engine is built; a run sets only plan and passes.  Before a
+ * pass, the front thread rewrites the ring sides in restore from face[]. */
 struct run_spec {
     const int64_t *rows[2];     /* nblocks x h rows of NCOL each */
     int64_t nblocks, h, T, nt, passes;
@@ -269,7 +269,7 @@ struct run_spec {
     double *grid[2];
     int64_t sy, sz;
     const double *face[6];      /* x0 x1 y0 y1 z0 z1, C-contiguous, or NULL */
-    int64_t nx, ny, nz;
+    int64_t restore, nx, ny, nz;
     int64_t *counters;          /* counter i at counters[i*SLOT] */
     int64_t *ctl;               /* abort word, barrier count, barrier sense */
     const int64_t *d_l, *d_u;   /* effective distances per thread */
@@ -497,8 +497,8 @@ static int run_pass(const struct run_spec *p, const struct frame *f, int64_t g,
     const int64_t last = p->nblocks - 1;
     int64_t gap, seen;
     int rc = DONE;
-    if (g == 0 && f->restore) {
-        const int64_t all[NCOL] = {0, p->nx, 0, p->ny, 0, p->nz, 0, f->restore};
+    if (g == 0 && p->restore) {
+        const int64_t all[NCOL] = {0, p->nx, 0, p->ny, 0, p->nz, 0, p->restore};
         ring_strips(p, p->grid[0], all, f->base);
     }
     /* lockstep: in round r thread g works on block r-g */

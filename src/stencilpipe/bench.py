@@ -101,7 +101,7 @@ def _resolution() -> float:
     return max(res, 1e-9)
 
 
-def _auto_inner(elements: int, threads: int, once) -> int:
+def _auto_inner(threads: int, once) -> int:
     """Grow the in-region repetition count until a region comfortably exceeds
     the timer-resolution guard."""
     floor = TIMER_GUARD * _resolution()
@@ -129,7 +129,7 @@ def stream_copy_bench(elements: int, threads: int = 1, reps: int = 10) -> BenchR
         for _ in range(inner):
             d[:] = s
 
-    inner = _auto_inner(elements, threads, once)
+    inner = _auto_inner(threads, once)
     times = [_timed_region(threads, lambda i: once(i, inner)) for _ in range(reps)]
     if not np.array_equal(dst, src):
         raise AssertionError("copy kernel produced wrong data")
@@ -163,7 +163,7 @@ def update_bench(elements: int, threads: int = 1, reps: int = 10,
         for _ in range(inner):
             chunk += 1.0
 
-    inner = _auto_inner(elements, threads, once)
+    inner = _auto_inner(threads, once)
     a[:] = 0.0  # discard autotuning increments; reps start from a clean slate
     times = []
     for _ in range(reps):

@@ -377,6 +377,9 @@ def cmd_dist(args) -> int:
             runtimes = [run_rank(dist, args.rank, ep)]
         finally:
             ep.close()
+    elif args.rank is not None or args.ranks is not None:
+        raise ValueError("--rank and --ranks need --rankfile: without it "
+                         "every rank runs in this process")
     else:
         _preflight(_dist_bytes(dist, range(topo.ranks), args.verify))
         runtimes = run_distributed_inprocess(dist)

@@ -82,14 +82,16 @@ def _build(target: Path) -> None:
 
 class RunSpec(ctypes.Structure):
     """``struct run_spec`` of ``_jacobi.c``: what every thread of one
-    pipelined run shares (see ``pipeline.PipelineEngine``).  ``plan`` points
-    at the run's pass plan, one ``struct frame`` of five int64 per pass."""
+    pipelined run shares (see ``pipeline.PipelineEngine``), built with the
+    engine.  ``plan`` points at the run's pass plan, one ``struct frame`` of
+    four int64 per pass, which a run sets with ``passes``."""
     _fields_ = [("rows", ctypes.c_void_p * 2), ("nblocks", ctypes.c_int64),
                 ("h", ctypes.c_int64), ("T", ctypes.c_int64),
                 ("nt", ctypes.c_int64), ("passes", ctypes.c_int64),
                 ("plan", ctypes.c_void_p), ("grid", ctypes.c_void_p * 2),
                 ("sy", ctypes.c_int64), ("sz", ctypes.c_int64),
-                ("face", ctypes.c_void_p * 6), ("nx", ctypes.c_int64),
+                ("face", ctypes.c_void_p * 6), ("restore", ctypes.c_int64),
+                ("nx", ctypes.c_int64),
                 ("ny", ctypes.c_int64), ("nz", ctypes.c_int64),
                 ("counters", ctypes.c_void_p), ("ctl", ctypes.c_void_p),
                 ("d_l", ctypes.c_void_p), ("d_u", ctypes.c_void_p),

@@ -50,6 +50,10 @@ class KernelModel:
     core_cycles: float         # cycles per cacheline update on L1 data
     levels: dict               # level name -> LevelTraffic
 
+    def __post_init__(self):
+        if not self.core_cycles > 0:  # the cycle model divides by it
+            raise ModelFormatError("core_cycles must be positive")
+
 
 @dataclass(frozen=True)
 class MachineModel:
@@ -65,9 +69,10 @@ class MachineModel:
     kernels: dict              # kernel name -> KernelModel
 
     def __post_init__(self):
-        for val, key in ((self.m_s, "m_s"), (self.m_um1, "m_um1"),
-                         (self.m_uc1, "m_uc1"), (self.m_ucmax, "m_ucmax")):
-            if val <= 0:
+        for val, key in ((self.freq_hz, "freq_hz"), (self.m_s, "m_s"),
+                         (self.m_um1, "m_um1"), (self.m_uc1, "m_uc1"),
+                         (self.m_ucmax, "m_ucmax")):
+            if not val > 0:  # nan too
                 raise ModelFormatError(f"{key} must be positive")
         if self.m_uc1 < self.m_um1:
             raise ModelFormatError("cache bandwidth below memory bandwidth")
@@ -80,7 +85,8 @@ class NetworkModel:
     node_perf_lups: float
 
     def __post_init__(self):
-        if min(self.latency_s, self.bandwidth_Bps, self.node_perf_lups) <= 0:
+        if not all(v > 0 for v in (self.latency_s, self.bandwidth_Bps,
+                                   self.node_perf_lups)):  # nan too
             raise ModelFormatError("network parameters must be positive")
 
 

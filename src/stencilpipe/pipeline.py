@@ -17,9 +17,10 @@ bitwise identical grids; only timing differs.
 The schedule of a pass is one int64 table per direction
 (:meth:`PipelineEngine.work_table`).  A run is one call into the compiled
 driver (``pipeline_run`` in ``_jacobi.c``), with the interpreter lock
-released, that runs the first position in the calling thread and starts and
-joins a thread for each other; each runs its rows of every pass, and a pass
-begins once every thread has finished the one before.  ``ready()`` in
+released, on arguments the engine builds once (``PipelineEngine.spec``) and
+the run's pass plan.  It runs the first position in the calling thread and
+starts and joins a thread for each other; each runs its rows of every pass,
+and a pass begins once every thread has finished the one before.  ``ready()`` in
 ``_jacobi.c`` states the sync conditions once.  The driver runs a thread's T
 rows of a block as a wavefront over chunks of z planes, each level one plane
 behind the one before, so that a level's input is still in cache; the sync
@@ -53,7 +54,7 @@ from .kernel import apply_window, write_ring_strips
 # control words, position results.
 _SLOT = 8  # int64 slots per counter: 64 bytes, one cache line
 _COLS = 8
-_DIR, _PARITY, _BASE, _SHIFT, _RESTORE = range(5)
+_DIR, _PARITY, _BASE, _SHIFT = range(4)
 _STATS = ("blocks", "windows", "cells", "spins", "pred_wait_ns",
           "succ_wait_ns", "pred_gap_min", "pred_violations", "succ_gap_max")
 (_BLOCKS, _WINDOWS, _CELLS, _SPINS, _PRED_WAIT, _SUCC_WAIT, _GAP_MIN,
@@ -227,11 +228,9 @@ class PipelineEngine:
     other sides keep their ring (re-materialized while data shifts in
     compressed mode).
 
-    A compressed engine with a ring side reads the six faces of its grid's
-    ring at the grid's frame when it is built, as ``faces`` (empty
-    otherwise), and every run re-materializes the ring from them: the
-    Dirichlet values are fixed then, and code that changes a grid's ring
-    builds a new engine.
+    All that its runs share is fixed when the engine is built, the compiled
+    driver's arguments (``spec``) among it; a run adds only its pass plan.
+    Code that changes a grid's ring or storage builds a new engine.
     """
 
     def __init__(self, cfg: PipelineConfig, grids,
@@ -264,7 +263,21 @@ class PipelineEngine:
                         for ax, pair in enumerate(self.neighbors)
                         for side, nb in enumerate(pair)
                         if not nb and cfg.grid_mode == "compressed")
+        # A compressed engine with a ring side reads the six faces of its
+        # grid's ring at the grid's frame: the Dirichlet values are fixed
+        # here.  Before each pass's first block the front position rewrites
+        # the ``restore`` sides in full from them at the pass's read frame:
+        # the ring sides when some side borders a neighbour, as live ranges
+        # shrink toward it and the last level's strips miss the ring's bands
+        # next to it.  With none, the first pass reads the ring the faces
+        # came from, and live ranges are the whole interior, so the last
+        # level's windows tile each face and their strips have written every
+        # face cell that the next pass's first level reads, in this run or
+        # the next (the stencil reads no edge or corner).  Two-grid mode has
+        # no ring (``ring`` is 0).
         self.faces = g.capture_boundary_faces() if self.ring else ()
+        self.restore = 0 if self.ring == _ALL_SIDES else self.ring
+        self.arrays = (g.data, self.grids[-1].data)
         self.tables = (self.work_table(1), self.work_table(-1))
         # shared by a run's positions in the driver's layout, reset per run:
         # a 64-byte counter slot and a stats row each, and the control words
@@ -274,6 +287,19 @@ class PipelineEngine:
         self.stats = np.zeros((nt, len(_STATS)), dtype=np.int64)
         self.d_l, self.d_u = effective_distances(cfg)
         self.passes_done = 0
+        # the driver's arguments, raw addresses of arrays the engine holds
+        src, (nx, ny, nz) = self.arrays[0], self.dims
+        self.spec = kernel.RunSpec(
+            rows=(ctypes.c_void_p * 2)(*(t.ctypes.data for t in self.tables)),
+            nblocks=self.plan.total_blocks, h=cfg.h, T=cfg.T, nt=nt,
+            grid=(ctypes.c_void_p * 2)(*(a.ctypes.data for a in self.arrays)),
+            sy=src.strides[1] // src.itemsize,
+            sz=src.strides[0] // src.itemsize,
+            face=(ctypes.c_void_p * 6)(*(f.ctypes.data for f in self.faces)),
+            restore=self.restore, nx=nx, ny=ny, nz=nz,
+            counters=self.counters.ctypes.data, ctl=self.ctl.ctypes.data,
+            d_l=self.d_l.ctypes.data, d_u=self.d_u.ctypes.data,
+            barrier=cfg.sync_mode == "barrier", watchdog_s=cfg.watchdog_s)
 
     def current_grid(self) -> Grid3:
         """The grid holding the latest update level."""
@@ -344,7 +370,7 @@ class PipelineEngine:
         else:
             self._drive(plan, range(self.cfg.threads))
         self.passes_done += count
-        _dir, _parity, base, shift, _restore = plan[-1].tolist()
+        _dir, _parity, base, shift = plan[-1].tolist()
         for g in self.grids:
             g.alignment = g.origin - (base - shift * self.cfg.h)
         return RunStats(passes=count, threads=[
@@ -352,9 +378,9 @@ class PipelineEngine:
 
     def _plan(self, count: int) -> np.ndarray:
         """The pass plan of a run of ``count`` passes: an int64 row per pass
-        of direction, grid parity, level-0 frame offset, shift and the ring
-        sides to restore, as ``struct frame`` of ``_jacobi.c``; the one
-        statement of the run's schedule, which both executors read.
+        of direction, grid parity, level-0 frame offset and shift, as
+        ``struct frame`` of ``_jacobi.c``; the one statement of the run's
+        schedule, which both executors read.
 
         Pass q of the run is the engine's pass ``passes_done + q``; it runs
         forward (+1) when that is even and backward (-1) when odd.  Level u
@@ -363,29 +389,15 @@ class PipelineEngine:
         * u``: two-grid mode alternates the arrays at a fixed offset (shift
         0), compressed mode shifts one array's frame by one cell per level in
         the pass's direction.  The first pass starts at the grid's frame,
-        ``origin - alignment``, in both modes; each later one starts where
-        the one before ended: parity grows by h, base moves by ``-shift * h``.
-
-        Before a pass's first block the front position rewrites its restore
-        sides of the Dirichlet ring in full from ``faces`` at the pass's read
-        frame: the ring sides on every pass when some side borders a
-        neighbour, otherwise nothing on any pass.  With no neighbour, the
-        engine's first pass reads the ring its faces were read from, and
-        every level's live range is the whole interior, so the last level's
-        windows tile each face and their strips have already written every
-        face cell that the next pass's first level reads, in this run or the
-        next (the stencil reads no edge or corner).  With one, live ranges
-        shrink toward it, and the last level's strips miss the bands of the
-        ring next to it.  Two-grid mode has no ring to restore (``ring`` is
-        0)."""
+        ``origin - alignment``, in both modes; each later one starts where the
+        one before ended: parity grows by h, base moves by ``-shift * h``."""
         h, g0 = self.cfg.h, self.grids[0]
         base = g0.origin - g0.alignment
-        restore = 0 if self.ring == _ALL_SIDES else self.ring
         rows = []
         for p in range(self.passes_done, self.passes_done + count):
             direction = -1 if p % 2 else 1
             shift = direction if self.cfg.grid_mode == "compressed" else 0
-            rows.append((direction, p * h % 2, base, shift, restore))
+            rows.append((direction, p * h % 2, base, shift))
             base -= shift * h
         return np.array(rows, dtype=np.int64)
 
@@ -393,7 +405,7 @@ class PipelineEngine:
         """Raise ValueError before any thread starts where a pass of the plan
         would leave the arrays: the compiled driver checks no bounds, and
         apply_window's checks run per call."""
-        src, dst = self.grids[0].data, self.grids[-1].data
+        src, dst = self.arrays
         kernel.check_arrays(src, dst)
         if src is not dst and (src.shape != dst.shape
                                or np.may_share_memory(src, dst)):
@@ -402,8 +414,7 @@ class PipelineEngine:
         # windows lie inside the interior (work_table), so the interior plus
         # its ring at every level's offset of every pass bounds every load
         # and store; a pass's offsets run from base to base - shift * h
-        offsets = [off for _dir, _parity, base, shift, _restore
-                   in plan.tolist()
+        offsets = [off for _dir, _parity, base, shift in plan.tolist()
                    for off in (base, base - shift * self.cfg.h)]
         lo, hi = min(offsets), max(offsets)
         if lo < 1 or any(n + hi + 1 > size
@@ -426,24 +437,12 @@ class PipelineEngine:
         the plan in one compiled call, and raise where one failed: OSError
         when its thread could not be started, PipelineDeadlock when a
         watchdog fired or the run was aborted.  A failure in any position
-        aborts the rest.  The counters and control words start reset; the
-        grids' arrays are read anew, as callers may replace them."""
-        cfg, (nx, ny, nz) = self.cfg, self.dims
+        aborts the rest.  The counters and control words start reset, and
+        the plan joins the rest of the driver's arguments in ``spec``."""
+        cfg, spec = self.cfg, self.spec
         self.counters[:] = self.ctl[:] = 0
         self.ctl[_CTL_COUNT] = cfg.threads
-        src, dst = self.grids[0].data, self.grids[-1].data
-        spec = kernel.RunSpec(
-            rows=(ctypes.c_void_p * 2)(*(t.ctypes.data for t in self.tables)),
-            nblocks=self.plan.total_blocks, h=cfg.h, T=cfg.T, nt=cfg.threads,
-            passes=len(plan), plan=plan.ctypes.data,
-            grid=(ctypes.c_void_p * 2)(src.ctypes.data, dst.ctypes.data),
-            sy=src.strides[1] // src.itemsize,
-            sz=src.strides[0] // src.itemsize,
-            face=(ctypes.c_void_p * 6)(*(f.ctypes.data for f in self.faces)),
-            nx=nx, ny=ny, nz=nz,
-            counters=self.counters.ctypes.data, ctl=self.ctl.ctypes.data,
-            d_l=self.d_l.ctypes.data, d_u=self.d_u.ctypes.data,
-            barrier=cfg.sync_mode == "barrier", watchdog_s=cfg.watchdog_s)
+        spec.plan, spec.passes = plan.ctypes.data, len(plan)
         delays = self._delays(len(plan))
         positions = np.array(positions, dtype=np.int64)
         codes = np.full_like(positions, _ABORTED)  # where none ran
@@ -469,14 +468,13 @@ class PipelineEngine:
         ``apply_window`` and ``write_ring_strips``.  Windows depend only on
         block, level and direction, so this t=1, T=h order of the same table
         gives the driver's result bit for bit."""
-        T, dims, faces = self.cfg.T, self.dims, self.faces
-        arrays = self.grids[0].data, self.grids[-1].data
+        T, dims, arrays = self.cfg.T, self.dims, self.arrays
         st = self.stats.tolist()
-        for direction, parity, base, shift, restore in plan.tolist():
-            if restore:
-                write_ring_strips(arrays[0], faces,
+        for direction, parity, base, shift in plan.tolist():
+            if self.restore:
+                write_ring_strips(arrays[0], self.faces,
                                   tuple((0, n) for n in dims), base,
-                                  restore, dims)
+                                  self.restore, dims)
             for rows in self.tables[direction == -1].tolist():
                 for g, own in enumerate(st):
                     for row in rows[g * T:(g + 1) * T]:

@@ -28,15 +28,25 @@ class ProtocolError(TransportError):
 
 
 def parse_rankfile(text: str):
-    """rank host port per line; ranks must be dense 0..R-1."""
+    """rank host port per line; ranks must be dense 0..R-1, each listed
+    once.  A file that breaks either rule raises ValueError: it is a
+    configuration error, not a failed link."""
     entries = {}
     for lineno, line in flat_lines(text):
-        parts = line.split()
-        if len(parts) != 3:
-            raise TransportError(f"rankfile line {lineno}: need 'rank host port'")
-        entries[int(parts[0])] = (parts[1], int(parts[2]))
+        try:
+            rank, host, port = line.split()
+            rank, port = int(rank), int(port)
+        except ValueError:
+            raise ValueError(f"rankfile line {lineno}: need 'rank host port' "
+                             f"with integer rank and port, got {line!r}"
+                             ) from None
+        if rank in entries:
+            raise ValueError(f"rankfile line {lineno}: rank {rank} is "
+                             "listed twice")
+        entries[rank] = (host, port)
     if sorted(entries) != list(range(len(entries))):
-        raise TransportError("rankfile ranks must be dense 0..R-1")
+        raise ValueError(f"rankfile ranks must be dense 0..R-1, got "
+                         f"{sorted(entries)}")
     return [entries[r] for r in sorted(entries)]
 
 

@@ -16,8 +16,7 @@ from stencilpipe.cli import (RunConfig, _config_from_args, build_parser, main,
 from stencilpipe.halo import run_digest
 from stencilpipe.perfmodel import ModelFormatError, load_network_model
 from stencilpipe.pipeline import PipelineDeadlock
-from stencilpipe.transport import (TransportError, parse_rankfile,
-                                   tcp_endpoint)
+from stencilpipe.transport import parse_rankfile, tcp_endpoint
 from tests.conftest import free_ports
 
 
@@ -407,6 +406,40 @@ def test_tcp_rank_outside_the_topology_is_config_error(rank, tmp_path,
         2, "", f"config error: rank {rank} outside 0..1\n")
 
 
+@pytest.mark.parametrize("text", ["0 127.0.0.1\n1 127.0.0.1 2\n",
+                                  "0 127.0.0.1 1\n2 127.0.0.1 2\n",
+                                  "x 127.0.0.1 1\n1 127.0.0.1 2\n"],
+                         ids=["no_port", "not_dense", "non_integer_rank"])
+def test_malformed_rankfile_is_config_error(text, tmp_path, monkeypatch,
+                                            capsys):
+    def no_connect(*_args):
+        raise AssertionError("a rank connected with a malformed rankfile")
+
+    monkeypatch.setattr(cli, "tcp_endpoint", no_connect)
+    rankfile = tmp_path / "ranks.txt"
+    rankfile.write_text(text)
+    code, out, err = run_cli(["dist", "--topo", "2,1,1", "--grid", "8",
+                              "--block", "4,4,4", "--ranks", "2", "--rank",
+                              "0", "--rankfile", str(rankfile)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: rankfile") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--rank", "5"], ["--ranks", "9"],
+                                   ["--rank", "5", "--ranks", "9"]])
+def test_dist_rank_flags_need_a_rankfile(flags, monkeypatch, capsys):
+    def no_run(*_args):
+        raise AssertionError("ranks ran in process despite --rank/--ranks")
+
+    monkeypatch.setattr(cli, "run_distributed_inprocess", no_run)
+    code, out, err = run_cli(["dist", "--topo", "2,1,1", "--grid", "8",
+                              "--block", "4,4,4", "--cycles", "1", *flags],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "--rank and --ranks need --rankfile" in err
+
+
 def test_mem_available_reads_meminfo(tmp_path):
     meminfo = tmp_path / "meminfo"
     meminfo.write_text("MemTotal:        8000000 kB\n"
@@ -639,7 +672,7 @@ FLAT_FILES = {
     "rankfile": (lambda p: parse_rankfile(p.read_text()),
                  "# ranks\n\n0 127.0.0.1 4000  # head\n1 127.0.0.1 4001\n",
                  lambda r: r == [("127.0.0.1", 4000), ("127.0.0.1", 4001)],
-                 TransportError),
+                 ValueError),
 }
 
 

@@ -58,13 +58,23 @@ def test_model_file_roundtrip_from_path(tmp_path):
     assert (r.cycles_min, r.cycles_max) == (14.0, 14.0)
 
 
+_GOOD = ("name = X\nfreq_hz = 1e9\ncores_per_group = 1\ncache_design = i\n"
+         "l3_size_bytes = 1\nm_s = 1\nm_um1 = 1\nm_uc1 = 2\nm_ucmax = 2\n")
+
+
 @pytest.mark.parametrize("bad", [
     "name = X\n",                               # missing fields
     "freq_hz == 2\n",                           # malformed line
     "name = X\nfreq_hz = 1e9\ncores_per_group = 1\ncache_design = i\n"
     "l3_size_bytes = 1\nm_s = 1\nm_um1 = 2\nm_uc1 = 1\nm_ucmax = 1\n",  # uc1 < um1
+    _GOOD.replace("freq_hz = 1e9", "freq_hz = -1"),
+    _GOOD.replace("freq_hz = 1e9", "freq_hz = 0"),
+    _GOOD.replace("freq_hz = 1e9", "freq_hz = nan"),
+    _GOOD + "jacobi.core_cycles = 0\njacobi.L1.bytes_per_update = 64\n",
+    _GOOD + "jacobi.core_cycles = -2\n",
 ])
 def test_bad_model_files_rejected(bad):
+    parse_machine_model(_GOOD)
     with pytest.raises(ModelFormatError):
         parse_machine_model(bad)
 
@@ -227,5 +237,10 @@ def test_model_precondition_errors():
         multihalo_advantage(0, 2, QDR)
     with pytest.raises(ValueError):
         comm_efficiency(10, 0, QDR)
-    with pytest.raises(ModelFormatError):
-        parse_network_model("latency_s = 0\nbandwidth_Bps = 1\nnode_perf_lups = 1\n")
+    for latency in ("0", "nan"):
+        with pytest.raises(ModelFormatError):
+            parse_network_model(f"latency_s = {latency}\nbandwidth_Bps = 1\n"
+                                "node_perf_lups = 1\n")
+    with pytest.raises(ModelFormatError):  # nan behind a positive value
+        parse_network_model("latency_s = 1\nbandwidth_Bps = nan\n"
+                            "node_perf_lups = 1\n")

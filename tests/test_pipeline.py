@@ -971,9 +971,35 @@ def test_plan_restores_the_ring_where_no_strip_wrote_it(mode, neighbors,
     engine, plan = _planned(mode, done, 4, neighbors=neighbors)
     ring = engine.ring
     assert (ring == pipeline._ALL_SIDES) == (restore == "never")
-    assert plan[:, pipeline._RESTORE].tolist() == (
-        [ring] * 4 if restore == "every" else [0] * 4)
+    assert engine.restore == (ring if restore == "every" else 0)
+    assert engine.spec.restore == engine.restore
+    assert plan.shape == (4, 4)  # struct frame holds no restore mask
     assert restore == "none" or ring != 0
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+def test_the_run_spec_is_built_once_per_engine(walk, request, monkeypatch):
+    # the driver's arguments are fixed when the engine is built: a run
+    # writes only its plan into them
+    if walk:
+        request.getfixturevalue("walker_calls")
+    built = []
+    real = kernel.RunSpec
+
+    def counting(**fields):
+        built.append(fields)
+        return real(**fields)
+
+    monkeypatch.setattr(kernel, "RunSpec", counting)
+    cfg = _cfg(spec=BlockSpec(8, 4, 4), t=2, T=2, grid_mode="compressed")
+    g = create_grid(16, 12, 10, pad=cfg.h, init="random_ring", seed=6)
+    engine = PipelineEngine(cfg, g)
+    assert len(built) == 1
+    for count in (1, 2, 3):
+        engine.run_passes(count)
+        driven = kernel.BACKEND == "c" and not walk
+        assert engine.spec.passes == (count if driven else 0)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])

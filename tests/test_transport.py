@@ -352,10 +352,15 @@ def test_tcp_sendrecv_ends_at_its_deadline():
 def test_rankfile_parsing():
     entries = parse_rankfile("# comment\n0 127.0.0.1 4000\n1 127.0.0.1 4001\n")
     assert entries == [("127.0.0.1", 4000), ("127.0.0.1", 4001)]
-    with pytest.raises(TransportError):
-        parse_rankfile("0 h 1\n2 h 2\n")  # not dense
-    with pytest.raises(TransportError):
-        parse_rankfile("0 h\n")
+    # a bad rankfile is a configuration error (ValueError, exit code 2),
+    # not a transport error
+    for text, match in (("0 h 1\n2 h 2\n", "dense"),
+                        ("0 h\n", "line 1"),
+                        ("x h 1\n", "line 1"),
+                        ("0 h 1\n1 h port\n", "line 2"),
+                        ("0 h 1\n0 h 2\n", "line 2: rank 0 is listed twice")):
+        with pytest.raises(ValueError, match=match):
+            parse_rankfile(text)
 
 
 def test_tcp_connect_timeout_names_offender():
