@@ -30,7 +30,7 @@ import numpy as np
 
 from .bench import stream_copy_bench, update_bench
 from .flatfile import parse_flat
-from .grid import BOUNDARY, BlockSpec, Grid3, create_grid, write_snapshot
+from .grid import BlockSpec, Grid3, create_grid, write_snapshot
 from .halo import (DistConfig, RankTopology, assemble_global,
                    decompose_domain, run_digest, run_distributed_inprocess,
                    run_rank)
@@ -39,7 +39,8 @@ from .perfmodel import (baseline_perf, cache_cycle_model, comm_efficiency,
                         default_bj, l3_scalability_check, load_machine_model,
                         load_network_model, multihalo_advantage,
                         pipelined_bound)
-from .pipeline import PipelineConfig, PipelineDeadlock, run_pipelined
+from .pipeline import (PipelineConfig, PipelineDeadlock, grid_bytes,
+                       run_bytes, run_pipelined)
 from .transport import TransportError, parse_rankfile, tcp_endpoint
 
 EXIT_OK = 0
@@ -84,7 +85,8 @@ class RunConfig:
 
 def parse_span(text: str):
     """Sweep grammar: 'lo:hi:step' (inclusive, step optional) or 'a,b,c'.
-    A span that yields no value is an error, not an empty sweep."""
+    A span that yields no value is an error, not an empty sweep; callers
+    name the flag it came from (:func:`_flag`)."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) == 2:
@@ -92,14 +94,32 @@ def parse_span(text: str):
         elif len(parts) == 3:
             lo, hi, step = (int(p) for p in parts)
         else:
-            raise ValueError(f"bad range {text!r}")
+            raise ValueError("a range is lo:hi or lo:hi:step")
         if step < 1:
-            raise ValueError(f"bad range step in {text!r}")
+            raise ValueError("a range step must be >= 1")
         values = list(range(lo, hi + 1, step))
     else:
         values = [int(p) for p in text.split(",") if p != ""]
     if not values:
-        raise ValueError(f"span {text!r} holds no values")
+        raise ValueError("the span holds no values")
+    return values
+
+
+def _flag(flag: str, text: str, read):
+    """``read(text)``, ``text`` being the value of ``flag``: a ValueError
+    names the flag."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {text!r}: {exc}") from None
+
+
+def _triple(text: str):
+    """Three comma-separated integers."""
+    values = [int(v) for v in text.split(",")]
+    if len(values) != 3:
+        raise ValueError(f"expected 3 comma-separated integers, got "
+                         f"{len(values)}")
     return values
 
 
@@ -107,11 +127,13 @@ def _config_from_args(args) -> RunConfig:
     base = RunConfig()
     values = base.as_dict()
     if getattr(args, "config", None):
-        file_vals = parse_flat(Path(args.config).read_text())
-        for key, val in file_vals.items():
+        def convert(key, val):
             if key not in values:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = type(values[key])(val)
+                raise ValueError("unknown config key")
+            return type(values[key])(val)
+
+        values.update(parse_flat(Path(args.config).read_text(),
+                                 convert=convert))
     if getattr(args, "grid", None) is not None:
         values["nx"] = values["ny"] = values["nz"] = args.grid
     for name in ("nx", "ny", "nz", "n", "t", "T", "d_l", "d_u", "d_t",
@@ -120,8 +142,8 @@ def _config_from_args(args) -> RunConfig:
         if flag is not None:
             values[name] = flag
     if getattr(args, "block", None) is not None:
-        values["bx"], values["by"], values["bz"] = (
-            int(v) for v in args.block.split(","))
+        values["bx"], values["by"], values["bz"] = _flag(
+            "--block", args.block, _triple)
     dims = (values["nx"], values["ny"], values["nz"])
     if min(dims) < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {dims}")
@@ -146,25 +168,10 @@ def mem_available(path="/proc/meminfo"):
     return None
 
 
-def _grid_bytes(dims, pad=0) -> int:
-    """Bytes of one grid's storage."""
-    return 8 * math.prod(n + 2 * BOUNDARY + pad for n in dims)
-
-
-def _run_bytes(dims, mode, h) -> int:
-    """Bytes of one run's grids: one padded grid and the six faces its
-    engine reads, or a pair."""
-    if mode == "compressed":
-        nx, ny, nz = dims
-        return _grid_bytes(dims, pad=max(h, 0)) \
-            + 16 * (ny * nz + nx * nz + nx * ny)
-    return 2 * _grid_bytes(dims)
-
-
 def _verify_bytes(dims) -> int:
     """Bytes that :func:`_verify` holds at once: the oracle pair and the
     interior-sized temporary of each reference sweep."""
-    return 2 * _grid_bytes(dims) + 8 * math.prod(dims)
+    return 2 * grid_bytes(dims) + 8 * math.prod(dims)
 
 
 def _preflight(need: int) -> None:
@@ -215,14 +222,9 @@ def _emit(rows, args, ok=True) -> int:
 
 def _execute(rc: RunConfig, watchdog_s=30.0):
     cfg = rc.pipeline_config(watchdog_s=watchdog_s)
-    if rc.mode == "compressed":
-        g = create_grid(rc.nx, rc.ny, rc.nz, pad=cfg.h, init=rc.init,
-                        seed=rc.seed)
-        stats = run_pipelined(g, cfg, rc.passes)
-    else:
-        a = create_grid(rc.nx, rc.ny, rc.nz, init=rc.init, seed=rc.seed)
-        stats = run_pipelined((a, a.copy()), cfg, rc.passes)
-    return cfg, stats
+    g = create_grid(rc.nx, rc.ny, rc.nz, pad=cfg.pad, init=rc.init,
+                    seed=rc.seed)
+    return cfg, run_pipelined(g, cfg, rc.passes)
 
 
 def _stats_row(rc: RunConfig, cfg, stats) -> dict:
@@ -242,7 +244,7 @@ def _stats_row(rc: RunConfig, cfg, stats) -> dict:
 def cmd_solve(args) -> int:
     rc = _config_from_args(args)
     dims = (rc.nx, rc.ny, rc.nz)
-    _preflight(_run_bytes(dims, rc.mode, rc.n * rc.t * rc.T)
+    _preflight(run_bytes(dims, rc.mode, rc.n * rc.t * rc.T)
                + (_verify_bytes(dims) if args.verify else 0))
     cfg, stats = _execute(rc, watchdog_s=args.watchdog)
     if args.out:
@@ -255,13 +257,16 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _config_from_args(args)
-    spans = [parse_span(text) if text else [getattr(base, name)]
-             for name, text in (("t", args.sweep_t), ("T", args.sweep_T),
-                                ("d_l", args.dl), ("d_u", args.du),
-                                ("d_t", args.dt), ("bx", args.sweep_bx))]
+    spans = [_flag(flag, text, parse_span) if text else [getattr(base, name)]
+             for name, flag, text in (
+                 ("t", "--sweep-t", args.sweep_t),
+                 ("T", "--sweep-T", args.sweep_T),
+                 ("d_l", "--sweep-dl", args.dl), ("d_u", "--sweep-du", args.du),
+                 ("d_t", "--sweep-dt", args.dt),
+                 ("bx", "--sweep-bx", args.sweep_bx))]
     # the largest run of the sweep: the pad grows with t and T
-    _preflight(max(_run_bytes((base.nx, base.ny, base.nz), base.mode,
-                              base.n * t * T)
+    _preflight(max(run_bytes((base.nx, base.ny, base.nz), base.mode,
+                             base.n * t * T)
                    for t, T in itertools.product(*spans[:2])))
     rows = []
     for t, T, d_l, d_u, d_t, bx in itertools.product(*spans):
@@ -292,7 +297,7 @@ def cmd_model(args) -> int:
                          "baseline_mlups": baseline_perf(m) / 1e6})
     elif args.op == "bound":
         for m in machines:
-            for t in parse_span(args.t_range):
+            for t in _flag("--t-range", args.t_range, parse_span):
                 rows.append({"machine": m.name, "t": t,
                              "bound_mlups": pipelined_bound(m, t) / 1e6})
     elif args.op == "cycles":
@@ -311,8 +316,9 @@ def cmd_model(args) -> int:
                         else round(r.bandwidth_max / 1e9, 2)})
     elif args.op == "scalability":
         for m in machines:
-            bj = default_bj(m) if args.bj == "auto" else float(args.bj)
-            for t in parse_span(args.t_range):
+            bj = (default_bj(m) if args.bj == "auto"
+                  else _flag("--bj", args.bj, float))
+            for t in _flag("--t-range", args.t_range, parse_span):
                 required, scales = l3_scalability_check(m, t, bj)
                 rows.append({"machine": m.name, "t": t, "b_j_Bps": bj,
                              "required_Bps": required,
@@ -321,8 +327,8 @@ def cmd_model(args) -> int:
         net = load_network_model(args.network)
         fn = (multihalo_advantage if args.op == "multihalo"
               else comm_efficiency)
-        for L in parse_span(args.L):
-            for h in parse_span(args.h):
+        for L in _flag("--L", args.L, parse_span):
+            for h in _flag("--h", args.h, parse_span):
                 rows.append({"L": L, "h": h,
                              "latency_s": net.latency_s,
                              "bandwidth_Bps": net.bandwidth_Bps,
@@ -344,8 +350,7 @@ def cmd_bench(args) -> int:
 
 def cmd_dist(args) -> int:
     rc = _config_from_args(args)
-    px, py, pz = (int(v) for v in args.topo.split(","))
-    topo = RankTopology(px, py, pz)
+    topo = RankTopology(*_flag("--topo", args.topo, _triple))
     cfg = rc.pipeline_config(watchdog_s=args.watchdog)
     dims = (rc.nx, rc.ny, rc.nz)
     if args.scaling == "weak":  # the grid flags give each rank's share
@@ -401,10 +406,10 @@ def _dist_bytes(dist: DistConfig, ranks, verify) -> int:
     assemble_global's grid and what the oracle holds."""
     cfg = dist.cfg
     subs = decompose_domain(dist.global_dims, dist.topo, cfg.h)
-    need = sum(_run_bytes(subs[r].local_dims, cfg.grid_mode, cfg.h)
+    need = sum(run_bytes(subs[r].local_dims, cfg.grid_mode, cfg.h)
                for r in ranks)
     if verify:
-        need += _grid_bytes(dist.global_dims) + _verify_bytes(dist.global_dims)
+        need += grid_bytes(dist.global_dims) + _verify_bytes(dist.global_dims)
     return need
 
 

@@ -12,13 +12,18 @@ def flat_lines(text: str):
             yield lineno, line
 
 
-def parse_flat(text: str, error=ValueError) -> dict:
-    """``key = value`` lines as a dict of strings; a line without ``=``
-    raises ``error`` naming its line number."""
+def parse_flat(text: str, error=ValueError, convert=None) -> dict:
+    """``key = value`` lines as a dict of ``convert(key, value)`` (the value
+    string without ``convert``).  A line without ``=``, or a value that
+    ``convert`` refuses with ValueError, raises ``error`` naming its line
+    number, and the key for a refused value."""
     out = {}
     for lineno, line in flat_lines(text):
-        key, eq, val = line.partition("=")
+        key, eq, val = (part.strip() for part in line.partition("="))
         if not eq:
             raise error(f"line {lineno}: expected 'key = value'")
-        out[key.strip()] = val.strip()
+        try:
+            out[key] = convert(key, val) if convert else val
+        except ValueError as exc:
+            raise error(f"line {lineno}: {key}: {exc}") from None
     return out

@@ -131,10 +131,10 @@ def decompose_domain(global_dims, topo: RankTopology, h: int):
 
 def materialize_subdomain(sub: Subdomain, cfg: PipelineConfig, seed: int = 42,
                           init: str = "random", value: float = 0.0) -> Grid3:
-    """Allocate the rank-local grid and fill it with the global init rule's
+    """Allocate the rank-local grid at ``cfg.pad``, the one grid a rank's
+    engine takes in either mode, and fill it with the global init rule's
     values at the rank's global position."""
-    pad = cfg.h if cfg.grid_mode == "compressed" else 0
-    g = Grid3(*sub.local_dims, pad=pad)
+    g = Grid3(*sub.local_dims, pad=cfg.pad)
     grid.fill_field(g, init, value, seed, origin=sub.global_origin,
                     global_dims=sub.global_dims)
     return g
@@ -256,9 +256,9 @@ class RankRuntime:
         self.sub = sub
         self.cfg = cfg
         self.ep = ep
-        g = materialize_subdomain(sub, cfg, seed=seed, init=init)
-        grids = g if cfg.grid_mode == "compressed" else (g, g.copy())
-        self.engine = PipelineEngine(cfg, grids, neighbors=sub.has_nb)
+        self.engine = PipelineEngine(
+            cfg, materialize_subdomain(sub, cfg, seed=seed, init=init),
+            neighbors=sub.has_nb)
         self.plan = build_halo_plan(sub)
         self.timings = {"compute_s": 0.0}
 

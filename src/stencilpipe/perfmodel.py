@@ -111,8 +111,18 @@ def _parse_transfers(val: str):
     return tuple(entries)
 
 
+def _machine_value(key: str, val: str):
+    """A machine file's value as its key's type: text for the name and cache
+    design, an int core count, transfer entries, else a float."""
+    if key.endswith(".transfers"):
+        return _parse_transfers(val)
+    if key in ("name", "cache_design"):
+        return val
+    return int(val) if key == "cores_per_group" else float(val)
+
+
 def parse_machine_model(text: str) -> MachineModel:
-    kv = parse_flat(text, ModelFormatError)
+    kv = parse_flat(text, ModelFormatError, _machine_value)
     kernels = {}
     plain = {}
     for key, val in kv.items():
@@ -123,14 +133,14 @@ def parse_machine_model(text: str) -> MachineModel:
         kernel = parts[0]
         spot = kernels.setdefault(kernel, {"core_cycles": None, "levels": {}})
         if len(parts) == 2 and parts[1] == "core_cycles":
-            spot["core_cycles"] = float(val)
+            spot["core_cycles"] = val
         elif len(parts) == 3:
             level, field = parts[1], parts[2]
             lv = spot["levels"].setdefault(level, {"transfers": (), "bytes": 0.0})
             if field == "transfers":
-                lv["transfers"] = _parse_transfers(val)
+                lv["transfers"] = val
             elif field == "bytes_per_update":
-                lv["bytes"] = float(val)
+                lv["bytes"] = val
             else:
                 raise ModelFormatError(f"unknown kernel field {key!r}")
         else:
@@ -144,28 +154,19 @@ def parse_machine_model(text: str) -> MachineModel:
                   for name, lv in spot["levels"].items()}
         built[kernel] = KernelModel(core_cycles=spot["core_cycles"], levels=levels)
     try:
-        return MachineModel(
-            name=plain["name"],
-            freq_hz=float(plain["freq_hz"]),
-            cores_per_group=int(plain["cores_per_group"]),
-            cache_design=plain["cache_design"],
-            l3_size_bytes=float(plain["l3_size_bytes"]),
-            m_s=float(plain["m_s"]),
-            m_um1=float(plain["m_um1"]),
-            m_uc1=float(plain["m_uc1"]),
-            m_ucmax=float(plain["m_ucmax"]),
-            kernels=built,
-        )
+        return MachineModel(kernels=built, **{key: plain[key] for key in (
+            "name", "freq_hz", "cores_per_group", "cache_design",
+            "l3_size_bytes", "m_s", "m_um1", "m_uc1", "m_ucmax")})
     except KeyError as exc:
         raise ModelFormatError(f"missing machine field {exc}") from exc
 
 
 def parse_network_model(text: str) -> NetworkModel:
-    kv = parse_flat(text, ModelFormatError)
+    kv = parse_flat(text, ModelFormatError, lambda _key, val: float(val))
     try:
-        return NetworkModel(latency_s=float(kv["latency_s"]),
-                            bandwidth_Bps=float(kv["bandwidth_Bps"]),
-                            node_perf_lups=float(kv["node_perf_lups"]))
+        return NetworkModel(latency_s=kv["latency_s"],
+                            bandwidth_Bps=kv["bandwidth_Bps"],
+                            node_perf_lups=kv["node_perf_lups"])
     except KeyError as exc:
         raise ModelFormatError(f"missing network field {exc}") from exc
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .grid import Grid3, BlockSpec, decompose_blocks
+from .grid import BOUNDARY, Grid3, BlockSpec, decompose_blocks
 from .kernel import apply_window, write_ring_strips
 
 # Layout shared with _jacobi.c: counter slots, work table columns (xl xh yl
@@ -119,6 +119,25 @@ class PipelineConfig:
     def h(self) -> int:
         """Updates every cell receives in one full pass."""
         return self.n * self.t * self.T
+
+    @property
+    def pad(self) -> int:
+        """A grid's pad in this mode: h, as compressed frames shift, or 0."""
+        return self.h if self.grid_mode == "compressed" else 0
+
+
+def grid_bytes(dims, pad=0) -> int:
+    """Bytes of one grid's storage."""
+    return 8 * math.prod(n + 2 * BOUNDARY + pad for n in dims)
+
+
+def run_bytes(dims, grid_mode: str, h: int) -> int:
+    """Bytes a run stores: one grid padded by h (any, as a sweep sizes the
+    configs it refuses) and the six faces its engine reads, or a pair."""
+    if grid_mode != "compressed":
+        return 2 * grid_bytes(dims)
+    return grid_bytes(dims, max(h, 0)) + 16 * sum(math.prod(dims) // n
+                                                  for n in dims)
 
 
 def effective_distances(cfg: PipelineConfig):
@@ -220,6 +239,10 @@ def _window_boundaries(bases, delta, live_lo, live_hi):
 class PipelineEngine:
     """Executes pipelined passes over one compressed grid or a two-grid pair.
 
+    ``grids`` is one grid at ``cfg.pad``, which a two-grid engine copies into
+    a pair, or a pair, checked here once: unequal grids, shared storage or an
+    array that ``kernel.check_arrays`` refuses raise ValueError.
+
     ``neighbors`` holds per axis a (lo, hi) pair of booleans, true where the
     grid's side borders a neighbouring rank's halo rather than the domain's
     Dirichlet ring; none has a neighbour by default.  Level u updates the
@@ -236,17 +259,20 @@ class PipelineEngine:
     def __init__(self, cfg: PipelineConfig, grids,
                  neighbors=((False, False),) * 3):
         self.cfg = cfg
-        if isinstance(grids, Grid3):
-            grids = (grids,)
-        self.grids = list(grids)
+        self.grids = [grids] if isinstance(grids, Grid3) else list(grids)
+        if cfg.grid_mode == "two_grid" and len(self.grids) == 1:
+            self.grids.append(self.grids[0].copy())
         if len(self.grids) != (2 if cfg.grid_mode == "two_grid" else 1):
-            raise ValueError("two_grid mode needs a grid pair, compressed "
-                             f"mode a single grid; got {len(self.grids)}")
-        g = self.grids[0]
-        if (g.shape, g.alignment) != (self.grids[-1].shape,
-                                      self.grids[-1].alignment):
-            raise ValueError("the grids of the pair differ in shape or "
-                             "alignment")
+            raise ValueError("two_grid mode needs one grid or a pair, "
+                             f"compressed mode one grid; got {len(self.grids)}")
+        g, o = self.grids[0], self.grids[-1]
+        self.arrays = (g.data, o.data)
+        kernel.check_arrays(*self.arrays)
+        kernel.check_arrays(*self.arrays[::-1])  # levels write both
+        if ((g.shape, g.pad, g.alignment) != (o.shape, o.pad, o.alignment)
+                or len(self.grids) == 2 and np.may_share_memory(*self.arrays)):
+            raise ValueError("the grids of the pair differ in shape, pad or "
+                             "alignment, or share storage")
         self.dims = g.shape
         self.plan = decompose_blocks(g, cfg.spec)  # backward: reversed
         # each block's index along each axis, in forward traversal order
@@ -277,7 +303,6 @@ class PipelineEngine:
         # no ring (``ring`` is 0).
         self.faces = g.capture_boundary_faces() if self.ring else ()
         self.restore = 0 if self.ring == _ALL_SIDES else self.ring
-        self.arrays = (g.data, self.grids[-1].data)
         self.tables = (self.work_table(1), self.work_table(-1))
         # shared by a run's positions in the driver's layout, reset per run:
         # a 64-byte counter slot and a stats row each, and the control words
@@ -345,7 +370,7 @@ class PipelineEngine:
         Directions alternate with ``passes_done``: forward after an even
         number of passes, backward after an odd one.  The run is one call
         into the compiled driver, or a walk in the calling thread; the
-        arrays and frames are checked once, before either starts.
+        frames are checked once, before either starts.
         Every grid's alignment is then where the run's last frame left it.
         OSError means that the driver could not start a thread."""
         if count < 0:
@@ -403,24 +428,18 @@ class PipelineEngine:
 
     def _check(self, plan: np.ndarray) -> None:
         """Raise ValueError before any thread starts where a pass of the plan
-        would leave the arrays: the compiled driver checks no bounds, and
-        apply_window's checks run per call."""
-        src, dst = self.arrays
-        kernel.check_arrays(src, dst)
-        if src is not dst and (src.shape != dst.shape
-                               or np.may_share_memory(src, dst)):
-            raise ValueError("the two grids of two-grid mode differ in shape "
-                             "or overlap")
-        # windows lie inside the interior (work_table), so the interior plus
-        # its ring at every level's offset of every pass bounds every load
-        # and store; a pass's offsets run from base to base - shift * h
+        would leave the storage, whose arrays were checked at build: the
+        compiled driver checks no bounds, and apply_window checks per call."""
+        # windows lie inside the interior (work_table), so its ring at every
+        # level's offset of every pass bounds every load and store: offset 1
+        # puts the low ring at index 0, the origin the high one at the last;
+        # a pass's offsets run from base to base - shift * h
         offsets = [off for _dir, _parity, base, shift in plan.tolist()
                    for off in (base, base - shift * self.cfg.h)]
         lo, hi = min(offsets), max(offsets)
-        if lo < 1 or any(n + hi + 1 > size
-                         for n, size in zip(self.dims, src.shape[::-1])):
+        if lo < 1 or hi > self.grids[0].origin:
             raise ValueError(f"the frames of the run, offsets {lo} to {hi}, "
-                             f"leave the arrays of shape {src.shape}")
+                             f"leave the storage of pad {self.grids[0].pad}")
 
     def _delays(self, count: int):
         """Seconds the compiled driver sleeps before each block update, per
@@ -500,10 +519,10 @@ class PipelineEngine:
 
 
 def run_pipelined(grids, cfg: PipelineConfig, total_passes: int) -> RunStats:
-    """Alternate forward/backward passes; returns wall time, MLUP/s and spin
-    counts.  The result holds the latest level at its grid's alignment: h
-    after an odd number of compressed passes from alignment 0, so a later
-    run whose frames would leave the pad from there is refused."""
+    """Alternate forward/backward passes over ``grids`` as the engine takes
+    them; returns the passes' wall time, MLUP/s and spin counts.  The result
+    holds the latest level at its grid's alignment: h after an odd number of
+    compressed passes from 0, so a later run leaving the pad is refused."""
     engine = PipelineEngine(cfg, grids)
     t0 = time.perf_counter()
     stats = engine.run_passes(total_passes)

@@ -46,16 +46,9 @@ def report(num, text):
     print(f"\nACCEPTANCE {num}: PASS - {text}", flush=True)
 
 
-def _fresh_input():
-    return create_grid(SIZE, SIZE, SIZE, init="random", seed=SEED)
-
-
 def _run_config(cfg: PipelineConfig, passes: int):
-    if cfg.grid_mode == "compressed":
-        g = create_grid(SIZE, SIZE, SIZE, pad=cfg.h, init="random", seed=SEED)
-        return run_pipelined(g, cfg, passes)
-    a = _fresh_input()
-    return run_pipelined((a, a.copy()), cfg, passes)
+    g = create_grid(SIZE, SIZE, SIZE, pad=cfg.pad, init="random", seed=SEED)
+    return run_pipelined(g, cfg, passes)
 
 
 def test_criterion_1_shared_memory_oracle_matrix(oracle):

@@ -52,6 +52,22 @@ def test_empty_span_is_config_error(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["solve", "--grid", "8", "--block", "8,4"], "--block '8,4': expected 3 "),
+    (["dist", "--grid", "8", "--block", "4,4,4", "--topo", "2,1"],
+     "--topo '2,1': expected 3 "),
+    (["solve", "--grid", "8", "--block", "a,4,4"], "--block 'a,4,4': invalid "),
+    (["sweep", "--grid", "8", "--block", "8,8,8", "--sweep-t", "1,x"],
+     "--sweep-t '1,x': invalid "),
+    (["model", "--op", "bound", "--machine", "istanbul", "--t-range", "1:y"],
+     "--t-range '1:y': invalid "),
+], ids=["block_short", "topo_short", "block_word", "sweep_t_word", "t_range"])
+def test_bad_list_flag_is_config_error_naming_the_flag(argv, named, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {named}") and err.count("\n") == 1
+
+
 def test_config_hash_stable_and_sensitive():
     def digest(rc):
         return run_digest(rc.pipeline_config(), (rc.nx, rc.ny, rc.nz),
@@ -181,6 +197,19 @@ def test_sweep_emits_row_per_combination(capsys):
     bad = [r for r in rows if r["status"].startswith("config_error")]
     good = [r for r in rows if r["status"] == "ok"]
     assert len(bad) == 2 and len(good) == 4  # d_u=0 violates d_u >= d_l
+
+
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+@pytest.mark.parametrize("span", [("--sweep-t", "0,1"), ("--sweep-du", "0,3")],
+                         ids=["t", "du"])
+def test_sweep_sizes_the_configs_it_refuses(span, mode, capsys):
+    # the preflight sizes every (t, T) of the sweep, valid or not: a config
+    # that the pipeline refuses is a config_error row, not a failed sweep
+    code, out, err = run_cli(["sweep", "--grid", "12", "--block", "12,6,6",
+                              "--mode", mode, *span], capsys)
+    assert code == 0 and err == ""
+    assert [r["status"].partition(":")[0] for r in rows_of(out)] == [
+        "config_error", "ok"]
 
 
 def test_model_baseline_csv(capsys):
@@ -661,28 +690,35 @@ def _read_config(path):
         ["solve", "--config", str(path)]))
 
 
+# per kind: reader, good file, check of what it read, error, and a line
+# whose value does not convert, which the error names
 FLAT_FILES = {
     "config": (_read_config, "# run\n\npasses = 4  # even\nt = 2\n",
-               lambda rc: (rc.passes, rc.t, rc.nx) == (4, 2, 60), ValueError),
+               lambda rc: (rc.passes, rc.t, rc.nx) == (4, 2, 60), ValueError,
+               "nx = abc"),
     "model": (lambda p: load_network_model(str(p)),
               "# net\n\nlatency_s = 2e-6  # one way\nbandwidth_Bps = 3e9\n"
               "node_perf_lups = 1e9\n",
               lambda net: (net.latency_s, net.bandwidth_Bps) == (2e-6, 3e9),
-              ModelFormatError),
+              ModelFormatError, "bandwidth_Bps = fast"),
     "rankfile": (lambda p: parse_rankfile(p.read_text()),
                  "# ranks\n\n0 127.0.0.1 4000  # head\n1 127.0.0.1 4001\n",
                  lambda r: r == [("127.0.0.1", 4000), ("127.0.0.1", 4001)],
-                 ValueError),
+                 ValueError, "2 127.0.0.1 port"),
 }
 
 
 @pytest.mark.parametrize("kind", FLAT_FILES)
 def test_flat_files_skip_comments_and_name_bad_lines(kind, tmp_path):
-    read, good, check, error = FLAT_FILES[kind]
+    read, good, check, error, bad_value = FLAT_FILES[kind]
     path = tmp_path / kind
     path.write_text(good)
     assert check(read(path))
     bad_line = good.count("\n") + 1
-    path.write_text(good + "malformed\n")
-    with pytest.raises(error, match=rf"line {bad_line}\b"):
-        read(path)
+    # a malformed line names its number; a bad value its number and key
+    # (the whole line in a rankfile, which has no keys)
+    for bad, named in (("malformed", ""),
+                       (bad_value, bad_value.partition(" =")[0])):
+        path.write_text(good + bad + "\n")
+        with pytest.raises(error, match=rf"line {bad_line}\b.*{named}"):
+            read(path)

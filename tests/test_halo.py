@@ -384,6 +384,22 @@ def test_distributed_cycles_match_the_oracle_with_a_nonzero_ring(
 
 
 @pytest.mark.parametrize("mode", ["two_grid", "compressed"])
+@pytest.mark.parametrize("sync", ["relaxed", "barrier"])
+def test_distributed_teams_match_the_oracle_in_either_sync_mode(sync, mode):
+    # two teams of one thread on every rank, the second delayed, over the
+    # nonzero ring: each rank's pipeline crosses a team boundary per block
+    dims, seed, cycles = (24, 24, 16), 5, 3
+    cfg = _cfg(n=2, t=1, T=2, d_t=1, mode=mode, spec=(8, 8, 8),
+               sync_mode=sync)
+    dist = DistConfig(topo=RankTopology(2, 2, 1), cfg=cfg, cycles=cycles,
+                      global_dims=dims, seed=seed, init="random_ring")
+    assembled = assemble_global(run_distributed_inprocess(dist))
+    assert_bitwise(assembled.interior_view(),
+                   _swept(dims, seed, cycles * cfg.h,
+                          "random_ring").interior_view())
+
+
+@pytest.mark.parametrize("mode", ["two_grid", "compressed"])
 def test_rank_sliver_joins_the_block_before_it(mode):
     # a rank's local x extent is its 20 owned cells plus h=4 halo layers:
     # blocks of 20 would leave a 4-cell sliver, which joins the first block

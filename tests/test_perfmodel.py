@@ -60,6 +60,15 @@ def test_model_file_roundtrip_from_path(tmp_path):
 
 _GOOD = ("name = X\nfreq_hz = 1e9\ncores_per_group = 1\ncache_design = i\n"
          "l3_size_bytes = 1\nm_s = 1\nm_um1 = 1\nm_uc1 = 2\nm_ucmax = 2\n")
+# files whose value on one line does not convert, and what the error names
+_UNCONVERTED = {
+    _GOOD.replace("cores_per_group = 1", "cores_per_group = two"):
+        r"line 3: cores_per_group: .*'two'",
+    _GOOD.replace("m_s = 1", "m_s = lots"): r"line 6: m_s: .*'lots'",
+    _GOOD + "jacobi.core_cycles = fast\n": r"line 10: jacobi.core_cycles: ",
+    _GOOD + "jacobi.core_cycles = 1\njacobi.L2.transfers = 2@x\n":
+        r"line 11: jacobi.L2.transfers: bad transfer entry '2@x'",
+}
 
 
 @pytest.mark.parametrize("bad", [
@@ -72,10 +81,11 @@ _GOOD = ("name = X\nfreq_hz = 1e9\ncores_per_group = 1\ncache_design = i\n"
     _GOOD.replace("freq_hz = 1e9", "freq_hz = nan"),
     _GOOD + "jacobi.core_cycles = 0\njacobi.L1.bytes_per_update = 64\n",
     _GOOD + "jacobi.core_cycles = -2\n",
+    *_UNCONVERTED,
 ])
 def test_bad_model_files_rejected(bad):
     parse_machine_model(_GOOD)
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match=_UNCONVERTED.get(bad)):
         parse_machine_model(bad)
 
 

@@ -30,13 +30,10 @@ def _cfg(**kw):
     return PipelineConfig(**kw)
 
 
-def _run(g0, cfg, passes, pad=None):
-    if cfg.grid_mode == "compressed":
-        g = create_grid(*g0.shape, pad=pad if pad is not None else cfg.h)
-        g.interior_view()[...] = g0.interior_view()
-        return run_pipelined(g, cfg, passes)
-    a, b = g0.copy(), g0.copy()
-    return run_pipelined((a, b), cfg, passes)
+def _run(g0, cfg, passes):
+    g = create_grid(*g0.shape, pad=cfg.pad)
+    g.interior_view()[...] = g0.interior_view()
+    return run_pipelined(g, cfg, passes)
 
 
 def _needs_driver():
@@ -197,6 +194,63 @@ def test_pair_of_unequal_alignments_is_rejected(walk, request):
     b.alignment = 1
     with pytest.raises(ValueError, match="alignment"):
         run_pipelined((a, b), _cfg(t=2), 2)
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["driver", "walker"])
+def test_a_two_grid_engine_given_one_grid_makes_its_pair(walk, request):
+    # the second grid has storage of its own and the first's cells; the run
+    # is byte for byte the one given the pair
+    if walk:
+        request.getfixturevalue("walker_calls")
+    cfg = _cfg(spec=BlockSpec(8, 4, 4), t=2, T=2)
+    g0 = create_grid(16, 12, 10, init="random_ring", seed=17)
+    g = g0.copy()
+    engine = PipelineEngine(cfg, g)
+    a, b = engine.grids
+    assert a is g and b is not g and not np.may_share_memory(a.data, b.data)
+    assert (b.shape, b.pad, b.alignment) == (g.shape, g.pad, g.alignment)
+    assert_bitwise(b.data, g.data)
+    engine.run_passes(3)
+    paired = PipelineEngine(cfg, (g0, g0.copy()))
+    paired.run_passes(3)
+    for mine, theirs in zip(engine.grids, paired.grids):
+        assert mine.data.tobytes() == theirs.data.tobytes()
+
+
+@pytest.mark.parametrize("pair", ["same_grid", "same_data", "overlapping"])
+def test_a_pair_that_shares_storage_is_refused_at_build(pair):
+    # two grids over one array would read the level they write: the run
+    # would finish and be wrong, so the engine refuses to be built
+    g = create_grid(16, 16, 16, init="random", seed=18)
+    if pair == "same_grid":
+        grids = (g, g)
+    elif pair == "same_data":
+        grids = (g, Grid3(16, 16, 16, data=g.data))
+    else:
+        flat = np.zeros(g.data.size + 1)
+        grids = [Grid3(16, 16, 16, data=flat[i:i + g.data.size].reshape(
+            g.data.shape)) for i in (0, 1)]
+    cfg = _cfg(spec=BlockSpec(16, 8, 8), t=2)
+    with pytest.raises(ValueError, match="share storage"):
+        PipelineEngine(cfg, grids)
+    with pytest.raises(ValueError, match="share storage"):
+        run_pipelined(grids, cfg, 1)
+
+
+@pytest.mark.parametrize("mode,read_only", [
+    ("compressed", 0), ("two_grid", 0), ("two_grid", 1)])
+def test_a_read_only_array_is_refused_at_build(mode, read_only, monkeypatch):
+    # levels write every array of the run, in two-grid mode both of the pair
+    def no_run(*_args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(PipelineEngine, "run_pass", no_run)
+    cfg = _cfg(spec=BlockSpec(12, 4, 4), t=2, grid_mode=mode)
+    g = create_grid(12, 12, 12, pad=cfg.pad, init="random", seed=19)
+    grids = [g] if mode == "compressed" else [g, g.copy()]
+    grids[read_only].data.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        PipelineEngine(cfg, grids)
 
 
 def test_compressed_needs_pad_at_least_h():
@@ -669,11 +723,10 @@ def test_one_call_of_passes_equals_one_call_per_pass(mode, walk, request):
     if walk:
         request.getfixturevalue("walker_calls")
     cfg = _cfg(spec=BlockSpec(12, 4, 4), t=2, T=2, grid_mode=mode)
-    g0 = create_grid(12, 12, 12, pad=cfg.h, init="random", seed=12)
+    g0 = create_grid(12, 12, 12, pad=cfg.pad, init="random", seed=12)
     engines = []
     for calls in ([4], [1, 1, 1, 1]):
-        g = g0.copy()
-        engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
+        engine = PipelineEngine(cfg, g0.copy(),
                                 neighbors=((False, False), (False, True),
                                            (False, False)))
         for count in calls:
@@ -889,9 +942,8 @@ def test_work_table_matches_a_plain_build(mode, direction):
         lo, hi = nbs[ax]
         return (u if lo else 0, dims[ax] - (u if hi else 0))
 
-    g = create_grid(*dims, pad=cfg.h)
-    engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
-                            neighbors=nbs)
+    g = create_grid(*dims, pad=cfg.pad)
+    engine = PipelineEngine(cfg, g, neighbors=nbs)
     plan = decompose_blocks(g, spec)
     expected = []
     for base, _size in plan.blocks[::direction]:
@@ -919,11 +971,10 @@ def _planned(mode, done, count, T=1, neighbors=((False, False),) * 3):
     """An engine after ``done`` passes and the plan of its next run of
     ``count``, not started; h = T, so an odd T gives an odd h."""
     cfg = _cfg(spec=BlockSpec(12, 4, 4), T=T, grid_mode=mode)
-    g = create_grid(12, 12, 12, pad=cfg.h, init="random_ring", seed=11)
+    g = create_grid(12, 12, 12, pad=cfg.pad, init="random_ring", seed=11)
     if mode == "compressed" and done % 2:
         g.alignment = cfg.h  # where a forward pass left it
-    engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g.copy()),
-                            neighbors=neighbors)
+    engine = PipelineEngine(cfg, g, neighbors=neighbors)
     engine.passes_done = done
     return engine, engine._plan(count)
 
@@ -1010,24 +1061,23 @@ def test_merged_last_blocks_equal_reference(mode, walk, request):
         request.getfixturevalue("walker_calls")
     dims, seed, passes = (23, 17, 13), 8, 2
     cfg = _cfg(spec=BlockSpec(10, 8, 6), t=2, T=2, grid_mode=mode)
-    g = create_grid(*dims, pad=cfg.h if mode == "compressed" else 0,
-                    init="random_ring", seed=seed)
+    g = create_grid(*dims, pad=cfg.pad, init="random_ring", seed=seed)
     expected = create_grid(*dims, init="random_ring", seed=seed)
     scratch = expected.copy()
     for _ in range(cfg.h * passes):
         reference_sweep(expected, scratch)
         expected, scratch = scratch, expected
-    st = run_pipelined(g if mode == "compressed" else (g, g.copy()), cfg,
-                       passes)
+    st = run_pipelined(g, cfg, passes)
     assert decompose_blocks(g, cfg.spec).bases == ([0, 10], [0, 8], [0, 6])
     assert_bitwise(st.result.interior_view(), expected.interior_view())
 
 
-def _shape_only(dims, pad):
-    """A grid of the given dims whose storage is one shared zero: enough to
-    build an engine and its work tables, with no memory behind it."""
-    shape = tuple(n + 2 + pad for n in dims[::-1])
-    return Grid3(*dims, pad=pad, data=np.broadcast_to(np.float64(0), shape))
+def _shape_only(dims, cfg):
+    """The grids of an engine of ``cfg`` on the given dims, whose storage no
+    cell is written to: untouched ``np.zeros`` pages are virtual, enough to
+    build an engine and its work tables with no memory behind them."""
+    return [Grid3(*dims, pad=cfg.pad)
+            for _ in range(2 if cfg.grid_mode == "two_grid" else 1)]
 
 
 @pytest.mark.parametrize("dims,spec,mode,t,T,digests", [
@@ -1045,7 +1095,6 @@ def test_exactly_dividing_work_tables_are_unchanged(dims, spec, mode, t, T,
     # joined their neighbours: a spec that divides every axis has no short
     # block, so its tables must not move by a byte
     cfg = _cfg(spec=BlockSpec(*spec), t=t, T=T, grid_mode=mode)
-    g = _shape_only(dims, cfg.h if mode == "compressed" else 0)
-    engine = PipelineEngine(cfg, g if mode == "compressed" else (g, g))
+    engine = PipelineEngine(cfg, _shape_only(dims, cfg))
     assert tuple(hashlib.sha256(engine.work_table(d).astype("<i8").tobytes())
                  .hexdigest() for d in (1, -1)) == digests

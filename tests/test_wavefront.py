@@ -42,11 +42,7 @@ def _run(dims, spec, T, mode, passes, seed=11, t=2):
     cfg = PipelineConfig(spec=BlockSpec(*spec), t=t, T=T, d_l=1, d_u=2,
                          grid_mode=mode)
     g0 = _ringed(dims, seed)
-    if mode == "compressed":
-        g = _ringed(dims, seed, pad=cfg.h)
-        st = run_pipelined(g, cfg, passes)
-    else:
-        st = run_pipelined((g0.copy(), g0.copy()), cfg, passes)
+    st = run_pipelined(_ringed(dims, seed, pad=cfg.pad), cfg, passes)
     return g0, cfg, st
 
 
