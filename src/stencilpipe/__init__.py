@@ -30,7 +30,6 @@ from .halo import (
     decompose_domain,
     exchange_multilayer_halos,
     run_distributed_inprocess,
-    run_digest,
     run_rank,
 )
 from .perfmodel import (

@@ -32,8 +32,7 @@ from .bench import stream_copy_bench, update_bench
 from .flatfile import parse_flat
 from .grid import BlockSpec, Grid3, create_grid, write_snapshot
 from .halo import (DistConfig, RankTopology, assemble_global,
-                   decompose_domain, run_digest, run_distributed_inprocess,
-                   run_rank)
+                   decompose_domain, run_distributed_inprocess, run_rank)
 from .kernel import reference_sweep
 from .perfmodel import (baseline_perf, cache_cycle_model, comm_efficiency,
                         default_bj, l3_scalability_check, load_machine_model,
@@ -53,8 +52,10 @@ EXIT_INTERNAL = 5
 
 @dataclass
 class RunConfig:
-    """Everything a compute run depends on; its :func:`run_digest` is the
-    provenance stamp embedded in outputs."""
+    """A compute run as flags and config files give it.  :meth:`run` makes
+    it the :class:`DistConfig` that ``solve``, ``sweep`` and ``dist``
+    execute, whose digest is the provenance stamp embedded in outputs;
+    ``passes`` counts a ``dist`` run's cycles too."""
     nx: int = 60
     ny: int = 60
     nz: int = 60
@@ -73,11 +74,19 @@ class RunConfig:
     seed: int = 42
     init: str = "random"
 
-    def pipeline_config(self, **extra) -> PipelineConfig:
-        return PipelineConfig(spec=BlockSpec(self.bx, self.by, self.bz),
-                              n=self.n, t=self.t, T=self.T, d_l=self.d_l,
-                              d_u=self.d_u, d_t=self.d_t, sync_mode=self.sync,
-                              grid_mode=self.mode, **extra)
+    def run(self, topo=(1, 1, 1), weak=False, watchdog_s=30.0) -> DistConfig:
+        """The run on ``topo`` ranks.  The grid extents are the global
+        grid's, or with ``weak`` each rank's share of it."""
+        topo = RankTopology(*topo)
+        dims = (self.nx, self.ny, self.nz)
+        if weak:
+            dims = tuple(d * p for d, p in zip(dims, topo.dims))
+        cfg = PipelineConfig(spec=BlockSpec(self.bx, self.by, self.bz),
+                             n=self.n, t=self.t, T=self.T, d_l=self.d_l,
+                             d_u=self.d_u, d_t=self.d_t, sync_mode=self.sync,
+                             grid_mode=self.mode, watchdog_s=watchdog_s)
+        return DistConfig(topo=topo, cfg=cfg, cycles=self.passes,
+                          global_dims=dims, seed=self.seed, init=self.init)
 
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -184,12 +193,12 @@ def _preflight(need: int) -> None:
                           f"of memory are available")
 
 
-def _verify(rows, result: Grid3, dims, init, seed, sweeps) -> bool:
-    """Compare ``result`` bitwise with ``sweeps`` reference sweeps of the
-    same initial grid; marks every row with the outcome."""
-    a = create_grid(*dims, init=init, seed=seed)
+def _verify(rows, result: Grid3, run: DistConfig) -> bool:
+    """Compare ``result`` bitwise with the reference sweeps of ``run``'s
+    initial global grid, h per pass; marks every row with the outcome."""
+    a = create_grid(*run.global_dims, init=run.init, seed=run.seed)
     b = a.copy()
-    for _ in range(sweeps):
+    for _ in range(run.cfg.h * run.cycles):
         reference_sweep(a, b)
         a, b = b, a
     ok = np.array_equal(result.interior_view(), a.interior_view())
@@ -220,17 +229,16 @@ def _emit(rows, args, ok=True) -> int:
     return EXIT_OK
 
 
-def _execute(rc: RunConfig, watchdog_s=30.0):
-    cfg = rc.pipeline_config(watchdog_s=watchdog_s)
-    g = create_grid(rc.nx, rc.ny, rc.nz, pad=cfg.pad, init=rc.init,
-                    seed=rc.seed)
-    return cfg, run_pipelined(g, cfg, rc.passes)
+def _execute(run: DistConfig):
+    """Run a one-rank run's grid through :func:`run_pipelined`."""
+    g = create_grid(*run.global_dims, pad=run.cfg.pad, init=run.init,
+                    seed=run.seed)
+    return run_pipelined(g, run.cfg, run.cycles)
 
 
-def _stats_row(rc: RunConfig, cfg, stats) -> dict:
+def _stats_row(rc: RunConfig, run: DistConfig, stats) -> dict:
     row = rc.as_dict()
-    row.update(config_hash=run_digest(cfg, (rc.nx, rc.ny, rc.nz), rc.passes,
-                                      rc.seed, rc.init)[:16],
+    row.update(config_hash=run.digest()[:16],
                wall_seconds=stats.wall_seconds,
                mlups=round(stats.mlups, 3),
                spin_iterations_total=stats.spin_iterations_total)
@@ -243,15 +251,15 @@ def _stats_row(rc: RunConfig, cfg, stats) -> dict:
 
 def cmd_solve(args) -> int:
     rc = _config_from_args(args)
-    dims = (rc.nx, rc.ny, rc.nz)
-    _preflight(run_bytes(dims, rc.mode, rc.n * rc.t * rc.T)
+    run = rc.run(watchdog_s=args.watchdog)
+    dims = run.global_dims
+    _preflight(run_bytes(dims, run.cfg.grid_mode, run.cfg.h)
                + (_verify_bytes(dims) if args.verify else 0))
-    cfg, stats = _execute(rc, watchdog_s=args.watchdog)
+    stats = _execute(run)
     if args.out:
         write_snapshot(stats.result, args.out)
-    rows = [_stats_row(rc, cfg, stats)]
-    ok = not args.verify or _verify(rows, stats.result, (rc.nx, rc.ny, rc.nz),
-                                    rc.init, rc.seed, cfg.h * rc.passes)
+    rows = [_stats_row(rc, run, stats)]
+    ok = not args.verify or _verify(rows, stats.result, run)
     return _emit(rows, args, ok)
 
 
@@ -274,8 +282,8 @@ def cmd_sweep(args) -> int:
                       bx=bx)
         try:
             rc = RunConfig(**values)
-            cfg, stats = _execute(rc)
-            row = _stats_row(rc, cfg, stats)
+            run = rc.run()
+            row = _stats_row(rc, run, _execute(run))
             row["status"] = "ok"
         except ValueError as exc:
             row = dict(values, config_hash="", wall_seconds="", mlups="",
@@ -349,14 +357,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    rc = _config_from_args(args)
-    topo = RankTopology(*_flag("--topo", args.topo, _triple))
-    cfg = rc.pipeline_config(watchdog_s=args.watchdog)
-    dims = (rc.nx, rc.ny, rc.nz)
-    if args.scaling == "weak":  # the grid flags give each rank's share
-        dims = tuple(d * p for d, p in zip(dims, topo.dims))
-    dist = DistConfig(topo=topo, cfg=cfg, cycles=args.cycles,
-                      global_dims=dims, seed=rc.seed, init=rc.init)
+    dist = _config_from_args(args).run(
+        _flag("--topo", args.topo, _triple), weak=args.scaling == "weak",
+        watchdog_s=args.watchdog)
     stamp = dist.digest()[:16]
 
     def rank_row(rt):
@@ -373,9 +376,9 @@ def cmd_dist(args) -> int:
         addresses = parse_rankfile(Path(args.rankfile).read_text())
         if len(addresses) != args.ranks:
             raise ValueError("rankfile entries != --ranks")
-        if args.ranks != topo.ranks:
+        if args.ranks != dist.topo.ranks:
             raise ValueError("--ranks must equal px*py*pz")
-        topo.coords(args.rank)  # a rank outside the topology is refused
+        dist.topo.coords(args.rank)  # a rank outside the topology is refused
         _preflight(_dist_bytes(dist, [args.rank], verify=False))
         ep = tcp_endpoint(args.rank, addresses)
         try:
@@ -386,7 +389,7 @@ def cmd_dist(args) -> int:
         raise ValueError("--rank and --ranks need --rankfile: without it "
                          "every rank runs in this process")
     else:
-        _preflight(_dist_bytes(dist, range(topo.ranks), args.verify))
+        _preflight(_dist_bytes(dist, range(dist.topo.ranks), args.verify))
         runtimes = run_distributed_inprocess(dist)
     rows = [rank_row(rt) for rt in runtimes]
     if args.out_dir:
@@ -396,8 +399,7 @@ def cmd_dist(args) -> int:
                 args.out_dir, f"rank_{rt.sub.rank}.grid"))
     ok = True
     if args.verify:
-        ok = _verify(rows, assemble_global(runtimes), dims,
-                     rc.init, rc.seed, cfg.h * args.cycles)
+        ok = _verify(rows, assemble_global(runtimes), dist)
     return _emit(rows, args, ok)
 
 
@@ -424,7 +426,7 @@ def _write_owned_snapshot(rt, path):
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_compute_flags(p):
+def _add_compute_flags(p, count="--passes"):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--grid", type=int, help="cubic grid extent")
     for name in ("nx", "ny", "nz"):
@@ -438,7 +440,8 @@ def _add_compute_flags(p):
     p.add_argument("--block", help="bx,by,bz block extents")
     p.add_argument("--sync", choices=("relaxed", "barrier"))
     p.add_argument("--mode", choices=("two_grid", "compressed"))
-    p.add_argument("--passes", type=int)
+    # dist spells the pass count --cycles
+    p.add_argument(count, dest="passes", type=int, metavar=count[2:].upper())
     p.add_argument("--seed", type=int)
     p.add_argument("--init",
                    choices=("random", "constant", "impulse", "random_ring"))
@@ -507,10 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("dist", help="distributed run")
-    _add_compute_flags(p)
+    _add_compute_flags(p, count="--cycles")
     _add_output_flags(p)
     p.add_argument("--topo", required=True, help="px,py,pz")
-    p.add_argument("--cycles", type=int, default=2)
     p.add_argument("--scaling", choices=("strong", "weak"), default="strong")
     p.add_argument("--rank", type=int, help="this process's rank (TCP mode)")
     p.add_argument("--ranks", type=int, help="total ranks (TCP mode)")

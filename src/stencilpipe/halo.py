@@ -246,20 +246,52 @@ def exchange_multilayer_halos(g: Grid3, plan: list, ep,
 # distributed cycles
 # ---------------------------------------------------------------------------
 
-class RankRuntime:
-    """Per-rank state for a distributed run: subdomain, grid, engine, plan."""
+@dataclass
+class DistConfig:
+    """The run; topology 1,1,1 for ``solve``.  ``cycles`` counts its passes,
+    one halo exchange after each on a rank with neighbours."""
+    topo: RankTopology
+    cfg: PipelineConfig
+    cycles: int
+    global_dims: tuple
+    seed: int = 42
+    init: str = "random"
 
-    def __init__(self, sub: Subdomain, cfg: PipelineConfig, ep, seed=42,
-                 init="random"):
-        if cfg.h != sub.h:
-            raise ValueError(f"halo width {sub.h} != pipeline h {cfg.h}")
-        self.sub = sub
+    def __post_init__(self):
+        if self.cycles < 0:
+            raise ValueError(f"pass count must be >= 0, got {self.cycles}")
+
+    def digest(self) -> str:
+        """SHA-256 hex of everything that decides the run's output: the
+        global dims (for weak scaling, the per-rank dims times the topology,
+        so strong and weak runs of one domain match), the rank topology, the
+        pass count, the seed and init rule, and the pipeline shape.  The
+        watchdog changes timing only and is left out."""
+        cfg, b = self.cfg, self.cfg.spec
+        text = "\n".join([
+            f"dims={tuple(int(d) for d in self.global_dims)}",
+            f"topo={tuple(int(p) for p in self.topo.dims)}",
+            f"passes={self.cycles}", f"seed={self.seed}", f"init={self.init}",
+            f"n={cfg.n}", f"t={cfg.t}", f"T={cfg.T}", f"d_l={cfg.d_l}",
+            f"d_u={cfg.d_u}", f"d_t={cfg.d_t}", f"block={(b.bx, b.by, b.bz)}",
+            f"sync={cfg.sync_mode}", f"mode={cfg.grid_mode}"])
+        return hashlib.sha256(text.encode()).hexdigest()
+
+
+class RankRuntime:
+    """Per-rank state for a distributed run: the rank's subdomain of the
+    run, its grid, engine and halo plan."""
+
+    def __init__(self, dist: DistConfig, rank: int, ep):
+        cfg = dist.cfg
+        self.sub = decompose_domain(dist.global_dims, dist.topo, cfg.h)[rank]
         self.cfg = cfg
         self.ep = ep
         self.engine = PipelineEngine(
-            cfg, materialize_subdomain(sub, cfg, seed=seed, init=init),
-            neighbors=sub.has_nb)
-        self.plan = build_halo_plan(sub)
+            cfg, materialize_subdomain(self.sub, cfg, seed=dist.seed,
+                                       init=dist.init),
+            neighbors=self.sub.has_nb)
+        self.plan = build_halo_plan(self.sub)
         self.timings = {"compute_s": 0.0}
 
     def check_config_hash(self, digest: bytes):
@@ -295,46 +327,10 @@ class RankRuntime:
         return g.data[_box_slices(g, self.sub.owned_box())]
 
 
-def run_digest(cfg: PipelineConfig, global_dims, passes, seed, init,
-               topo=(1, 1, 1)) -> str:
-    """SHA-256 hex of everything that decides a run's output: the global
-    dims (for weak scaling, the per-rank dims times the topology, so strong
-    and weak runs of one domain match), the rank topology, the pass or
-    cycle count, the seed and init rule, and the pipeline shape.  The
-    watchdog changes timing only and is left out."""
-    b = cfg.spec
-    text = "\n".join([
-        f"dims={tuple(int(d) for d in global_dims)}",
-        f"topo={tuple(int(p) for p in topo)}", f"passes={passes}",
-        f"seed={seed}", f"init={init}", f"n={cfg.n}", f"t={cfg.t}",
-        f"T={cfg.T}", f"d_l={cfg.d_l}", f"d_u={cfg.d_u}", f"d_t={cfg.d_t}",
-        f"block={(b.bx, b.by, b.bz)}", f"sync={cfg.sync_mode}",
-        f"mode={cfg.grid_mode}"])
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-@dataclass
-class DistConfig:
-    topo: RankTopology
-    cfg: PipelineConfig
-    cycles: int
-    global_dims: tuple
-    seed: int = 42
-    init: str = "random"
-
-    def __post_init__(self):
-        if self.cycles < 0:
-            raise ValueError(f"cycle count must be >= 0, got {self.cycles}")
-
-    def digest(self) -> str:
-        return run_digest(self.cfg, self.global_dims, self.cycles,
-                          self.seed, self.init, self.topo.dims)
-
-
 def run_rank(dist: DistConfig, rank: int, ep) -> RankRuntime:
-    """Execute all cycles for one rank; returns its runtime with timings."""
-    subs = decompose_domain(dist.global_dims, dist.topo, dist.cfg.h)
-    rt = RankRuntime(subs[rank], dist.cfg, ep, seed=dist.seed, init=dist.init)
+    """Run rank ``rank`` of ``dist`` over ``ep``: the config-hash handshake,
+    then every cycle; returns its runtime with timings."""
+    rt = RankRuntime(dist, rank, ep)
     rt.check_config_hash(bytes.fromhex(dist.digest()))
     t0 = time.perf_counter()
     for c in range(dist.cycles):

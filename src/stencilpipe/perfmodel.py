@@ -15,6 +15,7 @@ Three families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -51,8 +52,8 @@ class KernelModel:
     levels: dict               # level name -> LevelTraffic
 
     def __post_init__(self):
-        if not self.core_cycles > 0:  # the cycle model divides by it
-            raise ModelFormatError("core_cycles must be positive")
+        if not 0 < self.core_cycles < math.inf:  # the model divides by it
+            raise ModelFormatError("core_cycles must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ class MachineModel:
         for val, key in ((self.freq_hz, "freq_hz"), (self.m_s, "m_s"),
                          (self.m_um1, "m_um1"), (self.m_uc1, "m_uc1"),
                          (self.m_ucmax, "m_ucmax")):
-            if not val > 0:  # nan too
-                raise ModelFormatError(f"{key} must be positive")
+            if not 0 < val < math.inf:  # nan too
+                raise ModelFormatError(f"{key} must be finite and > 0")
         if self.m_uc1 < self.m_um1:
             raise ModelFormatError("cache bandwidth below memory bandwidth")
 
@@ -85,9 +86,9 @@ class NetworkModel:
     node_perf_lups: float
 
     def __post_init__(self):
-        if not all(v > 0 for v in (self.latency_s, self.bandwidth_Bps,
-                                   self.node_perf_lups)):  # nan too
-            raise ModelFormatError("network parameters must be positive")
+        values = (self.latency_s, self.bandwidth_Bps, self.node_perf_lups)
+        if not all(0 < v < math.inf for v in values):  # nan too
+            raise ModelFormatError("network parameters must be finite and > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +195,6 @@ def load_network_model(source: str) -> NetworkModel:
             return parse_network_model(f.read())
 
 
-def shipped_machine_names():
-    return sorted(p.name[:-len(".model")]
-                  for p in resources.files("stencilpipe.data").iterdir()
-                  if p.name.endswith(".model"))
-
-
 # ---------------------------------------------------------------------------
 # bandwidth baselines
 # ---------------------------------------------------------------------------
@@ -270,8 +265,8 @@ def default_bj(m: MachineModel) -> float:
 def l3_scalability_check(m: MachineModel, t: int, b_j: float):
     """t pipeline threads plus the memory streams all press on the shared
     cache: (t+1)*B_j must fit under its aggregate bandwidth."""
-    if t < 0 or b_j <= 0:
-        raise ValueError("need t >= 0 and b_j > 0")
+    if t < 0 or not 0 < b_j < math.inf:  # nan too
+        raise ValueError(f"need t >= 0 and a finite b_j > 0, got b_j={b_j}")
     required = (t + 1) * b_j
     return required, required <= m.m_ucmax
 

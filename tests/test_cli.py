@@ -13,7 +13,6 @@ import pytest
 from stencilpipe import cli, kernel
 from stencilpipe.cli import (RunConfig, _config_from_args, build_parser, main,
                              parse_span)
-from stencilpipe.halo import run_digest
 from stencilpipe.perfmodel import ModelFormatError, load_network_model
 from stencilpipe.pipeline import PipelineDeadlock
 from stencilpipe.transport import parse_rankfile, tcp_endpoint
@@ -70,12 +69,66 @@ def test_bad_list_flag_is_config_error_naming_the_flag(argv, named, capsys):
 
 def test_config_hash_stable_and_sensitive():
     def digest(rc):
-        return run_digest(rc.pipeline_config(), (rc.nx, rc.ny, rc.nz),
-                          rc.passes, rc.seed, rc.init)
+        return rc.run().digest()
 
     a, b = RunConfig(), RunConfig()
     assert digest(a) == digest(b)
     assert digest(RunConfig(d_u=7)) != digest(a)
+
+
+# config hashes of fixed runs: a change to the digest text, or to what a
+# flag or config key resolves to, shows here.  A solve and a dist on 1,1,1
+# of the same flags are one run and share a hash.
+_SOLVE_12 = ["solve", "--grid", "12", "--block", "12,4,4", "--t", "2"]
+_DIST_2 = ["dist", "--topo", "2,1,1", "--block", "8,8,8", "--t", "1",
+           "--T", "2"]
+_RING_40 = ["--grid", "40", "--block", "20,8,8", "--t", "2", "--T", "2",
+            "--mode", "compressed", "--init", "random_ring"]
+PINNED_HASHES = {
+    "solve": (_SOLVE_12 + ["--T", "1", "--passes", "3"],
+              ["0ab4999f7cdc80be"]),
+    "solve_compressed": (_SOLVE_12 + ["--T", "2", "--mode", "compressed",
+                                      "--passes", "1", "--init",
+                                      "random_ring"],
+                         ["6c85ba8148d36f56"]),
+    "sweep": (["sweep", "--grid", "12", "--block", "12,4,4", "--sweep-t",
+               "0,1,2", "--sweep-T", "1,2"],
+              ["", "", "b0473dd2aa8ac369", "dc3d32b322ebcb5a",
+               "c2e9b40958a0098a", "40c9829ca7c02800"]),
+    "dist": (_DIST_2 + ["--grid", "16", "--cycles", "3"],
+             ["fa2b60180560a330"] * 2),
+    "dist_weak": (_DIST_2 + ["--grid", "8", "--cycles", "3", "--scaling",
+                             "weak"],
+                  ["1ab54b3435ff27db"] * 2),
+    "solve_ring": (["solve", *_RING_40, "--passes", "3"],
+                   ["ddb6ea3981c26e7b"]),
+    "dist_one_rank": (["dist", "--topo", "1,1,1", *_RING_40, "--cycles", "3"],
+                      ["ddb6ea3981c26e7b"]),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_HASHES)
+def test_config_hashes_are_pinned(name, capsys):
+    argv, hashes = PINNED_HASHES[name]
+    code, out, err = run_cli(argv + ["--json"], capsys)
+    assert code == 0, err
+    assert [row["config_hash"] for row in json.loads(out)] == hashes
+
+
+def test_dist_counts_cycles_and_has_no_passes_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_DIST_2 + ["--grid", "16", "--passes", "3"])
+    assert exc.value.code == 2
+    assert "--passes" in capsys.readouterr().err
+    # a config file's passes key is the cycle count
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("passes = 3\n")
+    code, out, err = run_cli(_DIST_2 + ["--grid", "16", "--config", str(cfg),
+                                        "--json"], capsys)
+    assert code == 0, err
+    rows = json.loads(out)
+    assert [row["config_hash"] for row in rows] == ["fa2b60180560a330"] * 2
+    assert all(row["messages"] == 3 for row in rows)
 
 
 def test_solve_verify_reports_bitwise_match(capsys):
@@ -313,7 +366,7 @@ def test_dist_rejects_a_negative_cycle_count(capsys):
                               "--block", "6,6,6", "--cycles", "-1",
                               "--verify"], capsys)
     assert code == 2 and out == ""
-    assert err == "config error: cycle count must be >= 0, got -1\n"
+    assert err == "config error: pass count must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])

@@ -18,7 +18,6 @@ from stencilpipe.halo import (
     decompose_domain,
     exchange_multilayer_halos,
     materialize_subdomain,
-    run_digest,
     run_distributed_inprocess,
     run_rank,
 )
@@ -540,8 +539,7 @@ def test_a_silent_peer_ends_the_run_at_its_watchdog(transport, silent_from):
     eps = _endpoint_pair(transport)
     try:
         if silent_from == "first_halo":
-            sub = decompose_domain(dist.global_dims, dist.topo, cfg.h)[1]
-            peer = RankRuntime(sub, cfg, eps[1])
+            peer = RankRuntime(dist, 1, eps[1])
             answer = threading.Thread(target=peer.check_config_hash,
                                       args=(bytes.fromhex(dist.digest()),))
             answer.start()
@@ -612,6 +610,12 @@ _DIGEST_BASE = dict(global_dims=(24, 24, 24), passes=2, seed=42,
                     init="random", topo=(1, 1, 1))
 
 
+def _digest(cfg, global_dims, passes, seed, init, topo):
+    return DistConfig(topo=RankTopology(*topo), cfg=cfg, cycles=passes,
+                      global_dims=global_dims, seed=seed,
+                      init=init).digest()
+
+
 @pytest.mark.parametrize("change", [
     dict(global_dims=(48, 24, 24)), dict(topo=(2, 1, 1)),
     dict(topo=(1, 2, 1)), dict(passes=3), dict(seed=43),
@@ -623,24 +627,12 @@ def test_run_digest_covers_every_output_input(change):
     run, cfg_kw = dict(_DIGEST_BASE), dict(spec=(8, 8, 8))
     for key, val in change.items():
         (run if key in run else cfg_kw)[key] = val
-    base = run_digest(_cfg(spec=(8, 8, 8)), **_DIGEST_BASE)
-    assert run_digest(_cfg(**cfg_kw), **run) != base
+    base = _digest(_cfg(spec=(8, 8, 8)), **_DIGEST_BASE)
+    assert _digest(_cfg(**cfg_kw), **run) != base
 
 
 def test_run_digest_ignores_timing_only_settings():
-    base = run_digest(_cfg(spec=(8, 8, 8)), **_DIGEST_BASE)
+    base = _digest(_cfg(spec=(8, 8, 8)), **_DIGEST_BASE)
     timing = _cfg(spec=(8, 8, 8), watchdog_s=5.0)
-    assert run_digest(timing, **_DIGEST_BASE) == base
+    assert _digest(timing, **_DIGEST_BASE) == base
     assert len(base) == 64 and set(base) <= set("0123456789abcdef")
-
-
-def test_halo_width_must_match_pipeline_h():
-    topo = RankTopology(2, 1, 1)
-    subs = decompose_domain((20, 20, 20), topo, 4)
-    cfg = _cfg(n=1, t=2, T=1, spec=(10, 10, 10))  # h=2, mismatch
-    from stencilpipe.halo import RankRuntime
-    eps = InProcessFabric(2).endpoints()
-    with pytest.raises(ValueError):
-        RankRuntime(subs[0], cfg, eps[0])
-    for ep in eps:
-        ep.close()

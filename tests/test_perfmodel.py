@@ -17,7 +17,6 @@ from stencilpipe.perfmodel import (
     parse_machine_model,
     parse_network_model,
     pipelined_bound,
-    shipped_machine_names,
 )
 
 EP = load_machine_model("nehalem_ep")
@@ -34,7 +33,8 @@ EFF_20_2 = 0.24691358024691362
 
 
 def test_shipped_models_present():
-    assert shipped_machine_names() == ["istanbul", "nehalem_ep", "nehalem_ex"]
+    for name in ("istanbul", "nehalem_ep", "nehalem_ex"):
+        assert isinstance(load_machine_model(name), MachineModel)
 
 
 def test_machine_file_fields():
@@ -79,8 +79,11 @@ _UNCONVERTED = {
     _GOOD.replace("freq_hz = 1e9", "freq_hz = -1"),
     _GOOD.replace("freq_hz = 1e9", "freq_hz = 0"),
     _GOOD.replace("freq_hz = 1e9", "freq_hz = nan"),
+    _GOOD.replace("freq_hz = 1e9", "freq_hz = inf"),
+    _GOOD.replace("m_s = 1", "m_s = inf"),
     _GOOD + "jacobi.core_cycles = 0\njacobi.L1.bytes_per_update = 64\n",
     _GOOD + "jacobi.core_cycles = -2\n",
+    _GOOD + "jacobi.core_cycles = inf\n",
     *_UNCONVERTED,
 ])
 def test_bad_model_files_rejected(bad):
@@ -247,10 +250,13 @@ def test_model_precondition_errors():
         multihalo_advantage(0, 2, QDR)
     with pytest.raises(ValueError):
         comm_efficiency(10, 0, QDR)
-    for latency in ("0", "nan"):
+    for latency in ("0", "nan", "inf"):
         with pytest.raises(ModelFormatError):
             parse_network_model(f"latency_s = {latency}\nbandwidth_Bps = 1\n"
                                 "node_perf_lups = 1\n")
     with pytest.raises(ModelFormatError):  # nan behind a positive value
         parse_network_model("latency_s = 1\nbandwidth_Bps = nan\n"
                             "node_perf_lups = 1\n")
+    for b_j in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite b_j"):
+            l3_scalability_check(EP, 2, b_j)
