@@ -4,7 +4,6 @@ halo exchange and analytical performance models."""
 from .grid import (
     Grid3,
     BlockSpec,
-    BlockPlan,
     create_grid,
     decompose_blocks,
     read_snapshot,

@@ -237,11 +237,19 @@ def _execute(run: DistConfig):
 
 
 def _stats_row(rc: RunConfig, run: DistConfig, stats) -> dict:
+    """The run's row: its configuration, hash and rates, and where it
+    waited: the wait seconds summed over its pipeline positions, and
+    ``wait_share``, their total over wall seconds times positions."""
+    pred = sum((t.pred_wait_s for t in stats.threads), 0.0)
+    succ = sum((t.succ_wait_s for t in stats.threads), 0.0)
+    budget = stats.wall_seconds * len(stats.threads)
     row = rc.as_dict()
     row.update(config_hash=run.digest()[:16],
                wall_seconds=stats.wall_seconds,
                mlups=round(stats.mlups, 3),
-               spin_iterations_total=stats.spin_iterations_total)
+               spin_iterations_total=stats.spin_iterations_total,
+               pred_wait_s=round(pred, 6), succ_wait_s=round(succ, 6),
+               wait_share=round((pred + succ) / budget, 4) if budget else 0.0)
     return row
 
 
@@ -287,7 +295,8 @@ def cmd_sweep(args) -> int:
             row["status"] = "ok"
         except ValueError as exc:
             row = dict(values, config_hash="", wall_seconds="", mlups="",
-                       spin_iterations_total="",
+                       spin_iterations_total="", pred_wait_s="",
+                       succ_wait_s="", wait_share="",
                        status=f"config_error: {exc}")
         rows.append(row)
     return _emit(rows, args)

@@ -11,7 +11,7 @@ update scheme needs to slide data toward lower indices and back.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -266,39 +266,15 @@ def _axis_bases(n: int, b: int):
     return bases
 
 
-@dataclass
-class BlockPlan:
-    """Ordered tiling of the interior.
-
-    ``blocks`` lists (base, size) pairs, x fastest / z outermost (a backward
-    pass visits them in reverse).  ``bases`` holds the per-axis base
-    coordinates, multiples of the spec's edge lengths; each block runs to the
-    next base or to the end of its axis, so the last block on an axis may be
-    shorter or (up to 1.5x) longer than the spec.  The pipelined sweep
-    derives its per-update window boundaries from the bases.
-    """
-    bases: tuple  # (x_bases, y_bases, z_bases)
-    blocks: list = field(default_factory=list)
-
-    @property
-    def total_blocks(self) -> int:
-        return len(self.blocks)
-
-
-def decompose_blocks(grid: Grid3, spec: BlockSpec) -> BlockPlan:
-    """Tile the interior with blocks of the spec's edge lengths.  On each
-    axis the last block takes what is left: a remainder r with 2*r >= b
-    stays a short block of r cells, a shorter one joins the block before it
-    (b + r cells)."""
+def decompose_blocks(grid: Grid3, spec: BlockSpec):
+    """The tiling of the interior by blocks of the spec's edge lengths, as
+    its per-axis bases ``(xs, ys, zs)`` (:func:`_axis_bases`).  A block runs
+    from a base to the next or to the end of the axis, so the last takes
+    what is left: a remainder r with 2*r >= b stays a short block of r
+    cells, a shorter one joins the block before it (b + r cells)."""
     spec.validate(grid)
-    bases = tuple(_axis_bases(n, b)
-                  for n, b in zip(grid.shape, (spec.bx, spec.by, spec.bz)))
-    # (base, size) per block of each axis: a block runs to the next base
-    xs, ys, zs = ([(lo, hi - lo) for lo, hi in zip(axis, axis[1:] + [n])]
-                  for axis, n in zip(bases, grid.shape))
-    blocks = [((x, y, z), (sx, sy, sz))
-              for z, sz in zs for y, sy in ys for x, sx in xs]
-    return BlockPlan(bases=bases, blocks=blocks)
+    return tuple(_axis_bases(n, b)
+                 for n, b in zip(grid.shape, (spec.bx, spec.by, spec.bz)))
 
 
 def write_snapshot(grid: Grid3, path):

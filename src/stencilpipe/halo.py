@@ -216,7 +216,8 @@ def exchange_multilayer_halos(g: Grid3, plan: list, ep,
     TransportError.  ``timings`` sums pack, transfer and unpack seconds;
     transfer runs from the send until the peer's whole frame has arrived,
     so it includes the time the peer still spends computing before it
-    sends, not only the wire."""
+    sends, not only the wire.  Of it, ``wait_s`` (from ``ep.sendrecv``) is
+    the time until the frame's first byte arrived."""
     t = timings if timings is not None else {}
     for m in plan:
         t0 = time.perf_counter()
@@ -225,7 +226,7 @@ def exchange_multilayer_halos(g: Grid3, plan: list, ep,
         payload.reshape(m.shape)[...] = g.data[_box_slices(g, m.send_box)]
         t1 = time.perf_counter()
         incoming = ep.sendrecv(m.neighbor, m.frame, len(m.frame),
-                               timeout=timeout)
+                               timeout=timeout, timings=t)
         t2 = time.perf_counter()
         header = FRAME_HEADER.unpack_from(incoming)
         if header != (m.axis, 1 - m.side, m.nbytes, cycle_index):

@@ -155,9 +155,9 @@ def effective_distances(cfg: PipelineConfig):
 def estimate_max_distance(cache_bytes: float, t: int, spec: BlockSpec) -> int:
     """Upper bound on the thread distance: cache size divided by t times the
     size of one block (8-byte cells) of the spec.  The last block on an
-    axis may be up to 1.5x the spec there (a short remainder joins it,
-    :func:`grid.decompose_blocks`), so a block at a grid's far corner may
-    hold up to 1.5**3 = 3.375x the volume this bound assumes."""
+    axis, from its last base on (:func:`grid.decompose_blocks`), is shorter
+    than 1.5x the spec there, so a block at a grid's far corner holds less
+    than 1.5**3 = 3.375x the volume this bound assumes."""
     volume = spec.bx * spec.by * spec.bz
     if volume <= 0:
         raise ValueError("block volume must be positive")
@@ -224,18 +224,6 @@ class RunStats:
                     if t.succ_gap_max is not None), default=None)
 
 
-def _window_boundaries(bases, delta, live_lo, live_hi):
-    """K+1 window boundaries for one axis at one update level: interior block
-    bases shifted by delta and clamped into the live range; the two ends are
-    pinned to the live range so the windows always tile it exactly."""
-    out = [live_lo]
-    for b in bases[1:]:
-        v = b + delta
-        out.append(live_lo if v < live_lo else (live_hi if v > live_hi else v))
-    out.append(live_hi)
-    return out
-
-
 class PipelineEngine:
     """Executes pipelined passes over one compressed grid or a two-grid pair.
 
@@ -251,8 +239,10 @@ class PipelineEngine:
     other sides keep their ring (re-materialized while data shifts in
     compressed mode).
 
-    All that its runs share is fixed when the engine is built, the compiled
-    driver's arguments (``spec``) among it; a run adds only its pass plan.
+    Its blocks tile the grid by the per-axis ``bases`` of
+    :func:`grid.decompose_blocks`.  All that its runs share is fixed when
+    the engine is built, the compiled driver's arguments (``spec``) among
+    it; a run adds only its pass plan (:meth:`_plan`).
     Code that changes a grid's ring or storage builds a new engine.
     """
 
@@ -274,11 +264,7 @@ class PipelineEngine:
             raise ValueError("the grids of the pair differ in shape, pad or "
                              "alignment, or share storage")
         self.dims = g.shape
-        self.plan = decompose_blocks(g, cfg.spec)  # backward: reversed
-        # each block's index along each axis, in forward traversal order
-        self._block_index = np.array(
-            [base for base, _size in self.plan.blocks],
-            dtype=np.int64) // (cfg.spec.bx, cfg.spec.by, cfg.spec.bz)
+        self.bases = decompose_blocks(g, cfg.spec)
         self.neighbors = tuple((bool(lo), bool(hi)) for lo, hi in neighbors)
         if len(self.neighbors) != 3:
             raise ValueError(f"neighbors needs one (lo, hi) pair per axis, "
@@ -316,7 +302,7 @@ class PipelineEngine:
         src, (nx, ny, nz) = self.arrays[0], self.dims
         self.spec = kernel.RunSpec(
             rows=(ctypes.c_void_p * 2)(*(t.ctypes.data for t in self.tables)),
-            nblocks=self.plan.total_blocks, h=cfg.h, T=cfg.T, nt=nt,
+            nblocks=len(self.tables[0]), h=cfg.h, T=cfg.T, nt=nt,
             grid=(ctypes.c_void_p * 2)(*(a.ctypes.data for a in self.arrays)),
             sy=src.strides[1] // src.itemsize,
             sz=src.strides[0] // src.itemsize,
@@ -336,33 +322,38 @@ class PipelineEngine:
         backward), which both executors read.
 
         An int64 array of shape (blocks, h, 8): row [k, u-1] holds the window
-        block k (in traversal order) updates at level u as xl, xh, yl, yh, zl,
-        zh, then u, then a bit mask (bit 2*axis + side) of the ring sides
-        whose Dirichlet ring the window must re-materialize (compressed mode).
-        A window empty on some axis slid out of its block's share of the
-        level; both executors skip it."""
+        block k (z outermost, x fastest; backward in reverse) updates at
+        level u as xl, xh, yl, yh, zl, zh, then u, then a bit mask (bit
+        2*axis + side) of the ring sides whose Dirichlet ring the window must
+        re-materialize (compressed mode).  On each axis a window runs between
+        the block's bases in ``bases``, shifted by u against the traversal
+        and clamped into the level's live range, whose ends the first and
+        last blocks keep.  A window empty on some axis slid out of its
+        block's share of the level; both executors skip it."""
         if direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
-        cfg, plan = self.cfg, self.plan
-        bases = plan.bases
-        idx = self._block_index[::direction]
-        table = np.empty((plan.total_blocks, cfg.h, _COLS), dtype=np.int64)
-        for u in range(1, cfg.h + 1):
-            delta = -u if direction == 1 else u
-            mask = np.zeros(plan.total_blocks, dtype=np.int64)
-            for ax, (nb_lo, nb_hi) in enumerate(self.neighbors):
-                n = self.dims[ax]
-                live_lo, live_hi = (u if nb_lo else 0, n - u if nb_hi else n)
-                bounds = np.array(_window_boundaries(bases[ax], delta, live_lo,
-                                                     live_hi), dtype=np.int64)
-                lo, hi = bounds[idx[:, ax]], bounds[idx[:, ax] + 1]
-                table[:, u - 1, 2 * ax] = lo
-                table[:, u - 1, 2 * ax + 1] = hi
-                mask |= (lo == live_lo).astype(np.int64) << 2 * ax
-                mask |= (hi == live_hi).astype(np.int64) << 2 * ax + 1
-            table[:, u - 1, 6] = u
-            table[:, u - 1, 7] = mask & self.ring
-        return table
+        cfg = self.cfg
+        table = np.empty((*(len(b) for b in self.bases[::-1]), cfg.h, _COLS),
+                         dtype=np.int64)
+        # block (i, j, k) of per-axis indices at [k, j, i]: z outermost, x
+        # fastest, and the reverse backward
+        blocks = table[::direction, ::direction, ::direction]
+        u = np.arange(1, cfg.h + 1)  # the levels
+        blocks[..., 6], blocks[..., 7] = u, 0
+        for ax, (nb_lo, nb_hi) in enumerate(self.neighbors):
+            live_lo, live_hi = u * nb_lo, self.dims[ax] - u * nb_hi
+            # the axis's window boundaries per level, by block index along
+            # it: the inner bases shifted against the traversal and clamped
+            inner = (np.array(self.bases[ax][1:], dtype=np.int64)[:, None]
+                     - direction * u)
+            bounds = np.vstack([live_lo, np.clip(inner, live_lo, live_hi),
+                                live_hi]).reshape((-1,) + (1,) * ax + (cfg.h,))
+            lo, hi = bounds[:-1], bounds[1:]
+            blocks[..., 2 * ax], blocks[..., 2 * ax + 1] = lo, hi
+            blocks[..., 7] |= ((lo == live_lo) * (1 << 2 * ax)
+                               | (hi == live_hi) * (2 << 2 * ax))
+        table[..., 7] &= self.ring
+        return table.reshape(-1, cfg.h, _COLS)
 
     def run_passes(self, count: int) -> RunStats:
         """``count`` team sweeps; each gives every interior cell h updates.

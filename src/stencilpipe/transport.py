@@ -59,7 +59,13 @@ class TcpEndpoint:
         self.rank, self.ranks = rank, len(links) + 1
         self._socks = dict(links)
 
-    def sendrecv(self, neighbor, outgoing, expected_len, timeout=60.0):
+    def sendrecv(self, neighbor, outgoing, expected_len, timeout=60.0,
+                 timings=None):
+        """Send ``outgoing`` to ``neighbor`` while receiving its reply of
+        ``expected_len`` bytes, which it returns.  ``timings``, if given,
+        gains in ``wait_s`` the seconds from the call until the reply's
+        first byte arrived (0 for an empty reply)."""
+        start = first = time.perf_counter()
         try:
             sock = self._socks[neighbor]
         except KeyError:
@@ -105,6 +111,8 @@ class TcpEndpoint:
                         raise TransportError(
                             f"rank {self.rank}: rank {neighbor} closed the link")
                     if n:
+                        if not got:
+                            first = time.perf_counter()
                         got += n
         except (OSError, ValueError) as exc:
             # a dead peer (BrokenPipeError, reset, ...) or a link closed
@@ -118,6 +126,8 @@ class TcpEndpoint:
                 sock.setblocking(True)
             except OSError:  # closed: nothing left to restore
                 pass
+        if timings is not None:
+            timings["wait_s"] = timings.get("wait_s", 0.0) + (first - start)
         return incoming
 
     def shutdown(self) -> None:

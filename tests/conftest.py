@@ -62,7 +62,7 @@ def install_jitter(monkeypatch, prob, max_s, seed=0):
     ``prob``, drawn from one random.Random per engine pass and thread."""
 
     def delays(engine, count):
-        out = np.zeros((count, engine.cfg.threads, engine.plan.total_blocks))
+        out = np.zeros((count, engine.cfg.threads, len(engine.tables[0])))
         for q, per_pass in enumerate(out):
             for g, row in enumerate(per_pass):
                 rng = random.Random(seed * 1_000_003

@@ -265,6 +265,38 @@ def test_sweep_sizes_the_configs_it_refuses(span, mode, capsys):
         "config_error", "ok"]
 
 
+_WAIT_COLUMNS = ("pred_wait_s", "succ_wait_s", "wait_share")
+
+
+def test_solve_row_reports_its_wait(capsys):
+    # summed over positions; the share is of wall seconds times positions
+    argv = ["solve", "--grid", "24", "--block", "24,4,4", "--passes", "4",
+            "--json"]
+    code, out, err = run_cli(argv + ["--t", "2"], capsys)
+    assert code == 0, err
+    (row,) = json.loads(out)
+    assert row["pred_wait_s"] >= 0 and row["succ_wait_s"] >= 0
+    assert 0 <= row["wait_share"] <= 1
+    waits = row["pred_wait_s"] + row["succ_wait_s"]
+    assert row["wait_share"] == pytest.approx(
+        waits / (2 * row["wall_seconds"]), abs=1e-4 + 1e-6 / row["wall_seconds"])
+    code, out, err = run_cli(argv + ["--t", "1", "--T", "2"], capsys)
+    assert code == 0, err
+    (row,) = json.loads(out)
+    assert [row[k] for k in _WAIT_COLUMNS] == [0, 0, 0]
+
+
+def test_sweep_config_error_row_leaves_the_wait_columns_empty(capsys):
+    code, out, err = run_cli(["sweep", "--grid", "12", "--block", "12,6,6",
+                              "--sweep-du", "0,3", "--t", "2", "--json"],
+                             capsys)
+    assert code == 0, err
+    bad, good = json.loads(out)
+    assert list(bad) == list(good)  # one CSV header fits both
+    assert [bad[k] for k in _WAIT_COLUMNS] == ["", "", ""]
+    assert 0 <= good["wait_share"] <= 1
+
+
 def test_model_baseline_csv(capsys):
     code, out, _ = run_cli(["model", "--op", "baseline", "--machine",
                             "nehalem_ep", "--machine", "nehalem_ex"], capsys)
@@ -329,6 +361,7 @@ def test_dist_inprocess_verify(tmp_path, capsys):
     rows = rows_of(out)
     assert len(rows) == 2
     assert all(r["verified"] == "bitwise match" for r in rows)
+    assert all(0 <= float(r["wait_s"]) <= float(r["transfer_s"]) for r in rows)
     assert (tmp_path / "rank_0.grid").exists()
     assert (tmp_path / "rank_1.grid").exists()
 

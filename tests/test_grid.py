@@ -1,3 +1,4 @@
+import itertools
 import os
 import resource
 import subprocess
@@ -99,18 +100,24 @@ def test_splitmix_values_in_unit_interval():
     assert not np.array_equal(v, splitmix64_unit(0, 10_000, seed=4))
 
 
+def _spans(bases, dims):
+    """Per axis, the (base, size) of each block: a block runs to the next
+    base or to the end of its axis."""
+    return [[(lo, hi - lo) for lo, hi in zip(axis, axis[1:] + [n])]
+            for axis, n in zip(bases, dims)]
+
+
 def test_decompose_hand_enumerated():
     g = create_grid(6, 6, 6)
-    plan = decompose_blocks(g, BlockSpec(6, 3, 3))
-    bases = [b for b, _ in plan.blocks]
-    assert bases == [(0, 0, 0), (0, 3, 0), (0, 0, 3), (0, 3, 3)]
-    assert all(size == (6, 3, 3) for _, size in plan.blocks)
+    bases = decompose_blocks(g, BlockSpec(6, 3, 3))
+    assert bases == ([0], [0, 3], [0, 3])
+    assert _spans(bases, g.shape) == [[(0, 6)], [(0, 3), (3, 3)],
+                                      [(0, 3), (3, 3)]]
 
 
 def test_whole_domain_is_one_block():
     g = create_grid(6, 6, 6)
-    plan = decompose_blocks(g, BlockSpec(6, 6, 6))
-    assert plan.total_blocks == 1
+    assert decompose_blocks(g, BlockSpec(6, 6, 6)) == ([0], [0], [0])
 
 
 def test_block_larger_than_interior_rejected():
@@ -131,16 +138,11 @@ def test_tiling_property(dims, spec):
     nx, ny, nz = dims
     bx, by, bz = (min(s, d) for s, d in zip(spec, dims))
     g = create_grid(nx, ny, nz)
-    plan = decompose_blocks(g, BlockSpec(bx, by, bz))
+    xs, ys, zs = _spans(decompose_blocks(g, BlockSpec(bx, by, bz)), dims)
     cover = np.zeros((nz, ny, nx), dtype=np.int32)
-    for (x, y, z), (sx, sy, sz) in plan.blocks:
+    for (z, sz), (y, sy), (x, sx) in itertools.product(zs, ys, xs):
         cover[z:z + sz, y:y + sy, x:x + sx] += 1
     assert np.all(cover == 1)
-
-
-def _axis_sizes(plan, axis):
-    """(base, size) of each block along one axis, in order."""
-    return sorted({(b[axis], s[axis]) for b, s in plan.blocks})
 
 
 @pytest.mark.parametrize("n,b,sizes", [
@@ -152,10 +154,10 @@ def _axis_sizes(plan, axis):
 ])
 def test_short_last_block_rule_at_its_boundary(n, b, sizes):
     g = create_grid(n, 3, 3)
-    plan = decompose_blocks(g, BlockSpec(b, 3, 3))
+    tiling = decompose_blocks(g, BlockSpec(b, 3, 3))
     bases = [sum(sizes[:i]) for i in range(len(sizes))]
-    assert plan.bases[0] == bases
-    assert _axis_sizes(plan, 0) == list(zip(bases, sizes))
+    assert tiling[0] == bases
+    assert _spans(tiling, g.shape)[0] == list(zip(bases, sizes))
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,12 +169,10 @@ def test_no_block_shorter_than_half_its_spec(dims, spec):
     # and none as long as 1.5x the spec; every base is a multiple of the
     # spec (the engine's block index)
     spec = tuple(min(s, d) for s, d in zip(spec, dims))
-    plan = decompose_blocks(create_grid(*dims), BlockSpec(*spec))
+    bases = decompose_blocks(create_grid(*dims), BlockSpec(*spec))
     for axis, b in enumerate(spec):
-        blocks = _axis_sizes(plan, axis)
-        assert [base for base, _ in blocks] == plan.bases[axis]
-        assert all(base == i * b for i, (base, _) in enumerate(blocks))
-        for _, size in blocks:
+        assert bases[axis] == [i * b for i in range(len(bases[axis]))]
+        for _, size in _spans(bases, dims)[axis]:
             assert b <= 2 * size < 3 * b
 
 

@@ -238,7 +238,8 @@ class _ScriptedEndpoint:
         self.replies = list(replies)
         self.sent = []
 
-    def sendrecv(self, neighbor, outgoing, expected_len, timeout=60.0):
+    def sendrecv(self, neighbor, outgoing, expected_len, timeout=60.0,
+                 timings=None):
         self.sent.append((neighbor, bytes(outgoing)))
         return self.replies.pop(0)
 
@@ -409,8 +410,7 @@ def test_rank_sliver_joins_the_block_before_it(mode):
     runtimes = run_distributed_inprocess(dist)
     for rt in runtimes:
         assert rt.sub.local_dims[0] == 24
-        assert rt.engine.plan.bases[0] == [0]
-        assert {size[0] for _, size in rt.engine.plan.blocks} == {24}
+        assert rt.engine.bases[0] == [0]  # one x block, of all 24 cells
     assert_bitwise(assemble_global(runtimes).interior_view(),
                    _swept(dims, seed, cycles * cfg.h,
                           "random_ring").interior_view())
@@ -480,6 +480,14 @@ def test_per_phase_timings_reported():
                     "wall_s", "mlups"):
             assert key in t
         assert t["messages"] == 2  # one neighbored side, one exchange per cycle
+
+
+def test_halo_wait_is_part_of_the_transfer():
+    cfg = _cfg(t=2, T=2, spec=(10, 10, 10))
+    dist = DistConfig(topo=RankTopology(2, 2, 1), cfg=cfg, cycles=3,
+                      global_dims=(20, 20, 12))
+    for rt in run_distributed_inprocess(dist):
+        assert 0 <= rt.timings["wait_s"] <= rt.timings["transfer_s"]
 
 
 def test_rank_error_ends_its_inprocess_peers(monkeypatch):

@@ -299,24 +299,36 @@ def test_distances_exceeding_block_count_still_drain(oracle):
 
 
 def test_window_boundaries_tile_every_level():
-    from hypothesis import given, settings
+    # at every level, in either direction, the table's windows tile the
+    # level's live range exactly: each live cell once, nothing outside it
+    from hypothesis import assume, given, settings
     from hypothesis import strategies as st_
-    from stencilpipe.pipeline import _window_boundaries
 
     @settings(max_examples=80, deadline=None)
-    @given(n=st_.integers(4, 40), b=st_.integers(1, 40),
-           delta=st_.integers(-30, 30), shrink=st_.integers(0, 3))
-    def check(n, b, delta, shrink):
-        b = min(b, n)
-        bases = list(range(0, n, b))
-        lo, hi = shrink, n - shrink
-        if lo >= hi:
-            return
-        bounds = _window_boundaries(bases, delta, lo, hi)
-        assert bounds[0] == lo and bounds[-1] == hi
-        assert all(x <= y for x, y in zip(bounds, bounds[1:]))
-        covered = sum(bounds[i + 1] - bounds[i] for i in range(len(bases)))
-        assert covered == hi - lo  # windows tile the live range exactly
+    @given(dims=st_.tuples(*[st_.integers(1, 12)] * 3),
+           spec=st_.tuples(*[st_.integers(1, 12)] * 3),
+           T=st_.integers(1, 8), mode=st_.sampled_from(["two_grid",
+                                                        "compressed"]),
+           nbs=st_.tuples(*[st_.tuples(st_.booleans(), st_.booleans())] * 3),
+           direction=st_.sampled_from([1, -1]))
+    def check(dims, spec, T, mode, nbs, direction):
+        cfg = _cfg(spec=BlockSpec(*(min(b, n) for b, n in zip(spec, dims))),
+                   T=T, grid_mode=mode)
+        live = [[(u if lo else 0, n - (u if hi else 0))
+                 for (lo, hi), n in zip(nbs, dims)]
+                for u in range(cfg.h + 1)]
+        assume(all(lo < hi for lo, hi in live[cfg.h]))
+        engine = PipelineEngine(cfg, create_grid(*dims, pad=cfg.pad),
+                                neighbors=nbs)
+        table = engine.work_table(direction)
+        assert (table[:, :, 0:6:2] <= table[:, :, 1:6:2]).all()
+        for u in range(1, cfg.h + 1):
+            cover = np.zeros(dims[::-1], dtype=np.int64)
+            for xl, xh, yl, yh, zl, zh in table[:, u - 1, :6].tolist():
+                cover[zl:zh, yl:yh, xl:xh] += 1
+            (xl, xh), (yl, yh), (zl, zh) = live[u]
+            assert (cover[zl:zh, yl:yh, xl:xh] == 1).all()
+            assert cover.sum() == (xh - xl) * (yh - yl) * (zh - zl)
 
     check()
 
@@ -597,7 +609,7 @@ def _tail_delays(engine, count):
     """Delays on the last two blocks of every pass, longest on the rear
     position: a pass that began before the one before had ended everywhere
     would read unfinished data here."""
-    delays = np.zeros((count, engine.cfg.threads, engine.plan.total_blocks))
+    delays = np.zeros((count, engine.cfg.threads, len(engine.tables[0])))
     delays[:, :, -2:] = 0.001
     delays[:, -1, -2:] = 0.003
     return delays
@@ -944,17 +956,18 @@ def test_work_table_matches_a_plain_build(mode, direction):
 
     g = create_grid(*dims, pad=cfg.pad)
     engine = PipelineEngine(cfg, g, neighbors=nbs)
-    plan = decompose_blocks(g, spec)
+    bases = decompose_blocks(g, spec)
+    nx, ny, nz = (len(axis) for axis in bases)
+    blocks = [(i, j, k) for k in range(nz) for j in range(ny) for i in range(nx)]
     expected = []
-    for base, _size in plan.blocks[::direction]:
+    for block in blocks[::direction]:
         rows = []
         for u in range(1, cfg.h + 1):
             delta = -u if direction == 1 else u
             row, mask = [], 0
             for ax in range(3):
                 live_lo, live_hi = live(ax, u)
-                axis = plan.bases[ax]
-                i = axis.index(base[ax])
+                axis, i = bases[ax], block[ax]
                 lo = live_lo if i == 0 else min(max(axis[i] + delta, live_lo), live_hi)
                 hi = (live_hi if i == len(axis) - 1
                       else min(max(axis[i + 1] + delta, live_lo), live_hi))
@@ -1068,7 +1081,7 @@ def test_merged_last_blocks_equal_reference(mode, walk, request):
         reference_sweep(expected, scratch)
         expected, scratch = scratch, expected
     st = run_pipelined(g, cfg, passes)
-    assert decompose_blocks(g, cfg.spec).bases == ([0, 10], [0, 8], [0, 6])
+    assert decompose_blocks(g, cfg.spec) == ([0, 10], [0, 8], [0, 6])
     assert_bitwise(st.result.interior_view(), expected.interior_view())
 
 

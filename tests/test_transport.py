@@ -335,6 +335,31 @@ def test_tcp_sendrecv_waits_for_a_late_reply_without_spinning(monkeypatch):
     assert 0 < len(selects) < 50
 
 
+def test_sendrecv_times_the_wait_for_the_first_byte_of_the_reply():
+    # the peer replies 0.3 s after the message is out: the wait covers that
+    # delay and no more than the whole call
+    ep, peer = _socketpair_endpoint()
+    message = bytes(range(64))
+
+    def reply():
+        got = peer.recv(len(message), socket.MSG_WAITALL)
+        time.sleep(0.3)
+        peer.sendall(got)
+
+    replier = threading.Thread(target=reply)
+    replier.start()
+    timings = {}
+    try:
+        t0 = time.perf_counter()
+        ep.sendrecv(1, message, len(message), timeout=10.0, timings=timings)
+        took = time.perf_counter() - t0
+    finally:
+        replier.join()
+        peer.close()
+        ep.close()
+    assert 0.25 <= timings["wait_s"] <= took
+
+
 def test_tcp_sendrecv_ends_at_its_deadline():
     # a live peer that never answers: the wait ends at the timeout, not at
     # the end of a whole one-second select round after it
